@@ -9,12 +9,10 @@ reporting.
 
 from .algebra import (
     Poly,
-    Rational,
     X,
     binom_poly,
     dfact,
     ffact_int,
-    format_rational,
     gfact_falling,
     gfact_rising,
     parse_rational,
@@ -37,7 +35,6 @@ from .identities import (
     suite_report_json,
 )
 from .sequences import (
-    SequenceValue,
     StirlingTriangle,
     bell_from_triangle,
     dbell_poly,
@@ -52,17 +49,14 @@ from .sequences import (
     power_sum,
     s1_triangle,
     s2_triangle,
-    sequence_value,
     stirling_series_oracle,
 )
 from .series import (
     Series,
-    binom_series,
     dexp,
     dlog,
     dpolylog,
     identity_series,
-    ser_comp_inverse,
     ser_compose,
     ser_mul,
     ser_reciprocal,

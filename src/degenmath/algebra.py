@@ -13,8 +13,6 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Union
 
-Rational = Fraction
-
 Scalar = Union[int, Fraction]
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
@@ -36,11 +34,6 @@ def parse_rational(text: str) -> Fraction:
             raise ValueError(f"zero denominator: {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(num))
-
-
-def format_rational(value: Scalar) -> str:
-    """Reduced "p/q" (or "p") rendering used by every serializer."""
-    return str(Fraction(value))
 
 
 class Poly:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 all requested checks pass, 1 an identity check failed,
 2 usage error, 3 domain error (structurally valid flags that cannot be
-satisfied, e.g. an r bound for a family that does not take one).
+satisfied, e.g. an r bound for a family that does not take one, a binding
+outside an identity's schema, or a check grid that leaves nothing to check).
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from fractions import Fraction
 
 from . import identities, sequences
 from .algebra import Poly, parse_rational, poly_eval
-from .identities import Grid, UnknownIdentityError
-from .series import Series, dexp, dlog, dpolylog, ser_compose, ser_mul, ser_reciprocal
+from .identities import BindingError, Grid, UnknownIdentityError
+from .series import dexp, dlog, dpolylog
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -25,6 +26,18 @@ EXIT_DOMAIN = 3
 TRIANGLE_FAMILIES = ("s1", "s2")
 SCALAR_FAMILIES = ("harmonic", "hyperharmonic")
 POLY_FAMILIES = ("bernoulli", "euler", "bell", "fubini")
+
+# family -> function name in sequences, looked up on the module at call time
+FAMILY_FUNCTIONS = {
+    "s1": "s1_triangle",
+    "s2": "s2_triangle",
+    "harmonic": "dharmonic",
+    "hyperharmonic": "dhyperharmonic",
+    "bernoulli": "dbernoulli_poly",
+    "euler": "deuler_poly",
+    "bell": "dbell_poly",
+    "fubini": "dfubini_poly",
+}
 
 
 def _rational_list(text: str) -> tuple[Fraction, ...]:
@@ -114,23 +127,17 @@ def _table_rows(args) -> list[list]:
             raise DomainError("hyperharmonic needs --r >= 1")
     elif r is not None:
         raise DomainError(f"--r does not apply to family {family!r}")
+    fn = getattr(sequences, FAMILY_FUNCTIONS[family])
     if family in TRIANGLE_FAMILIES:
-        builder = sequences.s1_triangle if family == "s1" else sequences.s2_triangle
-        tri = builder(nmax, lam)
+        tri = fn(nmax, lam)
         return [list(tri.row(n)) for n in range(nmax + 1)]
     if family == "harmonic":
-        return [[sequences.dharmonic(n, lam)] for n in range(nmax + 1)]
+        return [[fn(n, lam)] for n in range(nmax + 1)]
     if family == "hyperharmonic":
-        return [[sequences.dhyperharmonic(n, r, lam)] for n in range(nmax + 1)]
-    maker = {
-        "bernoulli": sequences.dbernoulli_poly,
-        "euler": sequences.deuler_poly,
-        "bell": sequences.dbell_poly,
-        "fubini": sequences.dfubini_poly,
-    }[family]
+        return [[fn(n, r, lam)] for n in range(nmax + 1)]
     rows = []
     for n in range(nmax + 1):
-        poly = maker(n, lam)
+        poly = fn(n, lam)
         rows.append([poly.coeff(i) for i in range(n + 1)])
     return rows
 
@@ -172,12 +179,7 @@ def _cmd_eval(args) -> int:
     if args.n < 0:
         print("error: --n must be >= 0", file=sys.stderr)
         return EXIT_DOMAIN
-    maker = {
-        "bernoulli": sequences.dbernoulli_poly,
-        "euler": sequences.deuler_poly,
-        "bell": sequences.dbell_poly,
-        "fubini": sequences.dfubini_poly,
-    }[args.family]
+    maker = getattr(sequences, FAMILY_FUNCTIONS[args.family])
     value = poly_eval(maker(args.n, args.lam), args.x)
     if args.format == "json":
         text = _json_text({"family": args.family, "n": args.n, "lambda": str(args.lam), "x": str(args.x), "value": str(value)})
@@ -187,11 +189,6 @@ def _cmd_eval(args) -> int:
         text = str(value)
     _emit(text, args.output)
     return EXIT_OK
-
-
-def _hypergf_series(lam, r: int, order: int) -> Series:
-    minus_log = -ser_compose(dlog(lam, order), Series((0, -1), order))
-    return ser_mul(minus_log, ser_reciprocal(Series((1, -1), order) ** r))
 
 
 def _cmd_series(args) -> int:
@@ -208,7 +205,7 @@ def _cmd_series(args) -> int:
         if args.r < 1:
             print("error: --r must be >= 1", file=sys.stderr)
             return EXIT_DOMAIN
-        series = _hypergf_series(args.lam, args.r, args.order)
+        series = identities.hyperharmonic_gf(args.lam, args.r, args.order)
     coeffs = [str(c) for c in series.coeffs]
     if args.format == "json":
         text = _json_text({"coeffs": coeffs, "order": series.order})
@@ -244,6 +241,16 @@ def _cmd_check(args) -> int:
     except UnknownIdentityError as exc:
         print(f"error: unknown identity id {exc.args[0]!r}", file=sys.stderr)
         return EXIT_USAGE
+    except BindingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    # a check of zero bindings passes vacuously, so it is not reported as a
+    # pass; under --all E44 always has bindings, so only named ids can be empty
+    checked = {r.id: r.pass_count + r.fail_count for r in report.results}
+    empty = [ident for ident in (ids or ()) if not checked[ident]]
+    if empty:
+        print(f"error: no bindings checked for {', '.join(empty)}; widen the grid", file=sys.stderr)
+        return EXIT_DOMAIN
     if args.format == "json":
         text = _json_text(identities.suite_report_json(report))
     elif args.format == "csv":

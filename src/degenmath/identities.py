@@ -97,30 +97,22 @@ def _domain_text(schema: dict) -> str:
 
 
 class Tables:
-    """Stirling-triangle source shared by one run of checks.
+    """Stirling-triangle source for a run of checks.
 
     The builders are injectable so tests can verify the checks really
     depend on the recurrences (mutation sensitivity); the default builders
-    are the honest ones from the sequences module.
+    are the honest ones from the sequences module, whose store caches the
+    triangles; Tables itself holds no state.
     """
 
     def __init__(self, s1_builder=sequences.s1_triangle, s2_builder=sequences.s2_triangle):
         self._builders = {"first": s1_builder, "second": s2_builder}
-        self._triangles: dict = {}
 
     def s1(self, nmax: int, lam) -> sequences.StirlingTriangle:
-        return self._triangle("first", nmax, Fraction(lam))
+        return self._builders["first"](nmax, lam)
 
     def s2(self, nmax: int, lam) -> sequences.StirlingTriangle:
-        return self._triangle("second", nmax, Fraction(lam))
-
-    def _triangle(self, kind, nmax, lam):
-        key = (kind, lam)
-        tri = self._triangles.get(key)
-        if tri is None or tri.nmax < nmax:
-            tri = self._builders[kind](max(nmax, 13), lam)
-            self._triangles[key] = tri
-        return tri
+        return self._builders["second"](nmax, lam)
 
     def bell(self, n: int, lam) -> Poly:
         return sequences.bell_from_triangle(self.s2(n, lam), n)
@@ -140,17 +132,15 @@ def _result(ident: str, binding: dict, lhs, rhs, note: str = "") -> CheckResult:
 # checkers
 
 
-def _inv_one_minus_t_pow(r: int, order: int) -> Series:
-    return ser_reciprocal(Series((1, -1), order) ** r)
-
-
-def _minus_log_one_minus_t(lam, order: int) -> Series:
-    return -ser_compose(dlog(lam, order), Series((0, -1), order))
+def hyperharmonic_gf(lam, r: int, order: int) -> Series:
+    """-log_lam(1-t)/(1-t)^r, the generating function of the hyperharmonic numbers."""
+    minus_log = -ser_compose(dlog(lam, order), Series((0, -1), order))
+    return ser_mul(minus_log, ser_reciprocal(Series((1, -1), order) ** r))
 
 
 def _check_t1(b, tab):
     lam, r, order = b["lambda"], b["r"], b["order"]
-    lhs = ser_mul(_minus_log_one_minus_t(lam, order), _inv_one_minus_t_pow(r, order))
+    lhs = hyperharmonic_gf(lam, r, order)
     rhs = Series(
         [Fraction(0)] + [sequences.dhyperharmonic(n, r, lam) for n in range(1, order + 1)],
         order,
@@ -888,7 +878,7 @@ def run_suite(
             if ident not in REGISTRY:
                 raise UnknownIdentityError(ident)
         selected = [ident for ident in REGISTRY if ident in set(wanted)]
-    tables = tables if tables is not None else Tables()
+    tables = tables if tables is not None else _DEFAULT_TABLES
     results = []
     for ident in selected:
         spec = REGISTRY[ident]

@@ -2,13 +2,23 @@
 
 Each family has a primary computation path (a recurrence or a finite
 formula) and, where one exists, an independent generating-function path
-that the test suite uses as an oracle.  Triangles and the series-extracted
-polynomial families are cached per lambda; all cached values are immutable,
-and caches are only ever replaced wholesale, so concurrent readers are safe.
+that the test suite uses as an oracle.
+
+The primary paths share one store of per-lambda tables, keyed by
+(family, lambda).  A Stirling triangle grows: asking for more rows than
+are stored computes only the missing rows from the last stored one, and a
+hit returns the stored triangle itself, which may hold more rows than were
+asked for.  The series-extracted Bernoulli and Euler families are rebuilt
+at max(n, 16) when n outgrows them.  The store keeps at most
+STORE_CAPACITY entries and drops the oldest when full.  Stored values are
+immutable and an entry is only ever replaced wholesale, so a reader never
+sees a partial table.  The oracles keep their own memo, apart from the
+code they check.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -17,8 +27,20 @@ from math import factorial
 from .algebra import Poly, X, gfact_falling
 from .series import Series, dexp, dlog, ser_mul, ser_reciprocal, ser_shift_down
 
-POLY_FAMILIES = ("dbernoulli", "deuler", "dbell", "dfubini")
-SCALAR_FAMILIES = ("dharmonic", "dhyperharmonic")
+STORE_CAPACITY = 128
+
+# (family, lambda) -> StirlingTriangle or tuple of Poly, oldest first; reads
+# are single dict lookups, writes take the lock so eviction cannot race
+_STORE: dict[tuple[str, Fraction], object] = {}
+_STORE_LOCK = threading.Lock()
+
+
+def _put(key, value):
+    with _STORE_LOCK:
+        if key not in _STORE and len(_STORE) >= STORE_CAPACITY:
+            del _STORE[next(iter(_STORE))]
+        _STORE[key] = value
+    return value
 
 
 @dataclass(frozen=True)
@@ -43,7 +65,7 @@ class StirlingTriangle:
 def s2_triangle(nmax: int, lam) -> StirlingTriangle:
     """Second-kind triangle from the recurrence
     S(n+1,k) = S(n,k-1) + (k - n*lam) * S(n,k), S(0,0) = 1."""
-    return _s2_cached(int(nmax), Fraction(lam))
+    return _triangle("second", int(nmax), Fraction(lam))
 
 
 def s1_triangle(nmax: int, lam) -> StirlingTriangle:
@@ -54,30 +76,31 @@ def s1_triangle(nmax: int, lam) -> StirlingTriangle:
     x*(x)_{k,lam} = (x)_{k+1,lam} + k*lam*(x)_{k,lam}; the test suite
     cross-checks it entrywise against the generating-function extraction.
     """
-    return _s1_cached(int(nmax), Fraction(lam))
+    return _triangle("first", int(nmax), Fraction(lam))
 
 
-@lru_cache(maxsize=None)
-def _s2_cached(nmax: int, lam: Fraction) -> StirlingTriangle:
-    return StirlingTriangle("second", lam, nmax, _triangle_rows(nmax, lambda n, k: k - n * lam))
+_WEIGHTS = {
+    "second": lambda n, k, lam: k - n * lam,
+    "first": lambda n, k, lam: k * lam - n,
+}
 
 
-@lru_cache(maxsize=None)
-def _s1_cached(nmax: int, lam: Fraction) -> StirlingTriangle:
-    return StirlingTriangle("first", lam, nmax, _triangle_rows(nmax, lambda n, k: k * lam - n))
-
-
-def _triangle_rows(nmax, weight):
-    rows = [(Fraction(1),)]
-    for n in range(nmax):
+def _triangle(kind: str, nmax: int, lam: Fraction) -> StirlingTriangle:
+    key = (kind, lam)
+    tri = _STORE.get(key)
+    if tri is not None and tri.nmax >= nmax:
+        return tri
+    weight = _WEIGHTS[kind]
+    rows = list(tri.rows) if tri is not None else [(Fraction(1),)]
+    for n in range(len(rows) - 1, nmax):
         prev = rows[-1]
         row = []
         for k in range(n + 2):
             left = prev[k - 1] if 1 <= k <= n + 1 else Fraction(0)
             up = prev[k] if k <= n else Fraction(0)
-            row.append(left + weight(n, k) * up)
+            row.append(left + weight(n, k, lam) * up)
         rows.append(tuple(row))
-    return tuple(rows)
+    return _put(key, StirlingTriangle(kind, lam, nmax, tuple(rows)))
 
 
 def stirling_series_oracle(kind: str, n: int, k: int, lam, order: int) -> Fraction:
@@ -150,19 +173,12 @@ def _as_poly(value) -> Poly:
     return value if isinstance(value, Poly) else Poly((value,))
 
 
-# series-extracted polynomial families, cached per lambda; the cached list
-# is replaced atomically so concurrent readers never see a partial state
-_BERNOULLI_CACHE: dict[Fraction, tuple[Poly, ...]] = {}
-_EULER_CACHE: dict[Fraction, tuple[Poly, ...]] = {}
-
-
-def _family_from_cache(cache, lam, n, build):
+def _series_family(family: str, n: int, lam, build) -> Poly:
     lam = Fraction(lam)
-    have = cache.get(lam)
-    if have is None or n >= len(have):
-        have = build(lam, max(n, 16))
-        cache[lam] = have
-    return have[n]
+    polys = _STORE.get((family, lam))
+    if polys is None or n >= len(polys):
+        polys = _put((family, lam), build(lam, max(n, 16)))
+    return polys[n]
 
 
 def _bernoulli_polys(lam: Fraction, nmax: int) -> tuple[Poly, ...]:
@@ -178,7 +194,7 @@ def _euler_polys(lam: Fraction, nmax: int) -> tuple[Poly, ...]:
 
 def dbernoulli_poly(n: int, lam) -> Poly:
     """Degenerate Bernoulli polynomial, extracted from t/(e_lam(t)-1) * e_lam^x(t)."""
-    return _family_from_cache(_BERNOULLI_CACHE, lam, n, _bernoulli_polys)
+    return _series_family("bernoulli", n, lam, _bernoulli_polys)
 
 
 def dbernoulli_poly_stirling(n: int, lam) -> Poly:
@@ -203,7 +219,7 @@ def dbernoulli_poly_stirling(n: int, lam) -> Poly:
 
 def deuler_poly(n: int, lam) -> Poly:
     """Degenerate Euler polynomial, extracted from 2/(e_lam(t)+1) * e_lam^x(t)."""
-    return _family_from_cache(_EULER_CACHE, lam, n, _euler_polys)
+    return _series_family("euler", n, lam, _euler_polys)
 
 
 def bell_from_triangle(tri: StirlingTriangle, n: int) -> Poly:
@@ -239,38 +255,3 @@ def power_sum(p: int, n: int, lam) -> Fraction:
         raise ValueError("power-sum exponent must be >= 0")
     lam = Fraction(lam)
     return sum((gfact_falling(k - lam, p, lam) for k in range(1, n + 1)), Fraction(0))
-
-
-@dataclass(frozen=True)
-class SequenceValue:
-    """One family value with its parameter binding.
-
-    value is a Poly exactly for the four polynomial families and a
-    Fraction for the two scalar families.
-    """
-
-    family: str
-    n: int
-    lam: Fraction
-    value: "Fraction | Poly"
-    r: int | None = None
-
-
-def sequence_value(family: str, n: int, lam, r: int | None = None) -> SequenceValue:
-    """Dispatch a family name to its computation."""
-    lam = Fraction(lam)
-    if family == "dharmonic":
-        return SequenceValue(family, n, lam, dharmonic(n, lam))
-    if family == "dhyperharmonic":
-        if r is None:
-            raise ValueError("dhyperharmonic needs r")
-        return SequenceValue(family, n, lam, dhyperharmonic(n, r, lam), r=r)
-    if family == "dbernoulli":
-        return SequenceValue(family, n, lam, dbernoulli_poly(n, lam))
-    if family == "deuler":
-        return SequenceValue(family, n, lam, deuler_poly(n, lam))
-    if family == "dbell":
-        return SequenceValue(family, n, lam, dbell_poly(n, lam))
-    if family == "dfubini":
-        return SequenceValue(family, n, lam, dfubini_poly(n, lam))
-    raise ValueError(f"unknown family: {family!r}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .algebra import Poly
 
@@ -52,10 +52,6 @@ class Series:
         if order > self.order:
             raise ValueError("cannot extend a series beyond its truncation order")
         return Series(self.coeffs[: order + 1], order)
-
-    def map(self, fn: Callable) -> "Series":
-        """Apply fn to every coefficient (e.g. evaluate Poly coefficients)."""
-        return Series(tuple(fn(c) for c in self.coeffs), self.order)
 
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, or None if all vanish."""
@@ -182,27 +178,6 @@ def ser_compose(outer: Series, inner: Series) -> Series:
     return acc
 
 
-def ser_comp_inverse(a: Series) -> Series:
-    """Compositional inverse: b with a(b(t)) == t to order a.order.
-
-    Solved coefficient by coefficient (only the linear term of a couples
-    the new unknown at each order), then validated against ser_compose.
-    Requires c_0 == 0 and invertible c_1.
-    """
-    if a.order < 1 or not _is_zero(a.coeffs[0]):
-        raise ValueError("compositional inverse needs valuation exactly 1")
-    inv1 = _unit_inverse(a.coeffs[1])
-    n = a.order
-    out = [Fraction(0)] * (n + 1)
-    out[1] = inv1
-    for m in range(2, n + 1):
-        residue = ser_compose(a, Series(out, n)).coeffs[m]
-        out[m] = -(inv1 * residue)
-    result = Series(out, n)
-    assert ser_compose(a, result) == identity_series(n)
-    return result
-
-
 def ser_shift_down(a: Series) -> Series:
     """Divide by t: requires a zero constant term, drops one order."""
     if not _is_zero(a.coeffs[0]):
@@ -238,16 +213,6 @@ def dlog(lam, order: int) -> Series:
     for k in range(1, order + 1):
         out.append(acc / factorial(k))
         acc *= lam - k
-    return Series(out, order)
-
-
-def binom_series(x0, order: int) -> Series:
-    """(1+t)**x0: coefficient of t**k is binom(x0, k)."""
-    acc = Poly.constant(1) if isinstance(x0, Poly) else Fraction(1)
-    out = []
-    for k in range(order + 1):
-        out.append(acc * Fraction(1, factorial(k)))
-        acc = acc * (x0 - k)
     return Series(out, order)
 
 

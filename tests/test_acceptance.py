@@ -5,12 +5,22 @@ lines; the suite asserts exact equality everywhere except criterion 7,
 whose tolerance is 10**-30 evaluated in exact rational arithmetic.
 """
 
+import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from degenmath import classical, sequences
 from degenmath.algebra import poly_eval
-from degenmath.identities import ALL_IDENTITY_IDS, DEFAULT_GRID, Grid, Tables, run_identity, run_suite
+from degenmath.identities import (
+    ALL_IDENTITY_IDS,
+    DEFAULT_GRID,
+    Grid,
+    Tables,
+    run_identity,
+    run_suite,
+    suite_report_json,
+)
 from degenmath.sequences import (
     dbell_poly,
     dbernoulli_poly,
@@ -27,11 +37,41 @@ from degenmath.series import dexp, dlog, identity_series, ser_compose
 
 GRID_LAMBDAS = DEFAULT_GRID.lambdas
 
+# Golden reports.  Regenerate only when a report is meant to change:
+#   python -m degenmath.cli check --all --format json --output tests/data/check_all.json
+# and, for the mutant report, write _report_text(_mutant_report()) to its file.
+DATA = Path(__file__).parent / "data"
+
 EXPECTED_IDS = (
     "T1", "T2", "T3", "T4a", "T4b", "E32", "T5", "T6", "T7", "T8", "T9", "T10",
     "T11a", "T11b", "T12", "E61", "T13", "T13r", "T14", "T15", "C15", "E44",
     "E59", "E66", "E67",
 )
+
+
+def _report_text(report) -> str:
+    """The report exactly as `degenmath check --format json` writes it."""
+    return json.dumps(suite_report_json(report), indent=2) + "\n"
+
+
+def mutant_s2(nmax, lam):
+    """The second-kind recurrence with the sign of the lambda term flipped."""
+    lam = Fraction(lam)
+    rows = [(Fraction(1),)]
+    for n in range(nmax):
+        prev = rows[-1]
+        row = []
+        for k in range(n + 2):
+            left = prev[k - 1] if 1 <= k <= n + 1 else Fraction(0)
+            up = prev[k] if k <= n else Fraction(0)
+            row.append(left + (k + n * lam) * up)
+        rows.append(tuple(row))
+    return sequences.StirlingTriangle("second", lam, nmax, tuple(rows))
+
+
+def _mutant_report():
+    grid = Grid(nmax=4, rmax=2, pmax=1, lambdas=(Fraction(1, 2), Fraction(-3, 7)), order=10)
+    return run_suite(grid, ids=("T2", "T4b", "T15", "E66"), tables=Tables(s2_builder=mutant_s2))
 
 
 def _report(criterion: str, detail: str = "") -> None:
@@ -52,6 +92,7 @@ def test_criterion_1_full_identity_suite():
     assert report.all_pass
     assert [r.id for r in report.results] == list(EXPECTED_IDS)
     assert elapsed < 60, f"suite took {elapsed:.1f}s"
+    assert _report_text(report) == (DATA / "check_all.json").read_text(encoding="utf-8")
     _report("1 (full identity suite)", f"{len(report.results)} identities, {elapsed:.1f}s")
 
 
@@ -132,19 +173,6 @@ def test_criterion_7_e67_numeric():
 def test_criterion_8_mutation_sensitivity():
     """Flipping the lambda sign in the second-kind recurrence breaks T15, T2, T9."""
 
-    def mutant_s2(nmax, lam):
-        lam = Fraction(lam)
-        rows = [(Fraction(1),)]
-        for n in range(nmax):
-            prev = rows[-1]
-            row = []
-            for k in range(n + 2):
-                left = prev[k - 1] if 1 <= k <= n + 1 else Fraction(0)
-                up = prev[k] if k <= n else Fraction(0)
-                row.append(left + (k + n * lam) * up)  # sign of the lambda term flipped
-            rows.append(tuple(row))
-        return sequences.StirlingTriangle("second", lam, nmax, tuple(rows))
-
     grid = Grid(nmax=4, rmax=2, pmax=1, lambdas=(Fraction(1, 2),), order=10)
     report = run_suite(grid, ids=("T2", "T9", "T15"), tables=Tables(s2_builder=mutant_s2))
     assert not report.all_pass
@@ -155,3 +183,12 @@ def test_criterion_8_mutation_sensitivity():
         for failure in small:
             assert failure.lhs != failure.rhs  # counterexample payload present
     _report("8 (mutation sensitivity)", "T2, T9, T15 all fail with counterexamples")
+
+
+def test_mutant_failure_payloads_match_golden():
+    """Rational, poly and series counterexample payloads are reproduced byte for byte."""
+    report = _mutant_report()
+    assert {type(f.lhs).__name__ for r in report.results for f in r.failures} == {
+        "Fraction", "Poly", "Series",
+    }
+    assert _report_text(report) == (DATA / "mutant_s2_report.json").read_text(encoding="utf-8")

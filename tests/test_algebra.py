@@ -11,7 +11,6 @@ from degenmath.algebra import (
     binom_poly,
     dfact,
     ffact_int,
-    format_rational,
     gfact_falling,
     gfact_rising,
     parse_rational,
@@ -19,6 +18,7 @@ from degenmath.algebra import (
     poly_eval,
     poly_int_over_t,
 )
+from degenmath.identities import CheckResult, check_result_json
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=100)
 
@@ -37,13 +37,16 @@ class TestRationalText:
             parse_rational(bad)
 
     def test_format_reduced(self):
-        assert format_rational(Fraction(6, 4)) == "3/2"
-        assert format_rational(Fraction(-6, 4)) == "-3/2"
-        assert format_rational(Fraction(5)) == "5"
+        # the report serializers write rationals as reduced "p/q" or "p"
+        res = CheckResult("T15", {"lambda": Fraction(6, 4)}, Fraction(-6, 4), Fraction(5), False)
+        doc = check_result_json(res)
+        assert doc["binding"] == {"lambda": "3/2"}
+        assert doc["lhs"] == {"kind": "rational", "value": "-3/2"}
+        assert doc["rhs"] == {"kind": "rational", "value": "5"}
 
     @given(q=rationals)
     def test_roundtrip(self, q):
-        assert parse_rational(format_rational(q)) == q
+        assert parse_rational(str(q)) == q
 
 
 class TestRationalField:

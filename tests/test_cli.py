@@ -148,6 +148,39 @@ class TestCheck:
         assert code == EXIT_OK
         assert out.strip().splitlines() == ["id,pass_count,fail_count", "C15,3,0"]
 
+    def test_negative_tolerance_is_domain_error(self, capsys):
+        code = main(["check", "--id", "E67", "--nmax", "2", "--tolerance=-1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_DOMAIN and captured.out == ""
+        assert captured.err == "error: E67: tol must be positive\n"
+
+    def test_order_zero_is_domain_error(self, capsys):
+        code = main(["check", "--id", "T1", "--order", "0"])
+        err = capsys.readouterr().err
+        assert code == EXIT_DOMAIN
+        assert err.startswith("error: T1: order = 0")
+
+    def test_named_id_with_no_bindings_is_domain_error(self, capsys):
+        code = main(["check", "--id", "T15", "--nmax", "1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_DOMAIN
+        assert "all identities passed" not in captured.out
+        assert "no bindings checked for T15" in captured.err
+
+    def test_one_empty_id_among_several_is_domain_error(self, capsys):
+        code = main(["check", "--id", "C15", "--id", "T15", "--nmax", "1"])
+        assert code == EXIT_DOMAIN
+        assert "no bindings checked for C15, T15" in capsys.readouterr().err
+
+    def test_sweep_with_no_bindings_is_domain_error(self, capsys):
+        assert main(["check", "--id", "C15", "--nmax=-3"]) == EXIT_DOMAIN
+
+    def test_sweep_with_some_empty_ids_still_passes(self, capsys):
+        # under --all, T15 and C15 check nothing at nmax 1 but the rest run
+        code = main(["check", "--all", "--nmax", "1", "--lambdas", "1/2", "--order", "1"])
+        assert code == EXIT_OK
+        assert "all identities passed" in capsys.readouterr().out
+
     def test_default_grid_is_acceptance_grid(self):
         parser = build_parser()
         args = parser.parse_args(["check", "--all"])

@@ -1,15 +1,16 @@
 """Triangles and number/polynomial families, each against its oracle."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from degenmath import classical
+from degenmath import classical, sequences
 from degenmath.algebra import Poly, X, ffact_int, gfact_falling, poly_eval
 from degenmath.sequences import (
-    SequenceValue,
     dbell_poly,
     dbernoulli_poly,
     dbernoulli_poly_stirling,
@@ -21,7 +22,6 @@ from degenmath.sequences import (
     power_sum,
     s1_triangle,
     s2_triangle,
-    sequence_value,
     stirling_series_oracle,
 )
 
@@ -261,19 +261,70 @@ class TestPowerSum:
             power_sum(-1, 3, 0)
 
 
-class TestSequenceValue:
+class TestFamilyTypes:
     def test_poly_families_carry_polys(self):
-        for family in ("dbernoulli", "deuler", "dbell", "dfubini"):
-            val = sequence_value(family, 3, Fraction(1, 2))
-            assert isinstance(val, SequenceValue)
-            assert isinstance(val.value, Poly)
+        for family in (dbernoulli_poly, deuler_poly, dbell_poly, dfubini_poly):
+            assert isinstance(family(3, Fraction(1, 2)), Poly)
 
     def test_scalar_families_carry_rationals(self):
-        assert isinstance(sequence_value("dharmonic", 3, 0).value, Fraction)
-        assert isinstance(sequence_value("dhyperharmonic", 3, 0, r=2).value, Fraction)
+        assert isinstance(dharmonic(3, 0), Fraction)
+        assert isinstance(dhyperharmonic(3, 2, 0), Fraction)
 
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            sequence_value("dhyperharmonic", 3, 0)
-        with pytest.raises(ValueError):
-            sequence_value("nope", 3, 0)
+
+class TestStore:
+    def test_capacity_bounds_the_store(self):
+        lams = [Fraction(1, 10**6 + i) for i in range(sequences.STORE_CAPACITY + 20)]
+        for lam in lams:
+            s2_triangle(3, lam)
+            assert len(sequences._STORE) <= sequences.STORE_CAPACITY
+        assert ("second", lams[-1]) in sequences._STORE
+        assert ("second", lams[0]) not in sequences._STORE  # the oldest went first
+
+    def test_concurrent_writers_keep_the_bound(self):
+        errors = []
+
+        def work(offset):
+            try:
+                for i in range(1500):
+                    s2_triangle(1, Fraction(1, 2 * 10**6 + 4 * i + offset))
+            except Exception as exc:  # any exception is a lost race
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(sequences._STORE) <= sequences.STORE_CAPACITY
+
+    def test_triangle_rows_built_once(self):
+        # stepping n by one extends the stored triangle: every row object made
+        # at its own step is still the one the final triangle holds
+        lam = Fraction(11, 10**6 - 1)
+        first_seen = []
+        for n in range(51):
+            tri = s2_triangle(n, lam)
+            assert tri.nmax == n and len(tri.rows) == n + 1
+            first_seen.append(tri.rows[n])
+        final = s2_triangle(50, lam)
+        assert all(final.rows[n] is row for n, row in enumerate(first_seen))
+        assert s2_triangle(7, lam) is final  # a hit returns the stored triangle itself
+        del sequences._STORE[("second", lam)]
+        assert s2_triangle(50, lam).rows == final.rows  # growing equals one build
+
+    def test_series_family_rebuilds_at_max_n_16(self):
+        lam = Fraction(13, 10**6 - 3)
+        dbernoulli_poly(0, lam)
+        stored = sequences._STORE[("bernoulli", lam)]
+        assert len(stored) == 17
+        dbernoulli_poly(16, lam)
+        assert sequences._STORE[("bernoulli", lam)] is stored
+        dbernoulli_poly(17, lam)
+        assert len(sequences._STORE[("bernoulli", lam)]) == 18
