@@ -1,9 +1,10 @@
 """Command line front end: tables, evaluations, series dumps, identity suite.
 
 Exit codes: 0 all requested checks pass, 1 an identity check failed,
-2 usage error, 3 domain error (structurally valid flags that cannot be
-satisfied, e.g. an r bound for a family that does not take one, a binding
-outside an identity's schema, or a check grid that leaves nothing to check).
+2 usage error (including an --output path that cannot be written), 3 domain
+error (structurally valid flags that cannot be satisfied, e.g. an r bound
+for a family that does not take one, a binding outside an identity's
+schema, or a check grid that leaves nothing to check).
 """
 
 from __future__ import annotations
@@ -96,14 +97,21 @@ def _output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", default=None, help="write to a file instead of stdout")
 
 
+class OutputError(Exception):
+    pass
+
+
 def _emit(text: str, path: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _json_text(obj) -> str:
@@ -312,7 +320,12 @@ def main(argv: list[str] | None = None) -> int:
         "check": _cmd_check,
         "list": _cmd_list,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except OutputError as exc:
+        # the exit code argparse gives a path it cannot open
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry() -> None:

@@ -1,12 +1,14 @@
 """Registry of machine-checkable identities and the grid sweep runner.
 
-Every registry entry knows its parameter schema, how to enumerate bindings
-over a Grid, and how to compute both sides exactly.  All checks except E67
-compare exact objects (Fraction, Poly, or Series); identities with a free
-variable x are compared as polynomials, coefficient by coefficient, never by
-sampling.  E67 is the one numeric check: an exact-rational partial sum is
-compared against an exact polynomial value within an explicit, certified
-geometric tail bound.
+Each checker is declared with `@identity(id, params, description)`.  The
+params map each parameter name to a Param: its kind, its domain, and the
+Grid axis it sweeps.  An identity's bindings over a Grid are the product
+of its axes, so no identity has a hand-written enumerator.  All checks
+except E67 compare exact objects (Fraction, Poly, or Series); identities
+with a free variable x are compared as polynomials, coefficient by
+coefficient, never by sampling.  E67 is the one numeric check: an
+exact-rational partial sum is compared against an exact polynomial value
+within an explicit, certified geometric tail bound.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 from typing import Callable, Iterable, Iterator
 
@@ -72,28 +75,104 @@ class CheckResult:
 
 
 @dataclass(frozen=True)
+class Param:
+    """One parameter of an identity: its kind ("int", "rational" or
+    "symbolic"), its domain, and the values it takes on a Grid (None for a
+    symbolic parameter, which is never bound)."""
+
+    kind: str
+    min: int | None = None
+    positive: bool = False
+    axis: Callable[[Grid], Iterable] | None = None
+
+    def describe(self) -> str:
+        if self.kind == "int":
+            return f"int >= {self.min}"
+        if self.kind == "rational":
+            return "rational > 0" if self.positive else "rational"
+        return "symbolic"
+
+    def validate(self, ident: str, name: str, value):
+        """The value as the checker receives it; BindingError if outside the domain."""
+        if self.kind == "int":
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise BindingError(f"{ident}: {name} must be an integer")
+            if value < self.min:
+                raise BindingError(f"{ident}: {name} = {value} outside schema ({self.describe()})")
+            return value
+        try:
+            value = Fraction(value)
+        except (TypeError, ValueError) as exc:
+            raise BindingError(f"{ident}: {name} must be rational") from exc
+        if self.positive and value <= 0:
+            raise BindingError(f"{ident}: {name} must be positive")
+        return value
+
+
+def _n_from(low: int) -> Param:
+    return Param("int", low, axis=lambda g: range(low, g.nmax + 1))
+
+
+N0, N1, N2 = _n_from(0), _n_from(1), _n_from(2)
+R1 = Param("int", 1, axis=lambda g: range(1, g.rmax + 1))
+P0 = Param("int", 0, axis=lambda g: range(g.pmax + 1))
+LAM = Param("rational", axis=lambda g: g.lambdas)
+# a series identity is checked at two truncation orders to show it does not
+# depend on where the series is cut
+ORDERS = Param("int", 1, axis=lambda g: (g.order, g.order + 5))
+ORDER = Param("int", 1, axis=lambda g: (g.order,))
+TOL = Param("rational", positive=True, axis=lambda g: (g.e67_tol,))
+SYM = Param("symbolic")
+
+# axes nest in this order, outermost first, whatever order the params are
+# declared in; a binding's keys keep the declared order
+_NESTING = ("lambda", "r", "p", "n", "order", "tol")
+
+
+@dataclass(frozen=True)
 class IdentitySpec:
-    """One registry entry: schema, binding enumerator, and checker."""
+    """One registry entry: description, parameter schema, and checker."""
 
     id: str
     description: str
-    params: dict
+    params: dict[str, Param]
     checker: Callable[[dict, "Tables"], CheckResult]
-    bindings: Callable[[Grid], Iterator[dict]]
 
     def param_summary(self) -> dict[str, str]:
-        return {name: _domain_text(schema) for name, schema in self.params.items()}
+        return {name: param.describe() for name, param in self.params.items()}
+
+    def bindings(self, grid: Grid) -> Iterator[dict]:
+        """Every binding of this identity on grid, in sweep order.
+
+        Each axis value is validated here, when this is called, so a bad
+        grid value raises BindingError before any binding is produced.
+        """
+        declared = [name for name, param in self.params.items() if param.axis]
+        swept = sorted(declared, key=_NESTING.index)
+        axes = [
+            [self.params[name].validate(self.id, name, v) for v in self.params[name].axis(grid)]
+            for name in swept
+        ]
+
+        def expand():
+            for values in product(*axes):
+                point = dict(zip(swept, values))
+                yield {name: point[name] for name in declared}
+
+        return expand()
 
 
-def _domain_text(schema: dict) -> str:
-    kind = schema["kind"]
-    if kind == "symbolic":
-        return "symbolic"
-    if kind == "int":
-        return f"int >= {schema['min']}" if "min" in schema else "int"
-    if schema.get("positive"):
-        return "rational > 0"
-    return "rational"
+REGISTRY: dict[str, IdentitySpec] = {}
+
+
+def identity(ident: str, params: dict[str, Param], description: str):
+    """Register the decorated checker as identity ident; it is returned unchanged."""
+
+    def register(checker):
+        REGISTRY[ident] = IdentitySpec(ident, description, params, checker)
+        return checker
+
+    return register
 
 
 class Tables:
@@ -138,6 +217,8 @@ def hyperharmonic_gf(lam, r: int, order: int) -> Series:
     return ser_mul(minus_log, ser_reciprocal(Series((1, -1), order) ** r))
 
 
+@identity("T1", {"r": R1, "lambda": LAM, "order": ORDERS},
+          "series -log_lam(1-t)/(1-t)^r generates the degenerate hyperharmonic numbers")
 def _check_t1(b, tab):
     lam, r, order = b["lambda"], b["r"], b["order"]
     lhs = hyperharmonic_gf(lam, r, order)
@@ -148,6 +229,8 @@ def _check_t1(b, tab):
     return _result("T1", b, lhs, rhs)
 
 
+@identity("T2", {"n": N1, "r": R1, "lambda": LAM},
+          "alternating k!-weighted hyperharmonic sum over the second-kind row equals (-1)^n <r>_{n-1} n")
 def _check_t2(b, tab):
     n, r, lam = b["n"], b["r"], b["lambda"]
     tri = tab.s2(n, lam)
@@ -165,6 +248,8 @@ def _check_t2(b, tab):
     return _result("T2", b, lhs, rhs)
 
 
+@identity("T3", {"n": N1, "r": R1, "lambda": LAM},
+          "hyperharmonic numbers recovered from the first-kind triangle and rising factorials")
 def _check_t3(b, tab):
     n, r, lam = b["n"], b["r"], b["lambda"]
     tri = tab.s1(n, lam)
@@ -182,6 +267,8 @@ def _check_t3(b, tab):
     return _result("T3", b, lhs, rhs)
 
 
+@identity("T4a", {"n": N0, "lambda": LAM, "x": SYM},
+          "first-kind transform of the Euler-family polynomials equals n! sum binom(x,k)(-1/2)^(n-k)")
 def _check_t4a(b, tab):
     n, lam = b["n"], b["lambda"]
     tri = tab.s1(n, lam)
@@ -200,6 +287,8 @@ def _euler_binom_sum(k: int) -> Poly:
     )
 
 
+@identity("T4b", {"n": N0, "lambda": LAM, "x": SYM},
+          "Euler-family polynomial as a k! S2(n,k)-weighted double binomial sum")
 def _check_t4b(b, tab):
     n, lam = b["n"], b["lambda"]
     tri = tab.s2(n, lam)
@@ -211,6 +300,8 @@ def _check_t4b(b, tab):
     return _result("T4b", b, lhs, rhs)
 
 
+@identity("E32", {"n": N0, "lambda": LAM},
+          "Euler-family polynomial at x=1/2 via central binomial coefficients")
 def _check_e32(b, tab):
     n, lam = b["n"], b["lambda"]
     tri = tab.s2(n, lam)
@@ -225,6 +316,8 @@ def _check_e32(b, tab):
     return _result("E32", b, lhs, rhs)
 
 
+@identity("T5", {"n": N0, "lambda": LAM, "x": SYM},
+          "Bernoulli-family polynomial as a dfact-weighted double sum with falling factorials")
 def _check_t5(b, tab):
     n, lam = b["n"], b["lambda"]
     tri = tab.s2(n, lam)
@@ -243,6 +336,8 @@ def _check_t5(b, tab):
     return _result("T5", b, lhs, rhs)
 
 
+@identity("T6", {"n": N0, "lambda": LAM, "x": SYM},
+          "first-kind transform of the Bernoulli-family polynomials equals a binomial dfact sum")
 def _check_t6(b, tab):
     n, lam = b["n"], b["lambda"]
     tri = tab.s1(n, lam)
@@ -260,6 +355,8 @@ def _check_t6(b, tab):
     return _result("T6", b, lhs, rhs)
 
 
+@identity("T7", {"n": N0, "lambda": LAM, "x": SYM},
+          "Bernoulli-family polynomial as a k! S2(n,k)-weighted double sum (x=0 instance included)")
 def _check_t7(b, tab):
     n, lam = b["n"], b["lambda"]
     tri = tab.s2(n, lam)
@@ -292,6 +389,8 @@ def _check_t7(b, tab):
     return res
 
 
+@identity("T8", {"n": N1, "lambda": LAM},
+          "(n-1)! H_{n,-lam} from Bernoulli-family values at 1-lam through the first-kind triangle at -lam")
 def _check_t8(b, tab):
     n, lam = b["n"], b["lambda"]
     tri = tab.s1(n, -lam)
@@ -308,6 +407,8 @@ def _check_t8(b, tab):
     return _result("T8", b, lhs, rhs)
 
 
+@identity("T9", {"n": N1, "lambda": LAM},
+          "Bernoulli-family value at 2*lam+1 from harmonic numbers through the second-kind triangle")
 def _check_t9(b, tab):
     n, lam = b["n"], b["lambda"]
     tri = tab.s2(n, lam)
@@ -325,6 +426,8 @@ def _check_t9(b, tab):
     return _result("T9", b, lhs, rhs)
 
 
+@identity("T10", {"n": N1, "lambda": LAM},
+          "dfact(n-1)/n as a first-kind transform of Bernoulli-family values at 1-lam")
 def _check_t10(b, tab):
     n, lam = b["n"], b["lambda"]
     tri = tab.s1(n, lam)
@@ -339,6 +442,8 @@ def _check_t10(b, tab):
     return _result("T10", b, lhs, rhs)
 
 
+@identity("T11a", {"n": N1, "lambda": LAM, "x": SYM},
+          "Bell-family recurrence phi_{n+1} = x phi_n + (x d/dx - n lam) phi_n")
 def _check_t11a(b, tab):
     n, lam = b["n"], b["lambda"]
     phi_n = tab.bell(n, lam)
@@ -347,6 +452,8 @@ def _check_t11a(b, tab):
     return _result("T11a", b, lhs, rhs)
 
 
+@identity("T11b", {"n": N1, "lambda": LAM, "x": SYM},
+          "Bell-family recurrence as x times a binomial convolution with (1-lam)_{k,lam}")
 def _check_t11b(b, tab):
     n, lam = b["n"], b["lambda"]
     lhs = tab.bell(n + 1, lam)
@@ -361,6 +468,8 @@ def _check_t11b(b, tab):
     return _result("T11b", b, lhs, rhs)
 
 
+@identity("T12", {"n": N1, "lambda": LAM, "x": SYM},
+          "second-kind sum x^k/k as a Bernoulli-Bell convolution with 1/n prefactor")
 def _check_t12(b, tab):
     n, lam = b["n"], b["lambda"]
     tri = tab.s2(n, lam)
@@ -388,6 +497,8 @@ def _check_t12(b, tab):
     return _result("T12", b, lhs, rhs, note=note)
 
 
+@identity("E61", {"n": N1, "lambda": LAM, "x": SYM},
+          "second-kind sum x^k/k^2 as a nested Bernoulli-Bell convolution")
 def _check_e61(b, tab):
     n, lam = b["n"], b["lambda"]
     tri = tab.s2(n, lam)
@@ -420,6 +531,8 @@ def _weighted_row_poly(tri, n: int) -> Poly:
     )
 
 
+@identity("T13", {"n": N1, "lambda": LAM, "x": SYM},
+          "(1+x) F_n against (k-1)!-weighted second-kind rows, plus its integral restatement")
 def _check_t13(b, tab):
     n, lam = b["n"], b["lambda"]
     tri = tab.s2(n + 1, lam)
@@ -436,6 +549,8 @@ def _check_t13(b, tab):
     return res
 
 
+@identity("T13r", {"n": N0, "lambda": LAM},
+          "(k-1)!-weighted row sums equal 2 F_n(1) for n >= 1 and 1 at n = 0")
 def _check_t13r(b, tab):
     n, lam = b["n"], b["lambda"]
     tri = tab.s2(n + 1, lam)
@@ -451,6 +566,8 @@ def _check_t13r(b, tab):
     return _result("T13r", b, lhs, rhs)
 
 
+@identity("T14", {"n": N1, "lambda": LAM, "x": SYM},
+          "Fubini-family recurrence F_{n+1} = (x - n lam) F_n + (x + x^2) F_n'")
 def _check_t14(b, tab):
     n, lam = b["n"], b["lambda"]
     tri = tab.s2(n + 1, lam)
@@ -460,6 +577,8 @@ def _check_t14(b, tab):
     return _result("T14", b, lhs, rhs)
 
 
+@identity("T15", {"n": N2, "lambda": LAM},
+          "dfact-weighted second-kind row sum equals (n-1)(1)_{n-1,lam}")
 def _check_t15(b, tab):
     n, lam = b["n"], b["lambda"]
     tri = tab.s2(n, lam)
@@ -470,6 +589,8 @@ def _check_t15(b, tab):
     return _result("T15", b, lhs, rhs)
 
 
+@identity("C15", {"n": N2},
+          "classical limit of the dfact-weighted row sum, against classical Stirling numbers")
 def _check_c15(b, tab):
     n = b["n"]
     rows = classical.stirling2_rows(n)
@@ -481,6 +602,8 @@ def _check_c15(b, tab):
     return _result("C15", b, lhs, rhs)
 
 
+@identity("E44", {"lambda": LAM, "order": ORDERS},
+          "weight-2 polylogarithm at -t/(1-t) has coefficients -H_{n,-lam}/n")
 def _check_e44(b, tab):
     lam, order = b["lambda"], b["order"]
     inner = Series([Fraction(0)] + [Fraction(-1)] * order, order)
@@ -493,6 +616,8 @@ def _check_e44(b, tab):
     return _result("E44", b, lhs, rhs)
 
 
+@identity("E59", {"p": P0, "n": N1, "lambda": LAM},
+          "power sums of shifted falling factorials via Bernoulli-family differences")
 def _check_e59(b, tab):
     p, n, lam = b["p"], b["n"], b["lambda"]
     lhs = sequences.power_sum(p, n, lam)
@@ -501,6 +626,8 @@ def _check_e59(b, tab):
     return _result("E59", b, lhs, rhs)
 
 
+@identity("E66", {"n": N0, "lambda": LAM, "order": ORDER},
+          "geometric transform of the Fubini-family polynomial generates (k)_{n,lam}")
 def _check_e66(b, tab):
     n, lam, order = b["n"], b["lambda"], b["order"]
     f_n = tab.fubini(n, lam)
@@ -532,6 +659,8 @@ def _e67_cutoff(n: int, lam: Fraction, tol: Fraction) -> tuple[int, Fraction]:
         k += 1
 
 
+@identity("E67", {"n": N0, "lambda": LAM, "tol": TOL},
+          "F_n(1) as a tail-bounded exact-rational binary sum")
 def _check_e67(b, tab):
     n, lam, tol = b["n"], b["lambda"], b["tol"]
     exact = poly_eval(tab.fubini(n, lam), 1)
@@ -545,284 +674,19 @@ def _check_e67(b, tab):
     return CheckResult("E67", dict(b), exact, partial, passed, note)
 
 
-# ---------------------------------------------------------------------------
-# registry
-
-_INT1 = {"kind": "int", "min": 1}
-_INT0 = {"kind": "int", "min": 0}
-_INT2 = {"kind": "int", "min": 2}
-_RAT = {"kind": "rational"}
-_SYM = {"kind": "symbolic"}
-
-
-def _bind_lam_n(nmin: int):
-    def gen(grid: Grid):
-        for lam in grid.lambdas:
-            for n in range(nmin, grid.nmax + 1):
-                yield {"n": n, "lambda": lam}
-
-    return gen
-
-
-def _bind_lam_n_r(grid: Grid):
-    for lam in grid.lambdas:
-        for r in range(1, grid.rmax + 1):
-            for n in range(1, grid.nmax + 1):
-                yield {"n": n, "r": r, "lambda": lam}
-
-
-def _bind_t1(grid: Grid):
-    for lam in grid.lambdas:
-        for r in range(1, grid.rmax + 1):
-            for order in (grid.order, grid.order + 5):
-                yield {"r": r, "lambda": lam, "order": order}
-
-
-def _bind_e44(grid: Grid):
-    for lam in grid.lambdas:
-        for order in (grid.order, grid.order + 5):
-            yield {"lambda": lam, "order": order}
-
-
-def _bind_e59(grid: Grid):
-    for lam in grid.lambdas:
-        for p in range(grid.pmax + 1):
-            for n in range(1, grid.nmax + 1):
-                yield {"p": p, "n": n, "lambda": lam}
-
-
-def _bind_e66(grid: Grid):
-    for lam in grid.lambdas:
-        for n in range(grid.nmax + 1):
-            yield {"n": n, "lambda": lam, "order": grid.order}
-
-
-def _bind_e67(grid: Grid):
-    for lam in grid.lambdas:
-        for n in range(grid.nmax + 1):
-            yield {"n": n, "lambda": lam, "tol": grid.e67_tol}
-
-
-def _bind_c15(grid: Grid):
-    for n in range(2, grid.nmax + 1):
-        yield {"n": n}
-
-
-REGISTRY: dict[str, IdentitySpec] = {}
-
-
-def _register(ident, description, params, checker, bindings):
-    REGISTRY[ident] = IdentitySpec(ident, description, params, checker, bindings)
-
-
-_register(
-    "T1",
-    "series -log_lam(1-t)/(1-t)^r generates the degenerate hyperharmonic numbers",
-    {"r": _INT1, "lambda": _RAT, "order": _INT1},
-    _check_t1,
-    _bind_t1,
-)
-_register(
-    "T2",
-    "alternating k!-weighted hyperharmonic sum over the second-kind row equals (-1)^n <r>_{n-1} n",
-    {"n": _INT1, "r": _INT1, "lambda": _RAT},
-    _check_t2,
-    _bind_lam_n_r,
-)
-_register(
-    "T3",
-    "hyperharmonic numbers recovered from the first-kind triangle and rising factorials",
-    {"n": _INT1, "r": _INT1, "lambda": _RAT},
-    _check_t3,
-    _bind_lam_n_r,
-)
-_register(
-    "T4a",
-    "first-kind transform of the Euler-family polynomials equals n! sum binom(x,k)(-1/2)^(n-k)",
-    {"n": _INT0, "lambda": _RAT, "x": _SYM},
-    _check_t4a,
-    _bind_lam_n(0),
-)
-_register(
-    "T4b",
-    "Euler-family polynomial as a k! S2(n,k)-weighted double binomial sum",
-    {"n": _INT0, "lambda": _RAT, "x": _SYM},
-    _check_t4b,
-    _bind_lam_n(0),
-)
-_register(
-    "E32",
-    "Euler-family polynomial at x=1/2 via central binomial coefficients",
-    {"n": _INT0, "lambda": _RAT},
-    _check_e32,
-    _bind_lam_n(0),
-)
-_register(
-    "T5",
-    "Bernoulli-family polynomial as a dfact-weighted double sum with falling factorials",
-    {"n": _INT0, "lambda": _RAT, "x": _SYM},
-    _check_t5,
-    _bind_lam_n(0),
-)
-_register(
-    "T6",
-    "first-kind transform of the Bernoulli-family polynomials equals a binomial dfact sum",
-    {"n": _INT0, "lambda": _RAT, "x": _SYM},
-    _check_t6,
-    _bind_lam_n(0),
-)
-_register(
-    "T7",
-    "Bernoulli-family polynomial as a k! S2(n,k)-weighted double sum (x=0 instance included)",
-    {"n": _INT0, "lambda": _RAT, "x": _SYM},
-    _check_t7,
-    _bind_lam_n(0),
-)
-_register(
-    "T8",
-    "(n-1)! H_{n,-lam} from Bernoulli-family values at 1-lam through the first-kind triangle at -lam",
-    {"n": _INT1, "lambda": _RAT},
-    _check_t8,
-    _bind_lam_n(1),
-)
-_register(
-    "T9",
-    "Bernoulli-family value at 2*lam+1 from harmonic numbers through the second-kind triangle",
-    {"n": _INT1, "lambda": _RAT},
-    _check_t9,
-    _bind_lam_n(1),
-)
-_register(
-    "T10",
-    "dfact(n-1)/n as a first-kind transform of Bernoulli-family values at 1-lam",
-    {"n": _INT1, "lambda": _RAT},
-    _check_t10,
-    _bind_lam_n(1),
-)
-_register(
-    "T11a",
-    "Bell-family recurrence phi_{n+1} = x phi_n + (x d/dx - n lam) phi_n",
-    {"n": _INT1, "lambda": _RAT, "x": _SYM},
-    _check_t11a,
-    _bind_lam_n(1),
-)
-_register(
-    "T11b",
-    "Bell-family recurrence as x times a binomial convolution with (1-lam)_{k,lam}",
-    {"n": _INT1, "lambda": _RAT, "x": _SYM},
-    _check_t11b,
-    _bind_lam_n(1),
-)
-_register(
-    "T12",
-    "second-kind sum x^k/k as a Bernoulli-Bell convolution with 1/n prefactor",
-    {"n": _INT1, "lambda": _RAT, "x": _SYM},
-    _check_t12,
-    _bind_lam_n(1),
-)
-_register(
-    "E61",
-    "second-kind sum x^k/k^2 as a nested Bernoulli-Bell convolution",
-    {"n": _INT1, "lambda": _RAT, "x": _SYM},
-    _check_e61,
-    _bind_lam_n(1),
-)
-_register(
-    "T13",
-    "(1+x) F_n against (k-1)!-weighted second-kind rows, plus its integral restatement",
-    {"n": _INT1, "lambda": _RAT, "x": _SYM},
-    _check_t13,
-    _bind_lam_n(1),
-)
-_register(
-    "T13r",
-    "(k-1)!-weighted row sums equal 2 F_n(1) for n >= 1 and 1 at n = 0",
-    {"n": _INT0, "lambda": _RAT},
-    _check_t13r,
-    _bind_lam_n(0),
-)
-_register(
-    "T14",
-    "Fubini-family recurrence F_{n+1} = (x - n lam) F_n + (x + x^2) F_n'",
-    {"n": _INT1, "lambda": _RAT, "x": _SYM},
-    _check_t14,
-    _bind_lam_n(1),
-)
-_register(
-    "T15",
-    "dfact-weighted second-kind row sum equals (n-1)(1)_{n-1,lam}",
-    {"n": _INT2, "lambda": _RAT},
-    _check_t15,
-    _bind_lam_n(2),
-)
-_register(
-    "C15",
-    "classical limit of the dfact-weighted row sum, against classical Stirling numbers",
-    {"n": _INT2},
-    _check_c15,
-    _bind_c15,
-)
-_register(
-    "E44",
-    "weight-2 polylogarithm at -t/(1-t) has coefficients -H_{n,-lam}/n",
-    {"lambda": _RAT, "order": _INT1},
-    _check_e44,
-    _bind_e44,
-)
-_register(
-    "E59",
-    "power sums of shifted falling factorials via Bernoulli-family differences",
-    {"p": _INT0, "n": _INT1, "lambda": _RAT},
-    _check_e59,
-    _bind_e59,
-)
-_register(
-    "E66",
-    "geometric transform of the Fubini-family polynomial generates (k)_{n,lam}",
-    {"n": _INT0, "lambda": _RAT, "order": _INT1},
-    _check_e66,
-    _bind_e66,
-)
-_register(
-    "E67",
-    "F_n(1) as a tail-bounded exact-rational binary sum",
-    {"n": _INT0, "lambda": _RAT, "tol": {"kind": "rational", "positive": True}},
-    _check_e67,
-    _bind_e67,
-)
-
 ALL_IDENTITY_IDS = tuple(REGISTRY)
 
 
 def _validated(spec: IdentitySpec, binding: dict) -> dict:
-    known = {name for name, schema in spec.params.items() if schema["kind"] != "symbolic"}
-    extra = set(binding) - known
+    known = [name for name, param in spec.params.items() if param.kind != "symbolic"]
+    extra = set(binding) - set(known)
     if extra:
         raise BindingError(f"{spec.id}: unexpected parameters {sorted(extra)}")
     out = {}
-    for name in spec.params:
-        schema = spec.params[name]
-        if schema["kind"] == "symbolic":
-            continue
+    for name in known:
         if name not in binding:
             raise BindingError(f"{spec.id}: missing parameter {name!r}")
-        value = binding[name]
-        if schema["kind"] == "int":
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise BindingError(f"{spec.id}: {name} must be an integer")
-            if "min" in schema and value < schema["min"]:
-                raise BindingError(
-                    f"{spec.id}: {name} = {value} outside schema ({_domain_text(schema)})"
-                )
-            out[name] = value
-        else:
-            try:
-                value = Fraction(value)
-            except (TypeError, ValueError) as exc:
-                raise BindingError(f"{spec.id}: {name} must be rational") from exc
-            if schema.get("positive") and value <= 0:
-                raise BindingError(f"{spec.id}: {name} must be positive")
-            out[name] = value
+        out[name] = spec.params[name].validate(spec.id, name, binding[name])
     return out
 
 
@@ -879,13 +743,16 @@ def run_suite(
                 raise UnknownIdentityError(ident)
         selected = [ident for ident in REGISTRY if ident in set(wanted)]
     tables = tables if tables is not None else _DEFAULT_TABLES
+    # bindings() validates every axis value, so a bad grid value is reported
+    # before any checker runs
+    sweeps = [(ident, REGISTRY[ident].bindings(grid)) for ident in selected]
     results = []
-    for ident in selected:
-        spec = REGISTRY[ident]
+    for ident, bindings in sweeps:
+        checker = REGISTRY[ident].checker
         passes = 0
         failures = []
-        for binding in spec.bindings(grid):
-            res = spec.checker(_validated(spec, binding), tables)
+        for binding in bindings:
+            res = checker(binding, tables)
             if res.passed:
                 passes += 1
             else:

@@ -173,7 +173,15 @@ def _as_poly(value) -> Poly:
     return value if isinstance(value, Poly) else Poly((value,))
 
 
+def _require_index(n: int) -> int:
+    # a negative n would index the stored table from its end
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    return n
+
+
 def _series_family(family: str, n: int, lam, build) -> Poly:
+    _require_index(n)
     lam = Fraction(lam)
     polys = _STORE.get((family, lam))
     if polys is None or n >= len(polys):
@@ -234,12 +242,12 @@ def fubini_from_triangle(tri: StirlingTriangle, n: int) -> Poly:
 
 def dbell_poly(n: int, lam) -> Poly:
     """Degenerate Bell polynomial: sum of S2 row entries times x**k."""
-    return bell_from_triangle(s2_triangle(n, lam), n)
+    return bell_from_triangle(s2_triangle(_require_index(n), lam), n)
 
 
 def dfubini_poly(n: int, lam) -> Poly:
     """Degenerate Fubini polynomial: S2 row entries times k! x**k."""
-    return fubini_from_triangle(s2_triangle(n, lam), n)
+    return fubini_from_triangle(s2_triangle(_require_index(n), lam), n)
 
 
 def dfubini_series_oracle(n: int, lam) -> Poly:

@@ -12,11 +12,15 @@ from pathlib import Path
 
 from degenmath import classical, sequences
 from degenmath.algebra import poly_eval
+from degenmath.cli import main
 from degenmath.identities import (
     ALL_IDENTITY_IDS,
     DEFAULT_GRID,
+    REGISTRY,
     Grid,
     Tables,
+    _binding_json,
+    _validated,
     run_identity,
     run_suite,
     suite_report_json,
@@ -37,10 +41,14 @@ from degenmath.series import dexp, dlog, identity_series, ser_compose
 
 GRID_LAMBDAS = DEFAULT_GRID.lambdas
 
-# Golden reports.  Regenerate only when a report is meant to change:
+# Golden files.  Regenerate only when an output is meant to change:
 #   python -m degenmath.cli check --all --format json --output tests/data/check_all.json
-# and, for the mutant report, write _report_text(_mutant_report()) to its file.
+#   python -m degenmath.cli list --format json --output tests/data/list.json
+# and write _report_text(_mutant_report()) to mutant_s2_report.json and
+# _bindings_text(MUTANT_GRID) to bindings_small.json.
 DATA = Path(__file__).parent / "data"
+
+MUTANT_GRID = Grid(nmax=4, rmax=2, pmax=1, lambdas=(Fraction(1, 2), Fraction(-3, 7)), order=10)
 
 EXPECTED_IDS = (
     "T1", "T2", "T3", "T4a", "T4b", "E32", "T5", "T6", "T7", "T8", "T9", "T10",
@@ -52,6 +60,15 @@ EXPECTED_IDS = (
 def _report_text(report) -> str:
     """The report exactly as `degenmath check --format json` writes it."""
     return json.dumps(suite_report_json(report), indent=2) + "\n"
+
+
+def _bindings_text(grid) -> str:
+    """Every identity's bindings on grid, in sweep order, as a report writes them."""
+    doc = {
+        ident: [_binding_json(_validated(spec, b)) for b in spec.bindings(grid)]
+        for ident, spec in REGISTRY.items()
+    }
+    return json.dumps(doc, indent=1) + "\n"
 
 
 def mutant_s2(nmax, lam):
@@ -70,8 +87,7 @@ def mutant_s2(nmax, lam):
 
 
 def _mutant_report():
-    grid = Grid(nmax=4, rmax=2, pmax=1, lambdas=(Fraction(1, 2), Fraction(-3, 7)), order=10)
-    return run_suite(grid, ids=("T2", "T4b", "T15", "E66"), tables=Tables(s2_builder=mutant_s2))
+    return run_suite(MUTANT_GRID, ids=("T2", "T4b", "T15", "E66"), tables=Tables(s2_builder=mutant_s2))
 
 
 def _report(criterion: str, detail: str = "") -> None:
@@ -192,3 +208,16 @@ def test_mutant_failure_payloads_match_golden():
         "Fraction", "Poly", "Series",
     }
     assert _report_text(report) == (DATA / "mutant_s2_report.json").read_text(encoding="utf-8")
+
+
+def test_registry_listing_matches_golden(capsys):
+    """Every identity's description and parameter schema, as `list --format json` prints them."""
+    assert main(["list", "--format", "json"]) == 0
+    assert capsys.readouterr().out == (DATA / "list.json").read_text(encoding="utf-8")
+
+
+def test_bindings_match_golden():
+    """Each identity sweeps the same bindings, in the same order and key order."""
+    text = _bindings_text(MUTANT_GRID)
+    assert sum(len(v) for v in json.loads(text).values()) == 231
+    assert text == (DATA / "bindings_small.json").read_text(encoding="utf-8")

@@ -1,12 +1,13 @@
 """Command line surface: formats, exit codes, determinism."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
 from degenmath.cli import EXIT_CHECK_FAILED, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, build_parser, grid_from_args, main
-from degenmath.identities import DEFAULT_GRID
+from degenmath.identities import DEFAULT_GRID, REGISTRY, CheckResult
 
 
 def run_cli(capsys, *argv):
@@ -160,6 +161,22 @@ class TestCheck:
         assert code == EXIT_DOMAIN
         assert err.startswith("error: T1: order = 0")
 
+    @pytest.mark.parametrize("flag", ["--tolerance=-1", "--order=0"])
+    def test_bad_grid_value_is_reported_before_any_check(self, capsys, monkeypatch, flag):
+        calls = []
+
+        def counting(binding, tables):
+            calls.append(binding)
+            return CheckResult("stub", binding, 0, 0, True)
+
+        for ident, spec in list(REGISTRY.items()):
+            monkeypatch.setitem(REGISTRY, ident, dataclasses.replace(spec, checker=counting))
+        code = main(["check", "--all", flag])
+        captured = capsys.readouterr()
+        assert code == EXIT_DOMAIN and captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert calls == []
+
     def test_named_id_with_no_bindings_is_domain_error(self, capsys):
         code = main(["check", "--id", "T15", "--nmax", "1"])
         captured = capsys.readouterr()
@@ -194,6 +211,17 @@ class TestCheck:
         assert grid.lambdas == (Fraction(0), Fraction(1, 3))
         assert grid.e67_tol == Fraction(1, 100)
         assert grid.rmax == DEFAULT_GRID.rmax
+
+
+class TestOutput:
+    @pytest.mark.parametrize("argv", [["list"], ["check", "--id", "T15", "--nmax", "3"]])
+    def test_unwritable_path_is_usage_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "x.json"
+        code = main(argv + ["--output", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {path}")
+        assert not path.exists()
 
 
 class TestList:

@@ -60,6 +60,12 @@ class TestRegistry:
 
 
 class TestSingleChecks:
+    @pytest.mark.parametrize("ident", ENUMERATED_IDS)
+    def test_checker_reports_its_own_id(self, ident):
+        grid = Grid(nmax=2, rmax=1, pmax=0, lambdas=(HALF,), order=4)
+        binding = next(REGISTRY[ident].bindings(grid))
+        assert run_identity(ident, binding).id == ident
+
     def test_t15_example(self):
         res = run_identity("T15", {"n": 3, "lambda": HALF})
         assert res.passed

@@ -266,6 +266,12 @@ class TestFamilyTypes:
         for family in (dbernoulli_poly, deuler_poly, dbell_poly, dfubini_poly):
             assert isinstance(family(3, Fraction(1, 2)), Poly)
 
+    @pytest.mark.parametrize("family", [dbernoulli_poly, deuler_poly, dbell_poly, dfubini_poly])
+    def test_poly_families_reject_negative_n(self, family):
+        # a negative n must not index a stored table from its end
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            family(-1, Fraction(0))
+
     def test_scalar_families_carry_rationals(self):
         assert isinstance(dharmonic(3, 0), Fraction)
         assert isinstance(dhyperharmonic(3, 2, 0), Fraction)
