@@ -56,11 +56,8 @@ from .series import (
     dexp,
     dlog,
     dpolylog,
-    identity_series,
     ser_compose,
-    ser_mul,
     ser_reciprocal,
-    ser_shift_down,
 )
 
 __version__ = "0.1.0"

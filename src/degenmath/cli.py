@@ -1,7 +1,8 @@
 """Command line front end: tables, evaluations, series dumps, identity suite.
 
 Exit codes: 0 all requested checks pass, 1 an identity check failed,
-2 usage error (including an --output path that cannot be written), 3 domain
+2 usage error (including an --output path that cannot be written, found
+before the command does its work), 3 domain
 error (structurally valid flags that cannot be satisfied, e.g. an r bound
 for a family that does not take one, a binding outside an identity's
 schema, or a check grid that leaves nothing to check).
@@ -10,6 +11,7 @@ schema, or a check grid that leaves nothing to check).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -97,21 +99,8 @@ def _output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", default=None, help="write to a file instead of stdout")
 
 
-class OutputError(Exception):
-    pass
-
-
-def _emit(text: str, path: str | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if path is None:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+def _emit(text: str, out) -> None:
+    out.write(text if text.endswith("\n") else text + "\n")
 
 
 def _json_text(obj) -> str:
@@ -179,7 +168,7 @@ def _cmd_table(args) -> int:
             else:
                 lines.append(f"{n}: {Poly(row)}")
         text = "\n".join(lines)
-    _emit(text, args.output)
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -195,7 +184,7 @@ def _cmd_eval(args) -> int:
         text = _csv_text("n,x,value", [(args.n, args.x, value)])
     else:
         text = str(value)
-    _emit(text, args.output)
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -221,7 +210,7 @@ def _cmd_series(args) -> int:
         text = _csv_text("k,value", list(enumerate(coeffs)))
     else:
         text = "[" + ", ".join(coeffs) + "]"
-    _emit(text, args.output)
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -278,7 +267,7 @@ def _cmd_check(args) -> int:
                     lines.append(f"    note: {failure.note}")
         lines.append("all identities passed" if report.all_pass else "FAILURES detected")
         text = "\n".join(lines)
-    _emit(text, args.output)
+    _emit(text, args.out)
     return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED
 
 
@@ -303,7 +292,7 @@ def _cmd_list(args) -> int:
             schema = "; ".join(f"{k}: {v}" for k, v in s.param_summary().items())
             lines.append(f"{s.id}\t{schema}\t{s.description}")
         text = "\n".join(lines)
-    _emit(text, args.output)
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -321,10 +310,18 @@ def main(argv: list[str] | None = None) -> int:
         "list": _cmd_list,
     }[args.command]
     try:
-        return handler(args)
-    except OutputError as exc:
-        # the exit code argparse gives a path it cannot open
-        print(f"error: {exc}", file=sys.stderr)
+        # opened before the command runs, so a path that cannot be written
+        # fails before any work is done
+        if args.output is None:
+            out = contextlib.nullcontext(sys.stdout)
+        else:
+            out = open(args.output, "w", encoding="utf-8")
+        with out as args.out:
+            return handler(args)
+    except OSError as exc:
+        # only the output stream does I/O; 2 is the exit code argparse gives
+        # a path it cannot open
+        print(f"error: cannot write {args.output or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -32,7 +32,7 @@ from .algebra import (
     poly_eval,
     poly_int_over_t,
 )
-from .series import Series, dlog, dpolylog, ser_compose, ser_mul, ser_reciprocal
+from .series import Series, dlog, dpolylog, ser_compose, ser_reciprocal
 
 DEFAULT_LAMBDAS = tuple(
     Fraction(s) for s in ("0", "1/2", "-1/2", "1", "-1", "2/3", "-3/7", "3", "1/5")
@@ -214,7 +214,7 @@ def _result(ident: str, binding: dict, lhs, rhs, note: str = "") -> CheckResult:
 def hyperharmonic_gf(lam, r: int, order: int) -> Series:
     """-log_lam(1-t)/(1-t)^r, the generating function of the hyperharmonic numbers."""
     minus_log = -ser_compose(dlog(lam, order), Series((0, -1), order))
-    return ser_mul(minus_log, ser_reciprocal(Series((1, -1), order) ** r))
+    return minus_log * ser_reciprocal(Series((1, -1), order) ** r)
 
 
 @identity("T1", {"r": R1, "lambda": LAM, "order": ORDERS},
@@ -633,7 +633,7 @@ def _check_e66(b, tab):
     f_n = tab.fubini(n, lam)
     outer = Series(f_n.coeffs or (Fraction(0),), order)
     inner = Series([Fraction(0)] + [Fraction(1)] * order, order)  # x/(1-x)
-    lhs = ser_mul(ser_compose(outer, inner), ser_reciprocal(Series((1, -1), order)))
+    lhs = ser_compose(outer, inner) * ser_reciprocal(Series((1, -1), order))
     rhs = Series(
         [gfact_falling(Fraction(k), n, lam) for k in range(order + 1)], order
     )
@@ -743,6 +743,11 @@ def run_suite(
                 raise UnknownIdentityError(ident)
         selected = [ident for ident in REGISTRY if ident in set(wanted)]
     tables = tables if tables is not None else _DEFAULT_TABLES
+    # a bound below every domain on its axis would pass on the other identities
+    for bound, param in (("nmax", N0), ("rmax", R1), ("pmax", P0)):
+        value = getattr(grid, bound)
+        if value < param.min:
+            raise BindingError(f"{bound} = {value} is below {param.min}, the least value any identity takes")
     # bindings() validates every axis value, so a bad grid value is reported
     # before any checker runs
     sweeps = [(ident, REGISTRY[ident].bindings(grid)) for ident in selected]

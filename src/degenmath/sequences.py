@@ -5,15 +5,14 @@ formula) and, where one exists, an independent generating-function path
 that the test suite uses as an oracle.
 
 The primary paths share one store of per-lambda tables, keyed by
-(family, lambda).  A Stirling triangle grows: asking for more rows than
-are stored computes only the missing rows from the last stored one, and a
-hit returns the stored triangle itself, which may hold more rows than were
-asked for.  The series-extracted Bernoulli and Euler families are rebuilt
-at max(n, 16) when n outgrows them.  The store keeps at most
-STORE_CAPACITY entries and drops the oldest when full.  Stored values are
-immutable and an entry is only ever replaced wholesale, so a reader never
-sees a partial table.  The oracles keep their own memo, apart from the
-code they check.
+(family, lambda), and every stored family grows by one rule: entry m is
+computed once, by the family's step, from the entries before it.  A miss
+computes only the missing entries, up to at least GROW_MIN_N, and a hit
+returns the stored table itself, which may hold more entries than were
+asked for.  The store keeps at most STORE_CAPACITY entries and drops the
+oldest when full.  Stored values are immutable and an entry is only ever
+replaced wholesale, so a reader never sees a partial table.  The oracles
+keep their own memo, apart from the code they check.
 """
 
 from __future__ import annotations
@@ -22,15 +21,16 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from .algebra import Poly, X, gfact_falling
-from .series import Series, dexp, dlog, ser_mul, ser_reciprocal, ser_shift_down
+from .series import Series, dexp, dlog, ser_reciprocal
 
 STORE_CAPACITY = 128
+GROW_MIN_N = 16
 
-# (family, lambda) -> StirlingTriangle or tuple of Poly, oldest first; reads
-# are single dict lookups, writes take the lock so eviction cannot race
+# (family, lambda) -> tuple of entries 0..n, oldest first; reads are single
+# dict lookups, writes take the lock so eviction cannot race
 _STORE: dict[tuple[str, Fraction], object] = {}
 _STORE_LOCK = threading.Lock()
 
@@ -41,6 +41,21 @@ def _put(key, value):
             del _STORE[next(iter(_STORE))]
         _STORE[key] = value
     return value
+
+
+def _grown(family: str, n: int, lam: Fraction, step) -> tuple:
+    """Stored entries 0..n or more of family at lam; a miss appends
+    step(entries, m, lam) for each missing m up to max(n, GROW_MIN_N)."""
+    if n < 0:
+        # a negative n would index the stored table from its end
+        raise ValueError(f"n must be >= 0, got {n}")
+    entries = _STORE.get((family, lam), ())
+    if n < len(entries):
+        return entries
+    grown = list(entries)
+    for m in range(len(grown), max(n, GROW_MIN_N) + 1):
+        grown.append(step(grown, m, lam))
+    return _put((family, lam), tuple(grown))
 
 
 @dataclass(frozen=True)
@@ -79,28 +94,27 @@ def s1_triangle(nmax: int, lam) -> StirlingTriangle:
     return _triangle("first", int(nmax), Fraction(lam))
 
 
-_WEIGHTS = {
-    "second": lambda n, k, lam: k - n * lam,
-    "first": lambda n, k, lam: k * lam - n,
+def _row_step(weight):
+    def step(rows, m, lam):
+        if m == 0:
+            return (Fraction(1),)
+        # the zero past the end of row m-1 is also read as S(m-1, -1)
+        prev = rows[m - 1] + (Fraction(0),)
+        return tuple(prev[k - 1] + weight(m - 1, k, lam) * prev[k] for k in range(m + 1))
+
+    return step
+
+
+# row m from row m-1: S(m,k) = S(m-1,k-1) + weight(m-1, k, lam) * S(m-1,k)
+_ROW_STEPS = {
+    "second": _row_step(lambda n, k, lam: k - n * lam),
+    "first": _row_step(lambda n, k, lam: k * lam - n),
 }
 
 
 def _triangle(kind: str, nmax: int, lam: Fraction) -> StirlingTriangle:
-    key = (kind, lam)
-    tri = _STORE.get(key)
-    if tri is not None and tri.nmax >= nmax:
-        return tri
-    weight = _WEIGHTS[kind]
-    rows = list(tri.rows) if tri is not None else [(Fraction(1),)]
-    for n in range(len(rows) - 1, nmax):
-        prev = rows[-1]
-        row = []
-        for k in range(n + 2):
-            left = prev[k - 1] if 1 <= k <= n + 1 else Fraction(0)
-            up = prev[k] if k <= n else Fraction(0)
-            row.append(left + weight(n, k, lam) * up)
-        rows.append(tuple(row))
-    return _put(key, StirlingTriangle(kind, lam, nmax, tuple(rows)))
+    rows = _grown(kind, nmax, lam, _ROW_STEPS[kind])
+    return StirlingTriangle(kind, lam, len(rows) - 1, rows)
 
 
 def stirling_series_oracle(kind: str, n: int, k: int, lam, order: int) -> Fraction:
@@ -169,40 +183,42 @@ def dhyperharmonic(n: int, r: int, lam) -> Fraction:
     return row[n]
 
 
-def _as_poly(value) -> Poly:
-    return value if isinstance(value, Poly) else Poly((value,))
+def _falling_step(polys, m, lam):
+    # (x)_{m,lam} = (x)_{m-1,lam} * (x - (m-1)*lam)
+    return polys[m - 1] * (X - (m - 1) * lam) if m else Poly.constant(1)
 
 
-def _require_index(n: int) -> int:
-    # a negative n would index the stored table from its end
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return n
+def _appell_step(weight):
+    """Step for the P_n(x) generated by e_lam^x(t) / W(t): weight(j, ones) is
+    the t**j/j! coefficient w_j of W (w_0 == 1), from ones[i] = (1)_{i,lam}.
+    The constant terms c_n of 1/W solve sum_j C(n,j) w_j c_{n-j} = [n == 0],
+    and P_n(x) = sum_k C(n,k) c_k (x)_{n-k,lam}."""
+
+    def step(polys, n, lam):
+        ones = [Fraction(1)]
+        for i in range(n + 1):
+            ones.append(ones[-1] * (1 - i * lam))
+        consts = [p.coeff(0) for p in polys]
+        consts.append(int(n == 0) - sum(comb(n, j) * weight(j, ones) * consts[n - j] for j in range(1, n + 1)))
+        falling = _grown("falling", n, lam, _falling_step)
+        coeffs = [Fraction(0)] * (n + 1)
+        for k, c in enumerate(consts):
+            if c:
+                c *= comb(n, k)
+                for i, a in enumerate(falling[n - k].coeffs):
+                    coeffs[i] += c * a
+        return Poly(coeffs)
+
+    return step
 
 
-def _series_family(family: str, n: int, lam, build) -> Poly:
-    _require_index(n)
-    lam = Fraction(lam)
-    polys = _STORE.get((family, lam))
-    if polys is None or n >= len(polys):
-        polys = _put((family, lam), build(lam, max(n, 16)))
-    return polys[n]
-
-
-def _bernoulli_polys(lam: Fraction, nmax: int) -> tuple[Poly, ...]:
-    base = ser_shift_down(dexp(Fraction(1), lam, nmax + 1) - 1)
-    gen = ser_mul(ser_reciprocal(base), dexp(X, lam, nmax))
-    return tuple(_as_poly(gen.coeffs[i] * factorial(i)) for i in range(nmax + 1))
-
-
-def _euler_polys(lam: Fraction, nmax: int) -> tuple[Poly, ...]:
-    gen = ser_mul(ser_reciprocal(dexp(Fraction(1), lam, nmax) + 1), dexp(X, lam, nmax)) * 2
-    return tuple(_as_poly(gen.coeffs[i] * factorial(i)) for i in range(nmax + 1))
+_BERNOULLI_STEP = _appell_step(lambda j, ones: ones[j + 1] / (j + 1))  # W = (e_lam(t) - 1)/t
+_EULER_STEP = _appell_step(lambda j, ones: ones[j] / 2)  # W = (e_lam(t) + 1)/2
 
 
 def dbernoulli_poly(n: int, lam) -> Poly:
-    """Degenerate Bernoulli polynomial, extracted from t/(e_lam(t)-1) * e_lam^x(t)."""
-    return _series_family("bernoulli", n, lam, _bernoulli_polys)
+    """Degenerate Bernoulli polynomial, the t**n/n! coefficient of t/(e_lam(t)-1) * e_lam^x(t)."""
+    return _grown("bernoulli", n, Fraction(lam), _BERNOULLI_STEP)[n]
 
 
 def dbernoulli_poly_stirling(n: int, lam) -> Poly:
@@ -210,7 +226,7 @@ def dbernoulli_poly_stirling(n: int, lam) -> Poly:
     over the second-kind triangle with dfact coefficients.
 
     Kept as an independent code path; the acceptance suite requires it to
-    agree with the series extraction exactly.
+    agree with dbernoulli_poly exactly.
     """
     from .algebra import binom_poly, dfact  # local import keeps module deps one-way
 
@@ -226,8 +242,8 @@ def dbernoulli_poly_stirling(n: int, lam) -> Poly:
 
 
 def deuler_poly(n: int, lam) -> Poly:
-    """Degenerate Euler polynomial, extracted from 2/(e_lam(t)+1) * e_lam^x(t)."""
-    return _series_family("euler", n, lam, _euler_polys)
+    """Degenerate Euler polynomial, the t**n/n! coefficient of 2/(e_lam(t)+1) * e_lam^x(t)."""
+    return _grown("euler", n, Fraction(lam), _EULER_STEP)[n]
 
 
 def bell_from_triangle(tri: StirlingTriangle, n: int) -> Poly:
@@ -242,19 +258,19 @@ def fubini_from_triangle(tri: StirlingTriangle, n: int) -> Poly:
 
 def dbell_poly(n: int, lam) -> Poly:
     """Degenerate Bell polynomial: sum of S2 row entries times x**k."""
-    return bell_from_triangle(s2_triangle(_require_index(n), lam), n)
+    return bell_from_triangle(s2_triangle(n, lam), n)
 
 
 def dfubini_poly(n: int, lam) -> Poly:
     """Degenerate Fubini polynomial: S2 row entries times k! x**k."""
-    return fubini_from_triangle(s2_triangle(_require_index(n), lam), n)
+    return fubini_from_triangle(s2_triangle(n, lam), n)
 
 
 def dfubini_series_oracle(n: int, lam) -> Poly:
     """Independent route: n! * [t**n] of 1/(1 - x*(e_lam(t)-1)) over Poly coefficients."""
     inner = (dexp(Fraction(1), Fraction(lam), n) - 1) * X
     gen = ser_reciprocal(1 - inner)
-    return _as_poly(gen.coeffs[n] * factorial(n))
+    return gen.coeffs[n] * factorial(n)
 
 
 def power_sum(p: int, n: int, lam) -> Fraction:

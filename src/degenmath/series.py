@@ -123,16 +123,6 @@ class Series:
     __repr__ = __str__
 
 
-def identity_series(order: int) -> Series:
-    """The series t."""
-    return Series((0, 1), order)
-
-
-def ser_mul(a: Series, b: Series) -> Series:
-    """Cauchy product truncated to min(a.order, b.order)."""
-    return a * b
-
-
 def _unit_inverse(c):
     if isinstance(c, Poly):
         if c.degree == 0:
@@ -176,15 +166,6 @@ def ser_compose(outer: Series, inner: Series) -> Series:
     for k in range(outer.order - 1, -1, -1):
         acc = acc * inner + outer.coeffs[k]
     return acc
-
-
-def ser_shift_down(a: Series) -> Series:
-    """Divide by t: requires a zero constant term, drops one order."""
-    if not _is_zero(a.coeffs[0]):
-        raise ValueError("division by t needs a zero constant term")
-    if a.order < 1:
-        raise ValueError("division by t needs order >= 1")
-    return Series(a.coeffs[1:], a.order - 1)
 
 
 def dexp(x0, lam, order: int) -> Series:

@@ -10,6 +10,19 @@ from degenmath.cli import EXIT_CHECK_FAILED, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, b
 from degenmath.identities import DEFAULT_GRID, REGISTRY, CheckResult
 
 
+def counting_checkers(monkeypatch) -> list:
+    """Swap every registry checker for a passing stub; the list records each call."""
+    calls = []
+
+    def counting(binding, tables):
+        calls.append(binding)
+        return CheckResult("stub", binding, 0, 0, True)
+
+    for ident, spec in list(REGISTRY.items()):
+        monkeypatch.setitem(REGISTRY, ident, dataclasses.replace(spec, checker=counting))
+    return calls
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -161,16 +174,11 @@ class TestCheck:
         assert code == EXIT_DOMAIN
         assert err.startswith("error: T1: order = 0")
 
-    @pytest.mark.parametrize("flag", ["--tolerance=-1", "--order=0"])
+    @pytest.mark.parametrize(
+        "flag", ["--tolerance=-1", "--order=0", "--nmax=-3", "--rmax=0", "--pmax=-1"]
+    )
     def test_bad_grid_value_is_reported_before_any_check(self, capsys, monkeypatch, flag):
-        calls = []
-
-        def counting(binding, tables):
-            calls.append(binding)
-            return CheckResult("stub", binding, 0, 0, True)
-
-        for ident, spec in list(REGISTRY.items()):
-            monkeypatch.setitem(REGISTRY, ident, dataclasses.replace(spec, checker=counting))
+        calls = counting_checkers(monkeypatch)
         code = main(["check", "--all", flag])
         captured = capsys.readouterr()
         assert code == EXIT_DOMAIN and captured.out == ""
@@ -214,14 +222,19 @@ class TestCheck:
 
 
 class TestOutput:
-    @pytest.mark.parametrize("argv", [["list"], ["check", "--id", "T15", "--nmax", "3"]])
-    def test_unwritable_path_is_usage_error(self, capsys, tmp_path, argv):
+    @pytest.mark.parametrize(
+        "argv", [["list"], ["check", "--id", "T15", "--nmax", "3"], ["check", "--all"]]
+    )
+    def test_unwritable_path_is_usage_error(self, capsys, monkeypatch, tmp_path, argv):
+        # the path is found unwritable before the command does its work
+        calls = counting_checkers(monkeypatch)
         path = tmp_path / "missing" / "x.json"
         code = main(argv + ["--output", str(path)])
         captured = capsys.readouterr()
         assert code == EXIT_USAGE and captured.out == ""
         assert captured.err.startswith(f"error: cannot write {path}")
         assert not path.exists()
+        assert calls == []
 
 
 class TestList:

@@ -10,6 +10,7 @@ import pytest
 
 from degenmath import classical, sequences
 from degenmath.algebra import Poly, X, ffact_int, gfact_falling, poly_eval
+from degenmath.identities import run_identity
 from degenmath.sequences import (
     dbell_poly,
     dbernoulli_poly,
@@ -191,6 +192,26 @@ class TestEuler:
         assert poly_eval(deuler_poly(1, 0), 0) == Fraction(-1, 2)
 
 
+class TestGrowthPastStoredMinimum:
+    """Entries past n = 16 come from the step alone; check them against
+    routes that do not use it."""
+
+    @pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(-3, 7), Fraction(5, 3)])
+    def test_bernoulli_matches_stirling_route(self, lam):
+        for n in range(17, 25):
+            assert dbernoulli_poly(n, lam) == dbernoulli_poly_stirling(n, lam)
+
+    @pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(-3, 7), Fraction(5, 3)])
+    def test_euler_matches_triangle_sum(self, lam):
+        for n in range(17, 25):
+            assert run_identity("T4b", {"n": n, "lambda": lam}).passed
+
+    def test_classical_limit(self):
+        for n in range(17, 25):
+            assert dbernoulli_poly(n, 0) == classical.bernoulli_poly(n)
+            assert deuler_poly(n, 0) == classical.euler_poly(n)
+
+
 class TestBellFubini:
     def test_bell_small(self):
         lam = Fraction(5, 7)
@@ -266,7 +287,10 @@ class TestFamilyTypes:
         for family in (dbernoulli_poly, deuler_poly, dbell_poly, dfubini_poly):
             assert isinstance(family(3, Fraction(1, 2)), Poly)
 
-    @pytest.mark.parametrize("family", [dbernoulli_poly, deuler_poly, dbell_poly, dfubini_poly])
+    @pytest.mark.parametrize(
+        "family",
+        [dbernoulli_poly, deuler_poly, dbell_poly, dfubini_poly, s1_triangle, s2_triangle],
+    )
     def test_poly_families_reject_negative_n(self, family):
         # a negative n must not index a stored table from its end
         with pytest.raises(ValueError, match="n must be >= 0"):
@@ -316,21 +340,47 @@ class TestStore:
         lam = Fraction(11, 10**6 - 1)
         first_seen = []
         for n in range(51):
-            tri = s2_triangle(n, lam)
-            assert tri.nmax == n and len(tri.rows) == n + 1
-            first_seen.append(tri.rows[n])
+            first_seen.append(s2_triangle(n, lam).rows[n])
         final = s2_triangle(50, lam)
         assert all(final.rows[n] is row for n, row in enumerate(first_seen))
-        assert s2_triangle(7, lam) is final  # a hit returns the stored triangle itself
+        assert s2_triangle(7, lam).rows is final.rows  # a hit returns the stored rows themselves
         del sequences._STORE[("second", lam)]
         assert s2_triangle(50, lam).rows == final.rows  # growing equals one build
 
-    def test_series_family_rebuilds_at_max_n_16(self):
-        lam = Fraction(13, 10**6 - 3)
-        dbernoulli_poly(0, lam)
-        stored = sequences._STORE[("bernoulli", lam)]
-        assert len(stored) == 17
-        dbernoulli_poly(16, lam)
-        assert sequences._STORE[("bernoulli", lam)] is stored
-        dbernoulli_poly(17, lam)
-        assert len(sequences._STORE[("bernoulli", lam)]) == 18
+    @pytest.mark.parametrize("family", ["first", "second", "bernoulli", "euler"])
+    def test_one_growth_rule(self, monkeypatch, family):
+        fn = {"first": s1_triangle, "second": s2_triangle,
+              "bernoulli": dbernoulli_poly, "euler": deuler_poly}[family]
+        lam = Fraction(17, 10**6 - 7)
+        key = (family, lam)
+        computed = []
+        grown = sequences._grown
+
+        def counting(name, n, at, step):
+            def counted(entries, m, at):
+                if name == family:
+                    computed.append(m)
+                return step(entries, m, at)
+
+            return grown(name, n, at, counted)
+
+        monkeypatch.setattr(sequences, "_grown", counting)
+        fn(0, lam)
+        first = sequences._STORE[key]
+        assert len(first) == sequences.GROW_MIN_N + 1 == 17
+        assert computed == list(range(17))
+        for n in range(41):
+            fn(n, lam)
+        assert computed == list(range(41))  # each entry computed once, in order
+        stored = sequences._STORE[key]
+        assert all(a is b for a, b in zip(stored, first))  # growth keeps the entries
+        computed.clear()
+        hit = fn(7, lam)
+        assert computed == []
+        if family in ("first", "second"):
+            assert hit.rows is stored and hit.nmax == 40
+        else:
+            assert hit is stored[7]
+        del sequences._STORE[key]
+        fn(40, lam)
+        assert sequences._STORE[key] == stored  # step-by-step growth equals one build

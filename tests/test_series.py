@@ -13,11 +13,8 @@ from degenmath.series import (
     dexp,
     dlog,
     dpolylog,
-    identity_series,
     ser_compose,
-    ser_mul,
     ser_reciprocal,
-    ser_shift_down,
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
@@ -45,14 +42,14 @@ class TestMul:
     def test_basic(self):
         one_plus = Series((1, 1), 2)
         one_minus = Series((1, -1), 2)
-        assert ser_mul(one_plus, one_minus) == Series((1, 0, -1), 2)
+        assert one_plus * one_minus == Series((1, 0, -1), 2)
 
     def test_truncation_drops_products(self):
         t = Series((0, 1), 1)
-        assert ser_mul(t, t) == Series((0, 0), 1)
+        assert t * t == Series((0, 0), 1)
 
     def test_min_order(self):
-        assert ser_mul(Series((1,), 5), Series((1,), 3)).order == 3
+        assert (Series((1,), 5) * Series((1,), 3)).order == 3
 
 
 class TestReciprocal:
@@ -70,7 +67,7 @@ class TestReciprocal:
     @given(coeffs=st.lists(rationals, min_size=1, max_size=8).filter(lambda cs: cs[0] != 0))
     def test_roundtrip(self, coeffs):
         s = Series(coeffs)
-        assert ser_mul(s, ser_reciprocal(s)) == Series((1,), s.order)
+        assert s * ser_reciprocal(s) == Series((1,), s.order)
 
 
 class TestCompose:
@@ -86,32 +83,24 @@ class TestCompose:
     @pytest.mark.parametrize("lam", INVERSION_LAMBDAS)
     def test_dlog_inverts_dexp(self, lam):
         n = 24
-        assert ser_compose(dlog(lam, n), dexp(1, lam, n) - 1) == identity_series(n)
+        assert ser_compose(dlog(lam, n), dexp(1, lam, n) - 1) == Series((0, 1), n)
 
     @pytest.mark.parametrize("lam", INVERSION_LAMBDAS)
     def test_comp_inverse_recovers_dlog(self, lam):
         # dlog is also a right inverse: (dexp - 1) o dlog = t
         n = 24
-        assert ser_compose(dexp(1, lam, n) - 1, dlog(lam, n)) == identity_series(n)
+        assert ser_compose(dexp(1, lam, n) - 1, dlog(lam, n)) == Series((0, 1), n)
 
 
 class TestCompInverse:
     def test_identity(self):
-        assert ser_compose(identity_series(5), identity_series(5)) == identity_series(5)
+        t = Series((0, 1), 5)
+        assert ser_compose(t, t) == t
 
     def test_quadratic(self):
         # b = t/2 - t^2/8 solves 2b + b^2 = t to order 2
         b = Series((0, Fraction(1, 2), Fraction(-1, 8)), 2)
-        assert ser_compose(Series((0, 2, 1), 2), b) == identity_series(2)
-
-
-class TestShiftDown:
-    def test_basic(self):
-        assert ser_shift_down(Series((0, 1, 2), 2)) == Series((1, 2), 1)
-
-    def test_requires_zero_constant(self):
-        with pytest.raises(ValueError):
-            ser_shift_down(Series((1, 1), 2))
+        assert ser_compose(Series((0, 2, 1), 2), b) == Series((0, 1), 2)
 
 
 class TestGeneratingFunctions:
@@ -177,12 +166,11 @@ class TestPolyCoefficientSeries:
         for _ in range(10):
             a = Series([rand_poly() for _ in range(5)])
             b = Series([rand_poly() for _ in range(5)])
-            prod = ser_mul(a, b)
+            prod = a * b
             for _ in range(5):
                 x0 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                eval_then = ser_mul(
-                    Series([poly_eval(c, x0) for c in a.coeffs], a.order),
-                    Series([poly_eval(c, x0) for c in b.coeffs], b.order),
+                eval_then = Series([poly_eval(c, x0) for c in a.coeffs], a.order) * Series(
+                    [poly_eval(c, x0) for c in b.coeffs], b.order
                 )
                 then_eval = Series(
                     [poly_eval(c, x0) if isinstance(c, Poly) else c for c in prod.coeffs],
