@@ -11,8 +11,10 @@ computes only the missing entries, up to at least GROW_MIN_N, and a hit
 returns the stored table itself, which may hold more entries than were
 asked for.  The store keeps at most STORE_CAPACITY entries and drops the
 oldest when full.  Stored values are immutable and an entry is only ever
-replaced wholesale, so a reader never sees a partial table.  The oracles
-keep their own memo, apart from the code they check.
+replaced wholesale, so a reader never sees a partial table.  The harmonic
+numbers are a stored family; hyperharmonic numbers are cumulative sums of
+its entries.  The oracles keep their own memo, bounded at STORE_CAPACITY
+entries, apart from the code they check.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial
 
-from .algebra import Poly, X, gfact_falling
+from .algebra import Poly, X, binom_poly, dfact, gfact_falling
 from .series import Series, dexp, dlog, ser_reciprocal
 
 STORE_CAPACITY = 128
@@ -134,12 +137,17 @@ def stirling_series_oracle(kind: str, n: int, k: int, lam, order: int) -> Fracti
     return power.coeffs[n] * factorial(n) / factorial(k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=STORE_CAPACITY)
 def _gf_power(kind: str, lam: Fraction, k: int, order: int) -> Series:
     if k == 0:
         return Series((Fraction(1),), order)
     base = dlog(lam, order) if kind == "first" else dexp(Fraction(1), lam, order) - 1
     return _gf_power(kind, lam, k - 1, order) * base
+
+
+def _harmonic_step(sums, m, lam):
+    # H_m = H_{m-1} + (-1)**(m-1) dfact(m-1,lam)/m!, H_0 = 0
+    return sums[m - 1] + (-1) ** (m - 1) * dfact(m - 1, lam) / factorial(m) if m else Fraction(0)
 
 
 def dharmonic(n: int, lam) -> Fraction:
@@ -148,39 +156,17 @@ def dharmonic(n: int, lam) -> Fraction:
     The summand is the singularity-free rewriting of (1/lam) binom(lam, k)
     (-1)**(k-1), so lam == 0 is legal and yields the classical 1 + 1/2 + ... + 1/n.
     """
-    lam = Fraction(lam)
-    total = Fraction(0)
-    acc = Fraction(1)
-    sign = 1
-    for k in range(1, n + 1):
-        total += sign * acc / factorial(k)
-        acc *= lam - k
-        sign = -sign
-    return total
+    return _grown("harmonic", n, Fraction(lam), _harmonic_step)[n]
 
 
 def dhyperharmonic(n: int, r: int, lam) -> Fraction:
     """Degenerate hyperharmonic number: r-1 cumulative summations of dharmonic."""
     if r < 1:
         raise ValueError("hyperharmonic order r must be >= 1")
-    lam = Fraction(lam)
-    row = [Fraction(0)]
-    acc = Fraction(1)
-    sign = 1
-    total = Fraction(0)
-    for k in range(1, n + 1):
-        total += sign * acc / factorial(k)
-        row.append(total)
-        acc *= lam - k
-        sign = -sign
+    sums = _grown("harmonic", n, Fraction(lam), _harmonic_step)[: n + 1]
     for _ in range(r - 1):
-        run = Fraction(0)
-        nxt = [Fraction(0)]
-        for k in range(1, n + 1):
-            run += row[k]
-            nxt.append(run)
-        row = nxt
-    return row[n]
+        sums = tuple(accumulate(sums))
+    return sums[n]
 
 
 def _falling_step(polys, m, lam):
@@ -228,8 +214,6 @@ def dbernoulli_poly_stirling(n: int, lam) -> Poly:
     Kept as an independent code path; the acceptance suite requires it to
     agree with dbernoulli_poly exactly.
     """
-    from .algebra import binom_poly, dfact  # local import keeps module deps one-way
-
     tri = s2_triangle(n, lam)
     lam = Fraction(lam)
     total = Poly()

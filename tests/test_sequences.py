@@ -289,7 +289,8 @@ class TestFamilyTypes:
 
     @pytest.mark.parametrize(
         "family",
-        [dbernoulli_poly, deuler_poly, dbell_poly, dfubini_poly, s1_triangle, s2_triangle],
+        [dbernoulli_poly, deuler_poly, dbell_poly, dfubini_poly, s1_triangle, s2_triangle, dharmonic,
+         pytest.param(lambda n, lam: dhyperharmonic(n, 2, lam), id="dhyperharmonic")],
     )
     def test_poly_families_reject_negative_n(self, family):
         # a negative n must not index a stored table from its end
@@ -310,13 +311,19 @@ class TestStore:
         assert ("second", lams[-1]) in sequences._STORE
         assert ("second", lams[0]) not in sequences._STORE  # the oldest went first
 
+    def test_oracle_memo_is_bounded(self):
+        for i in range(sequences.STORE_CAPACITY + 20):
+            stirling_series_oracle("second", 2, 1, Fraction(1, 3 * 10**6 + i), 2)
+        assert sequences._gf_power.cache_info().currsize <= sequences.STORE_CAPACITY
+
     def test_concurrent_writers_keep_the_bound(self):
         errors = []
 
         def work(offset):
             try:
                 for i in range(1500):
-                    s2_triangle(1, Fraction(1, 2 * 10**6 + 4 * i + offset))
+                    # an empty table is what a miss would start growing from
+                    sequences._put(("second", Fraction(1, 2 * 10**6 + 4 * i + offset)), ())
             except Exception as exc:  # any exception is a lost race
                 errors.append(exc)
 
@@ -347,10 +354,10 @@ class TestStore:
         del sequences._STORE[("second", lam)]
         assert s2_triangle(50, lam).rows == final.rows  # growing equals one build
 
-    @pytest.mark.parametrize("family", ["first", "second", "bernoulli", "euler"])
+    @pytest.mark.parametrize("family", ["first", "second", "bernoulli", "euler", "harmonic"])
     def test_one_growth_rule(self, monkeypatch, family):
         fn = {"first": s1_triangle, "second": s2_triangle,
-              "bernoulli": dbernoulli_poly, "euler": deuler_poly}[family]
+              "bernoulli": dbernoulli_poly, "euler": deuler_poly, "harmonic": dharmonic}[family]
         lam = Fraction(17, 10**6 - 7)
         key = (family, lam)
         computed = []
