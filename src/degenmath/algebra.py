@@ -4,13 +4,19 @@ Everything downstream (series, triangles, identity checks) runs over these
 types, so every value the package produces is exact.  Scalars are
 fractions.Fraction; polynomials are immutable dense coefficient tuples over
 Fraction.  There is no floating point anywhere in the computational core.
+
+The hot kernels keep Fraction at their boundary only: a polynomial product
+scales each factor to integers over one common denominator and normalises
+each output coefficient once, and a scalar falling factorial is one integer
+product over one denominator.  binom(x, k) is memoised in a tuple of its own.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import factorial
+from math import lcm, prod
+from operator import mul
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
@@ -118,13 +124,8 @@ class Poly:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        a, b = self.coeffs, other.coeffs
+        return Poly(_cauchy_product(a, b, len(a) + len(b) - 2))
 
     __rmul__ = __mul__
 
@@ -185,6 +186,32 @@ class Poly:
 X = Poly((0, 1))
 
 
+def _integer_numerators(cs) -> tuple[list[int], int]:
+    """(numerators, d): the Fractions cs as integers over d, the lcm of their denominators."""
+    d = lcm(*(c.denominator for c in cs))
+    return [c.numerator * (d // c.denominator) for c in cs], d
+
+
+def _cauchy_product(a, b, n: int) -> list[Fraction]:
+    """c_m = sum over i + j == m of a_i * b_j, for m = 0..n, over Fraction a and b.
+
+    Each factor is scaled to integers over the lcm of its denominators, the
+    integers are convolved, and each c_m is normalised once, in the spirit of
+    fraction-free elimination (Bareiss, Math. Comp. 22, 1968).
+    """
+    ia, da = _integer_numerators(a)
+    ib, db = _integer_numerators(b)
+    rb = ib[::-1]
+    lb, den = len(b), da * db
+    out = []
+    for m in range(n + 1):
+        lo = max(0, m - lb + 1)
+        # rb[lb-1-j] is b_j, so the second slice runs b_{m-lo} down to b_0;
+        # map stops at the end of the shorter slice
+        out.append(Fraction(sum(map(mul, ia[lo : m + 1], rb[lb - 1 - m + lo :])), den))
+    return out
+
+
 def gfact_falling(x0, n: int, lam) -> "Fraction | Poly":
     """Generalized falling factorial x0*(x0-lam)*(x0-2*lam)*...*(x0-(n-1)*lam).
 
@@ -194,7 +221,12 @@ def gfact_falling(x0, n: int, lam) -> "Fraction | Poly":
     if n < 0:
         raise ValueError("length of the falling-factorial product must be >= 0")
     lam = Fraction(lam)
-    acc = Poly.constant(1) if isinstance(x0, Poly) else Fraction(1)
+    if not isinstance(x0, Poly):
+        # x0 = a/b, lam = p/q: the product is prod_j (a*q - j*p*b) / (b*q)**n
+        x0 = Fraction(x0)
+        a, b, p, q = x0.numerator, x0.denominator, lam.numerator, lam.denominator
+        return Fraction(prod(a * q - j * p * b for j in range(n)), (b * q) ** n)
+    acc = Poly.constant(1)
     for j in range(n):
         acc = acc * (x0 - j * lam)
     return acc
@@ -216,11 +248,26 @@ def ffact_int(x0, n: int) -> "Fraction | Poly":
     return gfact_falling(x0, n, Fraction(1))
 
 
+# binom(x, k) for k = 0..len-1; grown by rebinding a longer tuple, never in
+# place, so a reader racing a grower still indexes a complete prefix
+_BINOMS: tuple[Poly, ...] = (Poly((1,)),)
+
+
 def binom_poly(k: int) -> Poly:
-    """binom(x, k) as an exact polynomial of degree k."""
+    """binom(x, k) as an exact polynomial of degree k, memoised.
+
+    Entry k is C(x, k-1) * (x - k + 1) / k.
+    """
+    global _BINOMS
     if k < 0:
         raise ValueError("binomial index must be >= 0")
-    return ffact_int(X, k) * Fraction(1, factorial(k))
+    binoms = _BINOMS
+    if k >= len(binoms):
+        grown = list(binoms)
+        for m in range(len(grown), k + 1):
+            grown.append(grown[m - 1] * (X - (m - 1)) * Fraction(1, m))
+        binoms = _BINOMS = tuple(grown)
+    return binoms[k]
 
 
 def dfact(k: int, lam) -> Fraction:

@@ -326,14 +326,12 @@ def _check_t5(b, tab):
     n, lam = b["n"], b["lambda"]
     tri = tab.s2(n, lam)
     lhs = sequences.dbernoulli_poly(n, lam)
+    falling = [gfact_falling(X, m, lam) for m in range(n + 1)]
     rhs = Poly()
     for j in range(n + 1):
         weight = dfact(j, lam) / (j + 1)
         inner = sum(
-            (
-                comb(n, k) * tri.entry(k, j) * gfact_falling(X, n - k, lam)
-                for k in range(j, n + 1)
-            ),
+            (comb(n, k) * tri.entry(k, j) * falling[n - k] for k in range(j, n + 1)),
             Poly(),
         )
         rhs = rhs + inner * weight
@@ -634,20 +632,27 @@ def _check_e66(b, tab):
 def _e67_cutoff(n: int, lam: Fraction, tol: Fraction) -> tuple[int, Fraction]:
     """Smallest K with a certified bound on the dropped tail.
 
-    |(k)_{n,lam}| <= (k + n|lam|)**n, and past K the majorant terms shrink
-    by at least rho = ((K+1+c)/(K+c))**n / 2, so the tail from K is at most
-    b_K / (1 - rho).  Everything is exact rational arithmetic.
+    |(k)_{n,lam}| <= (k + c)**n with c = n|lam|, and past K the majorant
+    terms shrink by at least rho = ((K+1+c)/(K+c))**n / 2, so the tail from
+    K is at most b_K / (1 - rho) with b_K = (K+c)**n / 2**(K+1).  With
+    c = u/v, A = (vK+u)**n and B = (v(K+1)+u)**n, rho < 1 is B < 2A and the
+    bound is 2A**2 / (v**n 2**(K+1) (2A - B)), so both tests are integer
+    inequalities.
     """
     c = n * abs(lam)
+    u, v = c.numerator, c.denominator
+    tol_num, tol_den = tol.numerator, tol.denominator
+    vn = v**n
     k = 1
+    a = (v * k + u) ** n
     while True:
-        rho = ((k + 1 + c) / Fraction(k + c)) ** n / 2
-        if rho < 1:
-            b_k = (k + c) ** n * Fraction(1, 2 ** (k + 1))
-            bound = b_k / (1 - rho)
-            if bound <= tol:
-                return k, bound
+        b = (v * (k + 1) + u) ** n
+        if b < 2 * a:
+            num, den = 2 * a * a, vn * 2 ** (k + 1) * (2 * a - b)
+            if num * tol_den <= tol_num * den:
+                return k, Fraction(num, den)
         k += 1
+        a = b
 
 
 @identity("E67", {"n": N0, "lambda": LAM, "tol": TOL},
@@ -657,7 +662,7 @@ def _check_e67(b, tab):
     exact = poly_eval(tab.fubini(n, lam), 1)
     cutoff, bound = _e67_cutoff(n, lam, tol)
     partial = sum(
-        (gfact_falling(Fraction(k), n, lam) * Fraction(1, 2 ** (k + 1)) for k in range(cutoff)),
+        (gfact_falling(k, n, lam) / 2 ** (k + 1) for k in range(cutoff)),
         Fraction(0),
     )
     passed = abs(partial - exact) <= tol

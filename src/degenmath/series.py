@@ -6,21 +6,32 @@ multiplied into a series over polynomials without ceremony.  Every series
 carries its truncation order explicitly, and binary operations re-truncate
 to the smaller order, so an equality between two Series always states the
 exact order to which it was verified.
+
+Over Fraction coefficients the kernels work on integer numerators: a product
+or a reciprocal scales to one common denominator and normalises each output
+coefficient once, and composing with a Mobius inner series a*t/(1 - b*t)
+replaces each Horner step's Cauchy product with an O(order) recurrence.
+Series with Poly coefficients take the generic loops.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import mul
 from typing import Iterable
 
-from .algebra import Poly
+from .algebra import Poly, _cauchy_product, _integer_numerators
 
 _SCALARS = (int, Fraction, Poly)
 
 
 def _is_zero(c) -> bool:
     return c == 0
+
+
+def _all_fractions(cs) -> bool:
+    return not any(isinstance(c, Poly) for c in cs)
 
 
 class Series:
@@ -88,7 +99,9 @@ class Series:
     def __mul__(self, other):
         if isinstance(other, Series):
             n = min(self.order, other.order)
-            a, b = self.coeffs, other.coeffs
+            a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
+            if _all_fractions(a + b):
+                return Series(_cauchy_product(a, b, n), n)
             out = []
             for m in range(n + 1):
                 out.append(sum(a[i] * b[m - i] for i in range(m + 1)))
@@ -138,14 +151,38 @@ def ser_reciprocal(a: Series) -> Series:
     """Multiplicative inverse: b with a*b == 1 to order a.order.
 
     The constant term must be a unit of the coefficient ring (a nonzero
-    rational, or a nonzero constant polynomial).
+    rational, or a nonzero constant polynomial).  Over Fraction, with a
+    scaled to integers A over D, C_n = A_0**(n+1) [t**n](1/A) is an integer
+    with C_0 = 1 and C_n = -sum_{j=1..n} A_j A_0**(j-1) C_{n-j}, and the
+    result is D*C_n / A_0**(n+1).
     """
     inv0 = _unit_inverse(a.coeffs[0])
+    if _all_fractions(a.coeffs):
+        ia, den = _integer_numerators(a.coeffs)
+        w = [ia[j] * ia[0] ** (j - 1) for j in range(1, a.order + 1)]
+        cs = [1]
+        for n in range(1, a.order + 1):
+            # w[j-1] pairs with cs[n-j] for j = 1..n
+            cs.append(-sum(map(mul, w[:n], reversed(cs))))
+        return Series([Fraction(den * c, ia[0] ** (n + 1)) for n, c in enumerate(cs)], a.order)
     out = [inv0]
     for n in range(1, a.order + 1):
         acc = sum(a.coeffs[j] * out[n - j] for j in range(1, n + 1))
         out.append(-(inv0 * acc))
     return Series(out, a.order)
+
+
+def _mobius(inner: Series):
+    """(a, b) when inner is exactly a*t/(1 - b*t) to its order over Fraction, else None."""
+    cs = inner.coeffs
+    if len(cs) < 2 or not _all_fractions(cs) or cs[1] == 0:
+        return None
+    a = cs[1]
+    b = cs[2] / a if len(cs) > 2 else Fraction(0)
+    for m in range(2, len(cs)):
+        if cs[m] != cs[m - 1] * b:
+            return None
+    return a, b
 
 
 def ser_compose(outer: Series, inner: Series) -> Series:
@@ -154,6 +191,14 @@ def ser_compose(outer: Series, inner: Series) -> Series:
     inner must have valuation >= 1.  The result order is the largest order
     the two truncations determine: min(inner.order, v*(outer.order+1) - 1)
     where v is inner's valuation, which reduces to min(orders) for v == 1.
+
+    When inner is a Mobius series a*t/(1 - b*t) and both series hold only
+    Fraction coefficients, multiplying by inner is a shift and a one-term
+    recurrence, p_m = a*acc_{m-1} + b*p_{m-1}, so each Horner step is
+    O(order) instead of a Cauchy product.  With L the lcm of the
+    denominators of a and b, the Horner loop runs over integers on
+    R(t) = D*outer(inner(L*t)), where D scales outer to integers, and
+    coefficient m of the result is R_m / (D * L**m).
     """
     if not _is_zero(inner.coeffs[0]):
         raise ValueError("composition needs valuation >= 1")
@@ -162,10 +207,24 @@ def ser_compose(outer: Series, inner: Series) -> Series:
         return Series((outer.coeffs[0],), inner.order)
     order = min(inner.order, v * (outer.order + 1) - 1)
     inner = inner.truncate(order)
-    acc = Series((outer.coeffs[outer.order],), order)
-    for k in range(outer.order - 1, -1, -1):
-        acc = acc * inner + outer.coeffs[k]
-    return acc
+    mobius = _mobius(inner)
+    if mobius is None or not _all_fractions(outer.coeffs):
+        acc = Series((outer.coeffs[outer.order],), order)
+        for k in range(outer.order - 1, -1, -1):
+            acc = acc * inner + outer.coeffs[k]
+        return acc
+    (ai, bi), scale = _integer_numerators(mobius)
+    # v == 1, so outer's terms past t**order vanish from the result
+    cs, den = _integer_numerators(outer.coeffs[: order + 1])
+    acc = [cs[-1]] + [0] * order
+    for k in range(len(cs) - 2, -1, -1):
+        p = 0
+        step = [cs[k]]
+        for m in range(1, order + 1):
+            p = ai * acc[m - 1] + bi * p
+            step.append(p)
+        acc = step
+    return Series([Fraction(r, den * scale**m) for m, r in enumerate(acc)], order)
 
 
 def dexp(x0, lam, order: int) -> Series:

@@ -1,10 +1,15 @@
 """Exact scalar and polynomial layer."""
 
+import random
+import sys
+import threading
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
+from degenmath import algebra
 from degenmath.algebra import (
     Poly,
     X,
@@ -129,6 +134,47 @@ class TestBinomPoly:
         from math import comb
 
         assert poly_eval(binom_poly(k), x) == comb(x, k)
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError):
+            binom_poly(-1)
+
+    def test_memo_matches_falling_factorial_in_any_order(self, monkeypatch):
+        monkeypatch.setattr(algebra, "_BINOMS", algebra._BINOMS[:1])
+        ks = list(range(41))
+        random.Random(20261018).shuffle(ks)
+        for k in ks:
+            assert binom_poly(k) == ffact_int(X, k) * Fraction(1, factorial(k))
+        assert len(algebra._BINOMS) == 41
+
+    def test_concurrent_cold_growers(self, monkeypatch):
+        expected = [ffact_int(X, k) * Fraction(1, factorial(k)) for k in range(41)]
+        monkeypatch.setattr(algebra, "_BINOMS", algebra._BINOMS[:1])
+        errors = []
+
+        def work(seed):
+            ks = list(range(41)) * 3
+            random.Random(seed).shuffle(ks)
+            try:
+                for k in ks:
+                    if binom_poly(k) != expected[k]:
+                        errors.append(k)
+            except Exception as exc:  # any exception is a lost race
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert list(algebra._BINOMS) == expected[: len(algebra._BINOMS)]
 
 
 class TestPoly:

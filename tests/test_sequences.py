@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from degenmath import classical, sequences
+from degenmath import algebra, classical, sequences
 from degenmath.algebra import Poly, X, ffact_int, gfact_falling, poly_eval
 from degenmath.identities import run_identity
 from degenmath.sequences import (
@@ -391,3 +391,18 @@ class TestStore:
         del sequences._STORE[key]
         fn(40, lam)
         assert sequences._STORE[key] == stored  # step-by-step growth equals one build
+
+    def test_appell_step_reads_no_binomial_memo(self, monkeypatch):
+        # the Appell step must stay independent of dbernoulli_poly_stirling,
+        # which is its oracle and reads binom_poly
+        lam = Fraction(23, 10**6 - 11)
+        oracle = [dbernoulli_poly_stirling(n, lam) for n in range(13)]
+
+        def untouchable(k):
+            raise AssertionError("the Appell step read binom_poly")
+
+        monkeypatch.setattr(sequences, "binom_poly", untouchable)
+        monkeypatch.setattr(algebra, "binom_poly", untouchable)
+        monkeypatch.setattr(algebra, "_BINOMS", None)
+        assert [dbernoulli_poly(n, lam) for n in range(13)] == oracle
+        deuler_poly(12, lam)

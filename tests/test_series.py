@@ -7,6 +7,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from degenmath import series
 from degenmath.algebra import Poly, X, gfact_falling, poly_eval
 from degenmath.series import (
     Series,
@@ -70,6 +71,21 @@ class TestReciprocal:
         assert s * ser_reciprocal(s) == Series((1,), s.order)
 
 
+def hand_horner(outer: Series, inner: Series) -> Series:
+    """outer(inner(t)) by Horner steps written out coefficient by coefficient."""
+    n = inner.order
+    acc = [outer.coeffs[-1]] + [Fraction(0)] * n
+    for k in range(outer.order - 1, -1, -1):
+        prod = [sum((acc[i] * inner.coeffs[m - i] for i in range(m + 1)), Fraction(0)) for m in range(n + 1)]
+        acc = [prod[0] + outer.coeffs[k]] + prod[1:]
+    return Series(acc, n)
+
+
+def mobius_inner(a, b, order: int) -> Series:
+    """a*t/(1 - b*t) to the given order."""
+    return Series([Fraction(0)] + [a * b ** (m - 1) for m in range(1, order + 1)], order)
+
+
 class TestCompose:
     def test_polynomial_case(self):
         outer = Series((1, 1, 1), 2)
@@ -90,6 +106,48 @@ class TestCompose:
         # dlog is also a right inverse: (dexp - 1) o dlog = t
         n = 24
         assert ser_compose(dexp(1, lam, n) - 1, dlog(lam, n)) == Series((0, 1), n)
+
+    @settings(max_examples=60)
+    @given(
+        a=rationals.filter(lambda q: q != 0),
+        b=rationals,
+        outer=st.lists(rationals, min_size=1, max_size=9),
+        order=st.integers(min_value=0, max_value=8),
+    )
+    def test_random_mobius_inners(self, a, b, outer, order):
+        inner = mobius_inner(a, b, order)
+        out = Series(outer)
+        assert ser_compose(out, inner) == hand_horner(out, inner.truncate(min(order, out.order)))
+
+    @pytest.mark.parametrize("a, b", [(-1, 0), (1, 1), (-1, 1), (1, -1), (-1, -1), (Fraction(2, 3), -1)])
+    def test_unit_inners(self, a, b):
+        inner = mobius_inner(Fraction(a), Fraction(b), 12)
+        assert series._mobius(inner) == (a, b)
+        for lam in INVERSION_LAMBDAS:
+            outer = dlog(lam, 12)
+            assert ser_compose(outer, inner) == hand_horner(outer, inner)
+
+    def test_near_mobius_inner_takes_the_generic_loop(self):
+        rng = random.Random(20261018)
+        for _ in range(20):
+            inner = mobius_inner(Fraction(rng.choice((-1, 1))), Fraction(rng.randint(-2, 2)), 10)
+            cs = list(inner.coeffs)
+            m = rng.randint(2, 10)
+            cs[m] += Fraction(rng.choice((-1, 1)), rng.randint(1, 5))
+            near = Series(cs, 10)
+            assert series._mobius(near) is None
+            outer = Series([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(11)])
+            assert ser_compose(outer, near) == hand_horner(outer, near)
+
+    def test_poly_coefficient_inner_takes_the_generic_loop(self):
+        # x*t/(1 - t), whose coefficients are polynomials in x
+        inner = Series([Fraction(0)] + [X] * 6, 6)
+        assert series._mobius(inner) is None
+        outer = dlog(Fraction(1, 2), 6)
+        got = ser_compose(outer, inner)
+        for x0 in (Fraction(-2), Fraction(1, 3), Fraction(5)):
+            at_x0 = Series([poly_eval(c, x0) if isinstance(c, Poly) else c for c in got.coeffs], 6)
+            assert at_x0 == hand_horner(outer, mobius_inner(x0, Fraction(1), 6))
 
 
 class TestCompInverse:
