@@ -12,7 +12,6 @@ from .algebra import (
     X,
     binom_poly,
     dfact,
-    ffact_int,
     gfact_falling,
     gfact_rising,
     parse_rational,
@@ -37,6 +36,7 @@ from .identities import (
 from .sequences import (
     StirlingTriangle,
     bell_from_triangle,
+    bernoulli_from_triangle,
     dbell_poly,
     dbernoulli_poly,
     dbernoulli_poly_stirling,
@@ -45,6 +45,8 @@ from .sequences import (
     dfubini_series_oracle,
     dharmonic,
     dhyperharmonic,
+    dhyperharmonic_row,
+    euler_from_triangle,
     fubini_from_triangle,
     power_sum,
     s1_triangle,

@@ -7,8 +7,10 @@ Fraction.  There is no floating point anywhere in the computational core.
 
 The hot kernels keep Fraction at their boundary only: a polynomial product
 scales each factor to integers over one common denominator and normalises
-each output coefficient once, and a scalar falling factorial is one integer
-product over one denominator.  binom(x, k) is memoised in a tuple of its own.
+each output coefficient once.  Every generalized falling factorial, the
+rising one and dfact included, is a call into gfact_falling, which makes a
+scalar one integer product over one denominator.  binom(x, k) is memoised
+in a tuple of its own.
 """
 
 from __future__ import annotations
@@ -234,18 +236,7 @@ def gfact_falling(x0, n: int, lam) -> "Fraction | Poly":
 
 def gfact_rising(x0, n: int, lam) -> "Fraction | Poly":
     """Rising analogue x0*(x0+lam)*...*(x0+(n-1)*lam); 1 when n == 0."""
-    if n < 0:
-        raise ValueError("length of the rising-factorial product must be >= 0")
-    lam = Fraction(lam)
-    acc = Poly.constant(1) if isinstance(x0, Poly) else Fraction(1)
-    for j in range(n):
-        acc = acc * (x0 + j * lam)
-    return acc
-
-
-def ffact_int(x0, n: int) -> "Fraction | Poly":
-    """Ordinary falling factorial x0*(x0-1)*...*(x0-n+1)."""
-    return gfact_falling(x0, n, Fraction(1))
+    return gfact_falling(x0, n, -Fraction(lam))
 
 
 # binom(x, k) for k = 0..len-1; grown by rebinding a longer tuple, never in
@@ -271,20 +262,14 @@ def binom_poly(k: int) -> Poly:
 
 
 def dfact(k: int, lam) -> Fraction:
-    """Product (lam-1)(lam-2)...(lam-k); 1 when k == 0.
+    """Product (lam-1)(lam-2)...(lam-k), the falling factorial (lam-1)_{k,1}; 1 when k == 0.
 
     This is the singularity-free form of the coefficient products that
     otherwise carry a literal 1/lam: for lam != 0,
     dfact(k-1, lam) == lam**(k-1) * (1)_{k, 1/lam}, and at lam == 0 it
     degenerates continuously to (-1)**k * k!.
     """
-    if k < 0:
-        raise ValueError("dfact index must be >= 0")
-    lam = Fraction(lam)
-    acc = Fraction(1)
-    for j in range(1, k + 1):
-        acc *= lam - j
-    return acc
+    return gfact_falling(Fraction(lam) - 1, k, 1)
 
 
 def poly_derivative(p: Poly) -> Poly:

@@ -23,7 +23,6 @@ from . import classical, sequences
 from .algebra import (
     Poly,
     X,
-    binom_poly,
     dfact,
     gfact_falling,
     gfact_rising,
@@ -221,10 +220,7 @@ def hyperharmonic_gf(lam, r: int, order: int) -> Series:
 def _check_t1(b, tab):
     lam, r, order = b["lambda"], b["r"], b["order"]
     lhs = hyperharmonic_gf(lam, r, order)
-    rhs = Series(
-        [Fraction(0)] + [sequences.dhyperharmonic(n, r, lam) for n in range(1, order + 1)],
-        order,
-    )
+    rhs = Series(sequences.dhyperharmonic_row(order, r, lam), order)
     return _result("T1", b, lhs, rhs)
 
 
@@ -233,10 +229,11 @@ def _check_t1(b, tab):
 def _check_t2(b, tab):
     n, r, lam = b["n"], b["r"], b["lambda"]
     tri = tab.s2(n, lam)
+    hyper = sequences.dhyperharmonic_row(n, r, lam)
     lhs = sum(
         (
             Fraction((-1) ** k)
-            * sequences.dhyperharmonic(k, r, lam)
+            * hyper[k]
             * factorial(k)
             * tri.entry(n, k)
             for k in range(1, n + 1)
@@ -266,19 +263,6 @@ def _check_t3(b, tab):
     return _result("T3", b, lhs, rhs)
 
 
-def _euler_binom_sum(k: int) -> Poly:
-    return sum(
-        (binom_poly(j) * Fraction(-1, 2) ** (k - j) for j in range(k + 1)), Poly()
-    )
-
-
-def _bernoulli_binom_sum(k: int, lam) -> Poly:
-    return sum(
-        (binom_poly(j) * (dfact(k - j, lam) / factorial(k - j + 1)) for j in range(k + 1)),
-        Poly(),
-    )
-
-
 @identity("T4a", {"n": N0, "lambda": LAM, "x": SYM},
           "first-kind transform of the Euler-family polynomials equals n! sum binom(x,k)(-1/2)^(n-k)")
 def _check_t4a(b, tab):
@@ -287,7 +271,8 @@ def _check_t4a(b, tab):
     lhs = sum(
         (tri.entry(n, k) * sequences.deuler_poly(k, lam) for k in range(n + 1)), Poly()
     )
-    rhs = _euler_binom_sum(n) * factorial(n)
+    # the k = n term alone of euler_from_triangle: a unit row
+    rhs = sequences.binomial_sum((0,) * n + (1,), sequences.euler_weights(n))
     return _result("T4a", b, lhs, rhs)
 
 
@@ -297,10 +282,7 @@ def _check_t4b(b, tab):
     n, lam = b["n"], b["lambda"]
     tri = tab.s2(n, lam)
     lhs = sequences.deuler_poly(n, lam)
-    rhs = sum(
-        (_euler_binom_sum(k) * (factorial(k) * tri.entry(n, k)) for k in range(n + 1)),
-        Poly(),
-    )
+    rhs = sequences.euler_from_triangle(tri, n)
     return _result("T4b", b, lhs, rhs)
 
 
@@ -347,7 +329,8 @@ def _check_t6(b, tab):
         (sequences.dbernoulli_poly(k, lam) * tri.entry(n, k) for k in range(n + 1)),
         Poly(),
     )
-    rhs = _bernoulli_binom_sum(n, lam) * factorial(n)
+    # the k = n term alone of bernoulli_from_triangle: a unit row
+    rhs = sequences.binomial_sum((0,) * n + (1,), sequences.bernoulli_weights(n, lam))
     return _result("T6", b, lhs, rhs)
 
 
@@ -357,9 +340,7 @@ def _check_t7(b, tab):
     n, lam = b["n"], b["lambda"]
     tri = tab.s2(n, lam)
     lhs = sequences.dbernoulli_poly(n, lam)
-    rhs = Poly()
-    for k in range(n + 1):
-        rhs = rhs + _bernoulli_binom_sum(k, lam) * (factorial(k) * tri.entry(n, k))
+    rhs = sequences.bernoulli_from_triangle(tri, n, lam)
     # the x = 0 instance in its own right: the constant terms against the
     # single-sum form with dfact(k)/(k+1)! weights
     const_lhs = poly_eval(lhs, 0)
@@ -494,21 +475,15 @@ def _check_e61(b, tab):
     lhs = Poly(
         [Fraction(0)] + [tri.entry(n, k) / (k * k) for k in range(1, n + 1)]
     )
+    # beta[i] is the Bernoulli-family value at 1-lam, read by both loops
+    beta = [poly_eval(sequences.dbernoulli_poly(i, lam), 1 - lam) for i in range(n)]
     rhs = Poly()
     for j in range(n):
-        bj = poly_eval(sequences.dbernoulli_poly(j, lam), 1 - lam)
         inner = sum(
-            (
-                tab.bell(m, lam)
-                * (
-                    comb(n - j, m)
-                    * poly_eval(sequences.dbernoulli_poly(n - j - m, lam), 1 - lam)
-                )
-                for m in range(1, n - j + 1)
-            ),
+            (tab.bell(m, lam) * (comb(n - j, m) * beta[n - j - m]) for m in range(1, n - j + 1)),
             Poly(),
         )
-        rhs = rhs + inner * (Fraction(comb(n, j)) * bj / (n - j))
+        rhs = rhs + inner * (Fraction(comb(n, j)) * beta[j] / (n - j))
     rhs = rhs * Fraction(1, n)
     return _result("E61", b, lhs, rhs)
 

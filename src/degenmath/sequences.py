@@ -9,12 +9,16 @@ The primary paths share one store of per-lambda tables, keyed by
 computed once, by the family's step, from the entries before it.  A miss
 computes only the missing entries, up to at least GROW_MIN_N, and a hit
 returns the stored table itself, which may hold more entries than were
-asked for.  The store keeps at most STORE_CAPACITY entries and drops the
-oldest when full.  Stored values are immutable and an entry is only ever
-replaced wholesale, so a reader never sees a partial table.  The harmonic
-numbers are a stored family; hyperharmonic numbers are cumulative sums of
-its entries.  The oracles keep their own memo, bounded at STORE_CAPACITY
-entries, apart from the code they check.
+asked for.  The floor is fixed: a caller that asks n = 0, 1, 2, ... in
+turn for each new lambda (perfbench's lambda_stream) misses on every
+query under a rule that never overshoots n, and a geometric rule builds
+entries far past the n asked for.  The store keeps at most
+STORE_CAPACITY entries and drops the oldest when full.  Stored values
+are immutable and an entry is only ever replaced wholesale, so a reader
+never sees a partial table.  The harmonic numbers are a stored family;
+hyperharmonic numbers are cumulative sums of its entries.  The oracles
+keep their own memo, bounded at STORE_CAPACITY entries, apart from the
+code they check.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial
+from operator import mul
 
 from .algebra import Poly, X, binom_poly, dfact, gfact_falling
 from .series import Series, dexp, dlog, ser_reciprocal
@@ -65,14 +70,11 @@ def _grown(family: str, n: int, lam: Fraction, step) -> tuple:
 class StirlingTriangle:
     """Lower-triangular table of degenerate Stirling numbers for one lambda."""
 
-    kind: str  # "first" or "second"
-    lam: Fraction
-    nmax: int
     rows: tuple[tuple[Fraction, ...], ...]
 
     def entry(self, n: int, k: int) -> Fraction:
-        """Table value; zero outside 0 <= k <= n <= nmax."""
-        if 0 <= k <= n <= self.nmax:
+        """Table value; zero outside 0 <= k <= n < len(rows)."""
+        if 0 <= k <= n < len(self.rows):
             return self.rows[n][k]
         return Fraction(0)
 
@@ -116,8 +118,7 @@ _ROW_STEPS = {
 
 
 def _triangle(kind: str, nmax: int, lam: Fraction) -> StirlingTriangle:
-    rows = _grown(kind, nmax, lam, _ROW_STEPS[kind])
-    return StirlingTriangle(kind, lam, len(rows) - 1, rows)
+    return StirlingTriangle(_grown(kind, nmax, lam, _ROW_STEPS[kind]))
 
 
 def stirling_series_oracle(kind: str, n: int, k: int, lam, order: int) -> Fraction:
@@ -159,14 +160,19 @@ def dharmonic(n: int, lam) -> Fraction:
     return _grown("harmonic", n, Fraction(lam), _harmonic_step)[n]
 
 
-def dhyperharmonic(n: int, r: int, lam) -> Fraction:
-    """Degenerate hyperharmonic number: r-1 cumulative summations of dharmonic."""
+def dhyperharmonic_row(n: int, r: int, lam) -> tuple[Fraction, ...]:
+    """Degenerate hyperharmonic numbers 0..n: r-1 cumulative summations of dharmonic."""
     if r < 1:
         raise ValueError("hyperharmonic order r must be >= 1")
     sums = _grown("harmonic", n, Fraction(lam), _harmonic_step)[: n + 1]
     for _ in range(r - 1):
         sums = tuple(accumulate(sums))
-    return sums[n]
+    return sums
+
+
+def dhyperharmonic(n: int, r: int, lam) -> Fraction:
+    """Degenerate hyperharmonic number, entry n of dhyperharmonic_row."""
+    return dhyperharmonic_row(n, r, lam)[n]
 
 
 def _falling_step(polys, m, lam):
@@ -208,21 +214,12 @@ def dbernoulli_poly(n: int, lam) -> Poly:
 
 
 def dbernoulli_poly_stirling(n: int, lam) -> Poly:
-    """Alternate route to the same polynomial: a factorial-weighted double sum
-    over the second-kind triangle with dfact coefficients.
+    """Alternate route to the same polynomial: bernoulli_from_triangle on S2.
 
     Kept as an independent code path; the acceptance suite requires it to
     agree with dbernoulli_poly exactly.
     """
-    tri = s2_triangle(n, lam)
-    lam = Fraction(lam)
-    total = Poly()
-    for k in range(n + 1):
-        inner = Poly()
-        for j in range(k + 1):
-            inner = inner + binom_poly(j) * (dfact(k - j, lam) / factorial(k - j + 1))
-        total = total + inner * (factorial(k) * tri.entry(n, k))
-    return total
+    return bernoulli_from_triangle(s2_triangle(n, lam), n, lam)
 
 
 def deuler_poly(n: int, lam) -> Poly:
@@ -238,6 +235,41 @@ def bell_from_triangle(tri: StirlingTriangle, n: int) -> Poly:
 def fubini_from_triangle(tri: StirlingTriangle, n: int) -> Poly:
     """Row n of a second-kind triangle with k! weights, as a polynomial in x."""
     return Poly(tuple(c * factorial(k) for k, c in enumerate(tri.row(n))))
+
+
+def binomial_sum(row, weights) -> Poly:
+    """sum over k of k! row[k] * sum_{j<=k} binom(x, j) weights[k-j], for
+    row[0..n] and weights[0..n].
+
+    Summed over k first: for each j one scalar inner sum
+    sum_{k>=j} k! row[k] weights[k-j], then one binom_poly(j) scaling.  The
+    swap is exact for any row, a mutated triangle's included.
+    """
+    scaled = [factorial(k) * c for k, c in enumerate(row)]
+    # map stops at the end of scaled[j:], pairing row[k] with weights[k-j]
+    return sum(
+        (binom_poly(j) * sum(map(mul, scaled[j:], weights)) for j in range(len(row))), Poly()
+    )
+
+
+def bernoulli_weights(n: int, lam) -> list[Fraction]:
+    """dfact(i, lam)/(i+1)! for i = 0..n, the inner weights of the Bernoulli sum."""
+    return [dfact(i, lam) / factorial(i + 1) for i in range(n + 1)]
+
+
+def euler_weights(n: int) -> list[Fraction]:
+    """(-1/2)**i for i = 0..n, the inner weights of the Euler sum."""
+    return [Fraction(-1, 2) ** i for i in range(n + 1)]
+
+
+def bernoulli_from_triangle(tri: StirlingTriangle, n: int, lam) -> Poly:
+    """sum_k k! S2(n,k) sum_{j<=k} binom(x,j) dfact(k-j,lam)/(k-j+1)! over row n of tri."""
+    return binomial_sum(tri.row(n), bernoulli_weights(n, lam))
+
+
+def euler_from_triangle(tri: StirlingTriangle, n: int) -> Poly:
+    """sum_k k! S2(n,k) sum_{j<=k} binom(x,j) (-1/2)**(k-j) over row n of tri."""
+    return binomial_sum(tri.row(n), euler_weights(n))
 
 
 def dbell_poly(n: int, lam) -> Poly:

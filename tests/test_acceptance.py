@@ -83,7 +83,7 @@ def mutant_s2(nmax, lam):
             up = prev[k] if k <= n else Fraction(0)
             row.append(left + (k + n * lam) * up)
         rows.append(tuple(row))
-    return sequences.StirlingTriangle("second", lam, nmax, tuple(rows))
+    return sequences.StirlingTriangle(tuple(rows))
 
 
 def _mutant_report():

@@ -15,7 +15,6 @@ from degenmath.algebra import (
     X,
     binom_poly,
     dfact,
-    ffact_int,
     gfact_falling,
     gfact_rising,
     parse_rational,
@@ -83,10 +82,10 @@ class TestGeneralizedFactorials:
         assert gfact_rising(Fraction(1), 1, Fraction(5, 7)) == 1
         assert gfact_rising(Fraction(1), 3, Fraction(1, 2)) == Fraction(1) * Fraction(3, 2) * 2
 
-    def test_ffact_int(self):
-        assert ffact_int(X, 2) == Poly((0, -1, 1))
-        assert ffact_int(Fraction(5), 3) == 60
-        assert ffact_int(X, 0) == Poly((1,))
+    def test_ordinary_falling(self):
+        assert gfact_falling(X, 2, 1) == Poly((0, -1, 1))
+        assert gfact_falling(Fraction(5), 3, 1) == 60
+        assert gfact_falling(X, 0, 1) == Poly((1,))
 
     @pytest.mark.parametrize("n", range(6))
     def test_lambda_zero_degenerates_to_powers(self, n):
@@ -144,11 +143,11 @@ class TestBinomPoly:
         ks = list(range(41))
         random.Random(20261018).shuffle(ks)
         for k in ks:
-            assert binom_poly(k) == ffact_int(X, k) * Fraction(1, factorial(k))
+            assert binom_poly(k) == gfact_falling(X, k, 1) * Fraction(1, factorial(k))
         assert len(algebra._BINOMS) == 41
 
     def test_concurrent_cold_growers(self, monkeypatch):
-        expected = [ffact_int(X, k) * Fraction(1, factorial(k)) for k in range(41)]
+        expected = [gfact_falling(X, k, 1) * Fraction(1, factorial(k)) for k in range(41)]
         monkeypatch.setattr(algebra, "_BINOMS", algebra._BINOMS[:1])
         errors = []
 

@@ -181,7 +181,7 @@ class TestSuite:
             tri = sequences.s2_triangle(nmax, lam)
             rows = [list(r) for r in tri.rows]
             rows[3][2] += 1
-            return sequences.StirlingTriangle("second", tri.lam, nmax, tuple(tuple(r) for r in rows))
+            return sequences.StirlingTriangle(tuple(tuple(r) for r in rows))
 
         res = run_identity("T15", {"n": 3, "lambda": HALF}, tables=Tables(s2_builder=broken_s2))
         assert not res.passed

@@ -8,10 +8,10 @@ kernels must return exactly the same values.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from degenmath import series
-from degenmath.algebra import Poly, gfact_falling
+from degenmath.algebra import Poly, dfact, gfact_falling, gfact_rising
 from degenmath.identities import _e67_cutoff
 from degenmath.series import Series, ser_reciprocal
 
@@ -21,6 +21,12 @@ rationals = st.one_of(
     st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4),
 )
 polys = st.lists(rationals, max_size=4).map(Poly)
+# lambda = 0 and 1 make (lam-1)_{k,1} and the rising product degenerate
+lambdas = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-3, 7)]),
+    rationals,
+    st.integers(min_value=-5, max_value=5),
+)
 
 
 def ref_series_mul(a: Series, b: Series) -> Series:
@@ -54,6 +60,22 @@ def ref_gfact_falling(x0, n: int, lam) -> Fraction:
     acc = Fraction(1)
     for j in range(n):
         acc = acc * (x0 - j * Fraction(lam))
+    return acc
+
+
+def ref_dfact(k: int, lam) -> Fraction:
+    lam = Fraction(lam)
+    acc = Fraction(1)
+    for j in range(1, k + 1):
+        acc *= lam - j
+    return acc
+
+
+def ref_gfact_rising(x0, n: int, lam):
+    lam = Fraction(lam)
+    acc = Poly.constant(1) if isinstance(x0, Poly) else Fraction(1)
+    for j in range(n):
+        acc = acc * (x0 + j * lam)
     return acc
 
 
@@ -145,6 +167,34 @@ class TestGfactFalling:
         got = gfact_falling(x0, n, lam)
         assert got == ref_gfact_falling(x0, n, lam)
         assert type(got) is Fraction
+
+
+class TestDfact:
+    @settings(max_examples=100)
+    @given(k=st.integers(min_value=0, max_value=14), lam=lambdas)
+    @example(k=0, lam=Fraction(0))
+    @example(k=0, lam=Fraction(1))
+    @example(k=0, lam=Fraction(-3, 7))
+    def test_matches_fraction_loop(self, k, lam):
+        got = dfact(k, lam)
+        assert got == ref_dfact(k, lam)
+        assert type(got) is Fraction
+
+
+class TestGfactRising:
+    @settings(max_examples=100)
+    @given(
+        x0=st.one_of(rationals, st.integers(min_value=-50, max_value=50), polys),
+        n=st.integers(min_value=0, max_value=10),
+        lam=lambdas,
+    )
+    @example(x0=Poly((0, 1)), n=0, lam=Fraction(-3, 7))
+    @example(x0=Poly((Fraction(1, 2), 1)), n=4, lam=Fraction(0))
+    @example(x0=Poly((Fraction(1, 2), 1)), n=4, lam=Fraction(1))
+    def test_matches_fraction_loop(self, x0, n, lam):
+        got = gfact_rising(x0, n, lam)
+        assert got == ref_gfact_rising(x0, n, lam)
+        assert type(got) is (Poly if isinstance(x0, Poly) else Fraction)
 
 
 class TestE67Cutoff:

@@ -4,14 +4,16 @@ import random
 import sys
 import threading
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
 from degenmath import algebra, classical, sequences
-from degenmath.algebra import Poly, X, ffact_int, gfact_falling, poly_eval
+from degenmath.algebra import Poly, X, binom_poly, dfact, gfact_falling, poly_eval
 from degenmath.identities import run_identity
 from degenmath.sequences import (
+    StirlingTriangle,
+    bernoulli_from_triangle,
     dbell_poly,
     dbernoulli_poly,
     dbernoulli_poly_stirling,
@@ -20,6 +22,8 @@ from degenmath.sequences import (
     dfubini_series_oracle,
     dharmonic,
     dhyperharmonic,
+    dhyperharmonic_row,
+    euler_from_triangle,
     power_sum,
     s1_triangle,
     s2_triangle,
@@ -105,9 +109,9 @@ class TestTriangles:
             tri2 = s2_triangle(n, lam)
             for x0 in xs:
                 assert gfact_falling(x0, n, lam) == sum(
-                    tri2.entry(n, k) * ffact_int(x0, k) for k in range(n + 1)
+                    tri2.entry(n, k) * gfact_falling(x0, k, 1) for k in range(n + 1)
                 )
-                assert ffact_int(x0, n) == sum(
+                assert gfact_falling(x0, n, 1) == sum(
                     tri1.entry(n, k) * gfact_falling(x0, k, lam) for k in range(n + 1)
                 )
 
@@ -155,6 +159,59 @@ class TestHarmonic:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             dhyperharmonic(3, 0, 0)
+        with pytest.raises(ValueError):
+            dhyperharmonic_row(3, 0, 0)
+
+    @pytest.mark.parametrize("r", [1, 2, 4])
+    def test_hyperharmonic_row_is_cumulative_sums(self, r):
+        lam = Fraction(2, 3)
+        sums = [dharmonic(n, lam) for n in range(31)]
+        for _ in range(r - 1):
+            sums = [sum(sums[: n + 1]) for n in range(31)]
+        row = dhyperharmonic_row(30, r, lam)
+        assert list(row) == sums
+        assert [dhyperharmonic(n, r, lam) for n in range(31)] == sums
+
+
+def nested_bernoulli_sum(tri, n, lam):
+    """sum_k k! T(n,k) sum_{j<=k} binom(x,j) dfact(k-j,lam)/(k-j+1)!, k outermost."""
+    total = Poly()
+    for k in range(n + 1):
+        inner = Poly()
+        for j in range(k + 1):
+            inner = inner + binom_poly(j) * (dfact(k - j, lam) / factorial(k - j + 1))
+        total = total + inner * (factorial(k) * tri.entry(n, k))
+    return total
+
+
+def nested_euler_sum(tri, n):
+    """sum_k k! T(n,k) sum_{j<=k} binom(x,j) (-1/2)**(k-j), k outermost."""
+    total = Poly()
+    for k in range(n + 1):
+        inner = Poly()
+        for j in range(k + 1):
+            inner = inner + binom_poly(j) * Fraction(-1, 2) ** (k - j)
+        total = total + inner * (factorial(k) * tri.entry(n, k))
+    return total
+
+
+class TestTriangleSums:
+    """Summing over k first is exact for any lower-triangular table, not only
+    a Stirling one, so a mutated triangle reaches T4b and T7 as it reaches
+    the double sums."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_k_first_matches_k_outer_on_any_table(self, seed):
+        rng = random.Random(seed)
+        rows = tuple(
+            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n + 1))
+            for n in range(11)
+        )
+        tri = StirlingTriangle(rows)
+        lam = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+        for n in range(11):
+            assert bernoulli_from_triangle(tri, n, lam) == nested_bernoulli_sum(tri, n, lam)
+            assert euler_from_triangle(tri, n) == nested_euler_sum(tri, n)
 
 
 class TestBernoulli:
@@ -290,7 +347,8 @@ class TestFamilyTypes:
     @pytest.mark.parametrize(
         "family",
         [dbernoulli_poly, deuler_poly, dbell_poly, dfubini_poly, s1_triangle, s2_triangle, dharmonic,
-         pytest.param(lambda n, lam: dhyperharmonic(n, 2, lam), id="dhyperharmonic")],
+         pytest.param(lambda n, lam: dhyperharmonic(n, 2, lam), id="dhyperharmonic"),
+         pytest.param(lambda n, lam: dhyperharmonic_row(n, 2, lam), id="dhyperharmonic_row")],
     )
     def test_poly_families_reject_negative_n(self, family):
         # a negative n must not index a stored table from its end
@@ -385,24 +443,39 @@ class TestStore:
         hit = fn(7, lam)
         assert computed == []
         if family in ("first", "second"):
-            assert hit.rows is stored and hit.nmax == 40
+            assert hit.rows is stored and len(hit.rows) == 41
         else:
             assert hit is stored[7]
         del sequences._STORE[key]
         fn(40, lam)
         assert sequences._STORE[key] == stored  # step-by-step growth equals one build
 
+    def test_hyperharmonic_row_reads_the_harmonic_entries_once(self, monkeypatch):
+        lam = Fraction(29, 10**6 - 13)
+        reads = []
+        grown = sequences._grown
+
+        def counting(name, n, at, step):
+            reads.append((name, n))
+            return grown(name, n, at, step)
+
+        monkeypatch.setattr(sequences, "_grown", counting)
+        row = dhyperharmonic_row(40, 3, lam)
+        assert reads == [("harmonic", 40)] and len(row) == 41
+        assert [key for key in sequences._STORE if key[1] == lam] == [("harmonic", lam)]
+
     def test_appell_step_reads_no_binomial_memo(self, monkeypatch):
         # the Appell step must stay independent of dbernoulli_poly_stirling,
-        # which is its oracle and reads binom_poly
+        # which is its oracle and reads binom_poly, dfact and gfact_falling
         lam = Fraction(23, 10**6 - 11)
         oracle = [dbernoulli_poly_stirling(n, lam) for n in range(13)]
 
-        def untouchable(k):
-            raise AssertionError("the Appell step read binom_poly")
+        def untouchable(*args):
+            raise AssertionError("the Appell step read a kernel of its oracle")
 
-        monkeypatch.setattr(sequences, "binom_poly", untouchable)
-        monkeypatch.setattr(algebra, "binom_poly", untouchable)
+        for module in (sequences, algebra):
+            for name in ("binom_poly", "dfact", "gfact_falling"):
+                monkeypatch.setattr(module, name, untouchable)
         monkeypatch.setattr(algebra, "_BINOMS", None)
         assert [dbernoulli_poly(n, lam) for n in range(13)] == oracle
         deuler_poly(12, lam)
