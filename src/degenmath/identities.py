@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Callable, Iterable, Iterator
 
 from . import classical, sequences
@@ -630,16 +630,24 @@ def _e67_cutoff(n: int, lam: Fraction, tol: Fraction) -> tuple[int, Fraction]:
         a = b
 
 
+def _e67_partial(n: int, lam: Fraction, cutoff: int) -> Fraction:
+    """sum over k < cutoff of (k)_{n,lam} / 2**(k+1), as one integer sum.
+
+    With lam = p/q, q**n (k)_{n,lam} is the integer prod_j (k*q - j*p), so
+    the sum is sum_k prod_j (k*q - j*p) * 2**(cutoff-k-1) over q**n 2**cutoff.
+    """
+    p, q = lam.numerator, lam.denominator
+    total = sum(prod(k * q - j * p for j in range(n)) << (cutoff - k - 1) for k in range(cutoff))
+    return Fraction(total, q**n << cutoff)
+
+
 @identity("E67", {"n": N0, "lambda": LAM, "tol": TOL},
           "F_n(1) as a tail-bounded exact-rational binary sum")
 def _check_e67(b, tab):
     n, lam, tol = b["n"], b["lambda"], b["tol"]
     exact = poly_eval(tab.fubini(n, lam), 1)
     cutoff, bound = _e67_cutoff(n, lam, tol)
-    partial = sum(
-        (gfact_falling(k, n, lam) / 2 ** (k + 1) for k in range(cutoff)),
-        Fraction(0),
-    )
+    partial = _e67_partial(n, lam, cutoff)
     passed = abs(partial - exact) <= tol
     note = f"partial sum over k < {cutoff}; certified tail bound {float(bound):.3e}"
     return CheckResult("E67", dict(b), exact, partial, passed, note)

@@ -16,9 +16,12 @@ entries far past the n asked for.  The store keeps at most
 STORE_CAPACITY entries and drops the oldest when full.  Stored values
 are immutable and an entry is only ever replaced wholesale, so a reader
 never sees a partial table.  The harmonic numbers are a stored family;
-hyperharmonic numbers are cumulative sums of its entries.  The oracles
-keep their own memo, bounded at STORE_CAPACITY entries, apart from the
-code they check.
+hyperharmonic numbers are cumulative sums of its entries.  The Bernoulli
+and Euler step works on integers: for lam = p/q, entry m of the
+"falling" family is the tuple of integer coefficients of q**m (x)_{m,lam},
+not a Poly, and each Bernoulli or Euler coefficient is normalised once.
+The oracles keep their own memo, bounded at STORE_CAPACITY entries, apart
+from the code they check.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, factorial
+from math import comb, factorial, lcm
 from operator import mul
 
 from .algebra import Poly, X, binom_poly, dfact, gfact_falling
@@ -175,37 +178,66 @@ def dhyperharmonic(n: int, r: int, lam) -> Fraction:
     return dhyperharmonic_row(n, r, lam)[n]
 
 
-def _falling_step(polys, m, lam):
-    # (x)_{m,lam} = (x)_{m-1,lam} * (x - (m-1)*lam)
-    return polys[m - 1] * (X - (m - 1) * lam) if m else Poly.constant(1)
+def _falling_step(rows, m, lam):
+    # lam = p/q: q**m (x)_{m,lam} has integer coefficients, and row m is row
+    # m-1 times q*x - (m-1)*p
+    if not m:
+        return (1,)
+    q, r = lam.denominator, (m - 1) * lam.numerator
+    prev = rows[m - 1]
+    return tuple(q * a - r * b for a, b in zip((0,) + prev, prev + (0,)))
+
+
+def _over_lcm(fracs) -> tuple[list[int], int]:
+    """(numerators, d): the Fractions fracs as integers over d, the lcm of their denominators.
+
+    The same scaling as algebra._integer_numerators, kept apart because the
+    Poly products of the Appell step's oracle run on that one."""
+    d = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (d // f.denominator) for f in fracs], d
 
 
 def _appell_step(weight):
-    """Step for the P_n(x) generated by e_lam^x(t) / W(t): weight(j, ones) is
-    the t**j/j! coefficient w_j of W (w_0 == 1), from ones[i] = (1)_{i,lam}.
-    The constant terms c_n of 1/W solve sum_j C(n,j) w_j c_{n-j} = [n == 0],
-    and P_n(x) = sum_k C(n,k) c_k (x)_{n-k,lam}."""
+    """Step for the P_n(x) generated by e_lam^x(t) / W(t): weight(j, ones, q) is
+    the t**j/j! coefficient w_j of W (w_0 == 1), from the integers
+    ones[i] = (1)_{i,lam} * q**i with lam = p/q.  The constant terms c_n of 1/W
+    solve sum_j C(n,j) w_j c_{n-j} = [n == 0], and
+    P_n(x) = sum_k C(n,k) c_k (x)_{n-k,lam}, read from the stored integer
+    numerators of q**m (x)_{m,lam}.
+
+    Both sums run on integers over one denominator, the lcm of their
+    operands' denominators (times q**n for P_n), and each output is
+    normalised once.  The step scales by itself, apart from the Poly kernels
+    that its oracle dbernoulli_poly_stirling runs on."""
 
     def step(polys, n, lam):
-        ones = [Fraction(1)]
+        p, q = lam.numerator, lam.denominator
+        ones = [1]
         for i in range(n + 1):
-            ones.append(ones[-1] * (1 - i * lam))
-        consts = [p.coeff(0) for p in polys]
-        consts.append(int(n == 0) - sum(comb(n, j) * weight(j, ones) * consts[n - j] for j in range(1, n + 1)))
+            ones.append(ones[-1] * (q - i * p))
+        consts = [poly.coeff(0) for poly in polys]
+        ws, dw = _over_lcm([weight(j, ones, q) for j in range(1, n + 1)])
+        cs, dc = _over_lcm(consts)
+        dot = sum(comb(n, j) * ws[j - 1] * cs[n - j] for j in range(1, n + 1))
+        consts.append(Fraction(int(n == 0) * dw * dc - dot, dw * dc))
+        cs, d = _over_lcm(consts)
         falling = _grown("falling", n, lam, _falling_step)
-        coeffs = [Fraction(0)] * (n + 1)
-        for k, c in enumerate(consts):
+        acc = [0] * (n + 1)
+        for k, c in enumerate(cs):
             if c:
-                c *= comb(n, k)
-                for i, a in enumerate(falling[n - k].coeffs):
-                    coeffs[i] += c * a
-        return Poly(coeffs)
+                # C(n,k) c_k (x)_{n-k,lam} over d q**n
+                c *= comb(n, k) * q**k
+                for i, a in enumerate(falling[n - k]):
+                    acc[i] += c * a
+        den = d * q**n
+        return Poly([Fraction(a, den) for a in acc])
 
     return step
 
 
-_BERNOULLI_STEP = _appell_step(lambda j, ones: ones[j + 1] / (j + 1))  # W = (e_lam(t) - 1)/t
-_EULER_STEP = _appell_step(lambda j, ones: ones[j] / 2)  # W = (e_lam(t) + 1)/2
+# W = (e_lam(t) - 1)/t and W = (e_lam(t) + 1)/2
+_BERNOULLI_STEP = _appell_step(lambda j, ones, q: Fraction(ones[j + 1], (j + 1) * q ** (j + 1)))
+_EULER_STEP = _appell_step(lambda j, ones, q: Fraction(ones[j], 2 * q**j))
 
 
 def dbernoulli_poly(n: int, lam) -> Poly:

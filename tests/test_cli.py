@@ -1,13 +1,17 @@
 """Command line surface: formats, exit codes, determinism."""
 
 import dataclasses
+import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from degenmath.cli import EXIT_CHECK_FAILED, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, build_parser, grid_from_args, main
 from degenmath.identities import DEFAULT_GRID, REGISTRY, CheckResult
+
+DATA = Path(__file__).parent / "data"
 
 
 def counting_checkers(monkeypatch) -> list:
@@ -83,6 +87,20 @@ class TestTable:
         assert code == EXIT_OK
         assert out == ""
         assert target.read_text().startswith("n,k,value")
+
+
+class TestAppellTablesGolden:
+    # deep Bernoulli and Euler tables, recorded with (from the repo root):
+    #   degenmath table bernoulli --nmax 30 --lambda=-61/89 --format json --output appell_bernoulli.json
+    #   degenmath table euler --nmax 30 --lambda=-61/89 --format json --output appell_euler.json
+    #   sha256sum appell_bernoulli.json appell_euler.json > tests/data/appell_tables.sha256
+    @pytest.mark.parametrize("family", ["bernoulli", "euler"])
+    def test_matches_recorded_digest(self, capsys, family):
+        lines = (DATA / "appell_tables.sha256").read_text().splitlines()
+        digests = {name: digest for digest, name in map(str.split, lines)}
+        code, out = run_cli(capsys, "table", family, "--nmax", "30", "--lambda=-61/89", "--format", "json")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[f"appell_{family}.json"]
 
 
 class TestEval:

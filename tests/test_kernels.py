@@ -6,13 +6,15 @@ kernels must return exactly the same values.
 """
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from degenmath import series
-from degenmath.algebra import Poly, dfact, gfact_falling, gfact_rising
-from degenmath.identities import _e67_cutoff
+from degenmath import sequences, series
+from degenmath.algebra import Poly, X, dfact, gfact_falling, gfact_rising
+from degenmath.identities import _e67_cutoff, _e67_partial
+from degenmath.sequences import dbernoulli_poly, deuler_poly
 from degenmath.series import Series, ser_reciprocal
 
 # signed rationals with a good share of zeros
@@ -89,6 +91,44 @@ def ref_e67_cutoff(n: int, lam: Fraction, tol: Fraction) -> tuple[int, Fraction]
             if bound <= tol:
                 return k, bound
         k += 1
+
+
+def ref_e67_partial(n: int, lam: Fraction, cutoff: int) -> Fraction:
+    return sum((gfact_falling(k, n, lam) / 2 ** (k + 1) for k in range(cutoff)), Fraction(0))
+
+
+def ref_appell(weight, n: int, lam) -> list[Poly]:
+    """P_0..P_n from the Fraction Appell step: weight(j, ones) with ones[i] = (1)_{i,lam}."""
+    lam = Fraction(lam)
+    ones = [Fraction(1)]
+    for i in range(n + 1):
+        ones.append(ones[-1] * (1 - i * lam))
+    falling = [Poly.constant(1)]
+    for m in range(1, n + 1):
+        falling.append(falling[-1] * (X - (m - 1) * lam))
+    consts, polys = [], []
+    for m in range(n + 1):
+        consts.append(int(m == 0) - sum(comb(m, j) * weight(j, ones) * consts[m - j] for j in range(1, m + 1)))
+        coeffs = [Fraction(0)] * (m + 1)
+        for k, c in enumerate(consts):
+            c *= comb(m, k)
+            for i, a in enumerate(falling[m - k].coeffs):
+                coeffs[i] += c * a
+        polys.append(Poly(coeffs))
+    return polys
+
+
+def ref_bernoulli_weight(j, ones):
+    return ones[j + 1] / (j + 1)  # W = (e_lam(t) - 1)/t
+
+
+def ref_euler_weight(j, ones):
+    return ones[j] / 2  # W = (e_lam(t) + 1)/2
+
+
+# lambda = 0 is the classical limit, (1)_{i,1} vanishes from i = 2 on, and
+# 17/(10**6 - 7) has a large denominator
+appell_lambdas = [Fraction(0), Fraction(1), Fraction(-2), Fraction(-3, 7), Fraction(17, 10**6 - 7)]
 
 
 def series_of(coeffs: list) -> Series:
@@ -208,3 +248,56 @@ class TestE67Cutoff:
     def test_matches_fraction_search(self, n, lam, tol_exp, tol_num):
         tol = Fraction(tol_num, 10**tol_exp)
         assert _e67_cutoff(n, lam, tol) == ref_e67_cutoff(n, lam, tol)
+
+
+class TestE67Partial:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=14),
+        lam=st.fractions(min_value=-5, max_value=5, max_denominator=50),
+        cutoff=st.integers(min_value=1, max_value=60),
+    )
+    @example(n=6, lam=Fraction(0), cutoff=30)
+    @example(n=7, lam=Fraction(-3, 7), cutoff=45)
+    @example(n=0, lam=Fraction(2, 3), cutoff=12)
+    @example(n=0, lam=Fraction(0), cutoff=1)
+    def test_matches_fraction_sum(self, n, lam, cutoff):
+        got = _e67_partial(n, lam, cutoff)
+        assert got == ref_e67_partial(n, lam, cutoff)
+        assert type(got) is Fraction
+
+
+def appell_examples(test):
+    """Run test at n = 24 on each of appell_lambdas as well as the drawn examples."""
+    for lam in appell_lambdas:
+        test = example(n=24, lam=lam)(test)
+    return test
+
+
+class TestAppellStep:
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(min_value=0, max_value=24), lam=lambdas)
+    @appell_examples
+    def test_bernoulli_matches_fraction_step(self, n, lam):
+        got = [dbernoulli_poly(m, lam) for m in range(n + 1)]
+        assert got == ref_appell(ref_bernoulli_weight, n, lam)
+        assert all(type(c) is Fraction for poly in got for c in poly.coeffs)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(min_value=0, max_value=24), lam=lambdas)
+    @appell_examples
+    def test_euler_matches_fraction_step(self, n, lam):
+        got = [deuler_poly(m, lam) for m in range(n + 1)]
+        assert got == ref_appell(ref_euler_weight, n, lam)
+        assert all(type(c) is Fraction for poly in got for c in poly.coeffs)
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(min_value=0, max_value=24), lam=lambdas)
+    @appell_examples
+    def test_falling_rows_are_numerators_over_q_power(self, n, lam):
+        # the step may not call gfact_falling; the test may
+        lam = Fraction(lam)
+        rows = sequences._grown("falling", n, lam, sequences._falling_step)
+        for m, row in enumerate(rows[: n + 1]):
+            assert all(type(a) is int for a in row)
+            assert Poly([Fraction(a, lam.denominator**m) for a in row]) == gfact_falling(X, m, lam)

@@ -466,7 +466,9 @@ class TestStore:
 
     def test_appell_step_reads_no_binomial_memo(self, monkeypatch):
         # the Appell step must stay independent of dbernoulli_poly_stirling,
-        # which is its oracle and reads binom_poly, dfact and gfact_falling
+        # which is its oracle and reads binom_poly, dfact and gfact_falling;
+        # the binom_poly memo is built by Poly products, so the step shares
+        # no integer kernel with them either
         lam = Fraction(23, 10**6 - 11)
         oracle = [dbernoulli_poly_stirling(n, lam) for n in range(13)]
 
@@ -476,6 +478,8 @@ class TestStore:
         for module in (sequences, algebra):
             for name in ("binom_poly", "dfact", "gfact_falling"):
                 monkeypatch.setattr(module, name, untouchable)
+        for name in ("_integer_numerators", "_cauchy_product"):
+            monkeypatch.setattr(algebra, name, untouchable)
         monkeypatch.setattr(algebra, "_BINOMS", None)
         assert [dbernoulli_poly(n, lam) for n in range(13)] == oracle
         deuler_poly(12, lam)
