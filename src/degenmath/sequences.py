@@ -16,10 +16,15 @@ entries far past the n asked for.  The store keeps at most
 STORE_CAPACITY entries and drops the oldest when full.  Stored values
 are immutable and an entry is only ever replaced wholesale, so a reader
 never sees a partial table.  The harmonic numbers are a stored family;
-hyperharmonic numbers are cumulative sums of its entries.  The Bernoulli
-and Euler step works on integers: for lam = p/q, entry m of the
-"falling" family is the tuple of integer coefficients of q**m (x)_{m,lam},
-not a Poly, and each Bernoulli or Euler coefficient is normalised once.
+hyperharmonic numbers are cumulative sums of its entries, taken on the
+integer numerators over one common denominator.  The triangle, Bernoulli
+and Euler steps work on integers.  For lam = p/q the triangle rows are
+stored as Fractions, but q**(n-k) S(n,k) is an integer: the step recovers
+row n-1's integers by one exact division per entry, applies the
+recurrence with integer weights and normalises each entry of row n once.
+Entry m of the "falling" family is the tuple of integer coefficients of
+q**m (x)_{m,lam}, not a Poly, and each Bernoulli or Euler coefficient is
+normalised once.
 The oracles keep their own memo, bounded at STORE_CAPACITY entries, apart
 from the code they check.
 """
@@ -30,7 +35,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import comb, factorial, lcm
 from operator import mul
 
@@ -103,20 +108,35 @@ def s1_triangle(nmax: int, lam) -> StirlingTriangle:
 
 
 def _row_step(weight):
+    """Step for S(m,k) = S(m-1,k-1) + weight * S(m-1,k), run on integers.
+
+    For lam = p/q, S(n,k) is a polynomial of degree at most n-k in lam with
+    integer coefficients, so T(n,k) = q**(n-k) S(n,k) is an integer and
+    T(m,k) = T(m-1,k-1) + weight(m-1, k, p, q) * T(m-1,k), where the weight
+    is the old one times q.  Row m-1's integers are recovered from its stored
+    Fractions by one exact division each, and each entry of row m is
+    normalised once, over q**(m-k).  That scale, not q**m, keeps the
+    integers small; a reduced output needs its one gcd either way."""
+
     def step(rows, m, lam):
         if m == 0:
             return (Fraction(1),)
-        # the zero past the end of row m-1 is also read as S(m-1, -1)
-        prev = rows[m - 1] + (Fraction(0),)
-        return tuple(prev[k - 1] + weight(m - 1, k, lam) * prev[k] for k in range(m + 1))
+        p, q = lam.numerator, lam.denominator
+        scale = list(accumulate(repeat(q, m), mul, initial=1))  # q**0 .. q**m
+        # the zero past the end of row m-1 is also read as T(m-1, -1)
+        prev = [v.numerator * (scale[m - 1 - k] // v.denominator) for k, v in enumerate(rows[m - 1])]
+        prev.append(0)
+        return tuple(
+            Fraction(prev[k - 1] + weight(m - 1, k, p, q) * prev[k], scale[m - k]) for k in range(m + 1)
+        )
 
     return step
 
 
-# row m from row m-1: S(m,k) = S(m-1,k-1) + weight(m-1, k, lam) * S(m-1,k)
+# row m from row m-1 with lam = p/q: the weights k - n*lam and k*lam - n, times q
 _ROW_STEPS = {
-    "second": _row_step(lambda n, k, lam: k - n * lam),
-    "first": _row_step(lambda n, k, lam: k * lam - n),
+    "second": _row_step(lambda n, k, p, q: k * q - n * p),
+    "first": _row_step(lambda n, k, p, q: k * p - n * q),
 }
 
 
@@ -163,19 +183,29 @@ def dharmonic(n: int, lam) -> Fraction:
     return _grown("harmonic", n, Fraction(lam), _harmonic_step)[n]
 
 
-def dhyperharmonic_row(n: int, r: int, lam) -> tuple[Fraction, ...]:
-    """Degenerate hyperharmonic numbers 0..n: r-1 cumulative summations of dharmonic."""
+def _hyperharmonic_numerators(n: int, r: int, lam) -> tuple[list[int], int]:
+    """(numerators, d): hyperharmonic entries 0..n as integers over one d.
+
+    The harmonic entries 0..n go over the lcm d of their denominators, and
+    the r-1 cumulative sums run on the integer numerators."""
     if r < 1:
         raise ValueError("hyperharmonic order r must be >= 1")
-    sums = _grown("harmonic", n, Fraction(lam), _harmonic_step)[: n + 1]
+    sums, d = _over_lcm(_grown("harmonic", n, Fraction(lam), _harmonic_step)[: n + 1])
     for _ in range(r - 1):
-        sums = tuple(accumulate(sums))
-    return sums
+        sums = list(accumulate(sums))
+    return sums, d
+
+
+def dhyperharmonic_row(n: int, r: int, lam) -> tuple[Fraction, ...]:
+    """Degenerate hyperharmonic numbers 0..n: r-1 cumulative summations of dharmonic."""
+    sums, d = _hyperharmonic_numerators(n, r, lam)
+    return tuple(Fraction(a, d) for a in sums)
 
 
 def dhyperharmonic(n: int, r: int, lam) -> Fraction:
     """Degenerate hyperharmonic number, entry n of dhyperharmonic_row."""
-    return dhyperharmonic_row(n, r, lam)[n]
+    sums, d = _hyperharmonic_numerators(n, r, lam)
+    return Fraction(sums[n], d)
 
 
 def _falling_step(rows, m, lam):
@@ -192,7 +222,8 @@ def _over_lcm(fracs) -> tuple[list[int], int]:
     """(numerators, d): the Fractions fracs as integers over d, the lcm of their denominators.
 
     The same scaling as algebra._integer_numerators, kept apart because the
-    Poly products of the Appell step's oracle run on that one."""
+    oracles of its callers (the Poly products of dbernoulli_poly_stirling and
+    the series kernels of identities.hyperharmonic_gf) run on that one."""
     d = lcm(*(f.denominator for f in fracs))
     return [f.numerator * (d // f.denominator) for f in fracs], d
 

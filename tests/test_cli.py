@@ -1,14 +1,31 @@
 """Command line surface: formats, exit codes, determinism."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from degenmath.cli import EXIT_CHECK_FAILED, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, build_parser, grid_from_args, main
+from hypothesis import given, settings, strategies as st
+
+from degenmath import cli
+from degenmath.cli import (
+    EXIT_CHECK_FAILED,
+    EXIT_DOMAIN,
+    EXIT_OK,
+    EXIT_USAGE,
+    MAX_SIZE,
+    POLY_FAMILIES,
+    SCALAR_FAMILIES,
+    TRIANGLE_FAMILIES,
+    build_parser,
+    grid_from_args,
+    main,
+)
 from degenmath.identities import DEFAULT_GRID, REGISTRY, CheckResult
 
 DATA = Path(__file__).parent / "data"
@@ -101,6 +118,22 @@ class TestAppellTablesGolden:
         code, out = run_cli(capsys, "table", family, "--nmax", "30", "--lambda=-61/89", "--format", "json")
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digests[f"appell_{family}.json"]
+
+
+class TestStirlingTablesGolden:
+    # deep triangle and hyperharmonic tables, recorded with (from the repo root):
+    #   degenmath table s1 --nmax 60 --lambda=-61/89 --format json --output stirling_s1.json
+    #   degenmath table s2 --nmax 60 --lambda=-61/89 --format json --output stirling_s2.json
+    #   degenmath table hyperharmonic --nmax 60 --r 3 --lambda=-61/89 --format json --output stirling_hyperharmonic.json
+    #   sha256sum stirling_s1.json stirling_s2.json stirling_hyperharmonic.json > tests/data/stirling_tables.sha256
+    @pytest.mark.parametrize("family, extra", [("s1", ()), ("s2", ()), ("hyperharmonic", ("--r", "3"))])
+    def test_matches_recorded_digest(self, capsys, family, extra):
+        lines = (DATA / "stirling_tables.sha256").read_text().splitlines()
+        digests = {name: digest for digest, name in map(str.split, lines)}
+        argv = ("table", family, "--nmax", "60", *extra, "--lambda=-61/89", "--format", "json")
+        code, out = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[f"stirling_{family}.json"]
 
 
 class TestEval:
@@ -253,6 +286,111 @@ class TestOutput:
         assert captured.err.startswith(f"error: cannot write {path}")
         assert not path.exists()
         assert calls == []
+
+
+class TestSizeBound:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "s2", "--nmax", str(10**9)],
+            ["eval", "bernoulli", "--n", str(MAX_SIZE + 1), "--x", "1"],
+            ["series", "dexp", "--order", str(MAX_SIZE + 1)],
+            ["check", "--nmax", str(MAX_SIZE + 1)],
+            ["check", "--id", "T1", f"--order={10**9}"],
+        ],
+    )
+    def test_above_bound_is_domain_error_before_any_work(self, capsys, monkeypatch, argv):
+        def no_work(args):
+            raise AssertionError("a command ran above the size bound")
+
+        for name in ("_cmd_table", "_cmd_eval", "_cmd_series", "_cmd_check"):
+            monkeypatch.setattr(cli, name, no_work)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_DOMAIN and captured.out == ""
+        assert captured.err.startswith("error: --") and f"<= {MAX_SIZE}" in captured.err
+
+    def test_bound_itself_is_accepted(self, capsys, monkeypatch):
+        code, out = run_cli(capsys, "series", "dexp", "--order", str(MAX_SIZE), "--format", "csv")
+        assert code == EXIT_OK and len(out.splitlines()) == MAX_SIZE + 2
+        calls = counting_checkers(monkeypatch)
+        assert main(["check", "--id", "T15", "--nmax", str(MAX_SIZE), "--lambdas", "1/2"]) == EXIT_OK
+        assert len(calls) == MAX_SIZE - 1  # n = 2..MAX_SIZE
+
+    def test_bound_covers_perfbench_sizes(self):
+        assert MAX_SIZE >= 160
+
+
+# argv drawn per command: its positionals and flags, with values that are
+# small sizes, sizes above MAX_SIZE (only for the flags MAX_SIZE bounds, so
+# nothing large ever runs) or junk.  A check always names one identity and
+# one lambda first, so that no drawn argv runs a whole sweep.
+small_sizes = st.integers(min_value=-3, max_value=20).map(str)
+oversizes = st.sampled_from([MAX_SIZE + 1, 10**9, 10**40]).map(str)
+rational_texts = st.sampled_from(["0", "1", "1/2", "-3/7", "2/3", "-61/89", "7/-2"])
+junk = st.sampled_from(["", "x", "1.5", "1e3", "1/0", "0x10", "nan", "--", "-", "-h", "--bogus", "s2", "T1", "=", "2/"])
+formats = st.sampled_from(["plain", "csv", "json", "xml"])
+identity_ids = st.sampled_from(list(REGISTRY) + ["T99"])
+
+FLAG_VALUES = {
+    "--nmax": st.one_of(small_sizes, oversizes),
+    "--n": st.one_of(small_sizes, oversizes),
+    "--order": st.one_of(small_sizes, oversizes),
+    "--r": small_sizes,
+    "--k": small_sizes,
+    "--rmax": small_sizes,
+    "--pmax": small_sizes,
+    "--lambda": rational_texts,
+    "--x": rational_texts,
+    "--lambdas": rational_texts,
+    "--tolerance": st.one_of(rational_texts, st.just("1/1000000")),
+    "--format": formats,
+    "--id": identity_ids,
+}
+# command -> (positionals, required flags, other flags)
+COMMANDS = {
+    "table": (TRIANGLE_FAMILIES + SCALAR_FAMILIES + POLY_FAMILIES, ("--nmax",), ("--lambda", "--r", "--format")),
+    "eval": (POLY_FAMILIES, ("--n", "--x"), ("--lambda", "--format")),
+    "series": (("dexp", "dlog", "dpolylog", "hypergf"), ("--order",), ("--lambda", "--k", "--r", "--x", "--format")),
+    "check": ((), (), ("--id", "--nmax", "--rmax", "--pmax", "--lambdas", "--order", "--tolerance", "--format")),
+    "list": ((), (), ("--format",)),
+}
+
+
+@st.composite
+def argvs(draw):
+    def sometimes_junk(strategy):
+        # one draw in eight is junk, so most argvs get past the parser
+        return draw(junk) if draw(st.integers(min_value=0, max_value=7)) == 7 else draw(strategy)
+
+    command = sometimes_junk(st.sampled_from(list(COMMANDS)))
+    if command not in COMMANDS:
+        return [command] + draw(st.lists(junk, max_size=3))
+    positionals, required, others = COMMANDS[command]
+    argv = [command]
+    if positionals:
+        argv.append(sometimes_junk(st.sampled_from(positionals)))
+    if command == "check":
+        argv += ["--id", draw(identity_ids), "--lambdas=" + draw(rational_texts)]
+    flags = list(required) + draw(st.lists(st.sampled_from(others), max_size=4))
+    for flag in flags:
+        value = sometimes_junk(FLAG_VALUES[flag])
+        # the = form lets a value start with "-"
+        argv += draw(st.sampled_from([[f"{flag}={value}"], [flag, value]]))
+    if draw(st.integers(min_value=0, max_value=3)) == 3:
+        argv.insert(draw(st.integers(min_value=1, max_value=len(argv))), draw(junk))
+    return argv
+
+
+class TestAnyArgv:
+    @settings(max_examples=150, deadline=None)
+    @given(argv=argvs())
+    def test_exit_code_is_documented_and_no_traceback(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_DOMAIN)
+        assert "Traceback" not in out.getvalue() + err.getvalue()
 
 
 class TestList:

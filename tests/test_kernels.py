@@ -6,6 +6,7 @@ kernels must return exactly the same values.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 
 import pytest
@@ -14,7 +15,15 @@ from hypothesis import example, given, settings, strategies as st
 from degenmath import sequences, series
 from degenmath.algebra import Poly, X, dfact, gfact_falling, gfact_rising
 from degenmath.identities import _e67_cutoff, _e67_partial
-from degenmath.sequences import dbernoulli_poly, deuler_poly
+from degenmath.sequences import (
+    dbernoulli_poly,
+    deuler_poly,
+    dharmonic,
+    dhyperharmonic,
+    dhyperharmonic_row,
+    s1_triangle,
+    s2_triangle,
+)
 from degenmath.series import Series, ser_reciprocal
 
 # signed rationals with a good share of zeros
@@ -129,6 +138,33 @@ def ref_euler_weight(j, ones):
 # lambda = 0 is the classical limit, (1)_{i,1} vanishes from i = 2 on, and
 # 17/(10**6 - 7) has a large denominator
 appell_lambdas = [Fraction(0), Fraction(1), Fraction(-2), Fraction(-3, 7), Fraction(17, 10**6 - 7)]
+
+
+def ref_triangle(weight, n: int, lam) -> list[tuple[Fraction, ...]]:
+    """Rows 0..n of S(m,k) = S(m-1,k-1) + weight(m-1, k, lam) S(m-1,k), in Fractions."""
+    lam = Fraction(lam)
+    rows = [(Fraction(1),)]
+    for m in range(1, n + 1):
+        prev = rows[-1] + (Fraction(0),)
+        rows.append(tuple(prev[k - 1] + weight(m - 1, k, lam) * prev[k] for k in range(m + 1)))
+    return rows
+
+
+TRIANGLES = {
+    "second": (s2_triangle, lambda n, k, lam: k - n * lam),
+    "first": (s1_triangle, lambda n, k, lam: k * lam - n),
+}
+
+
+def ref_hyperharmonic_row(n: int, r: int, lam) -> tuple[Fraction, ...]:
+    sums = tuple(dharmonic(m, lam) for m in range(n + 1))
+    for _ in range(r - 1):
+        sums = tuple(accumulate(sums))
+    return sums
+
+
+# 57/89 is the lambda of perfbench's deep tables
+triangle_lambdas = appell_lambdas + [Fraction(57, 89)]
 
 
 def series_of(coeffs: list) -> Series:
@@ -301,3 +337,62 @@ class TestAppellStep:
         for m, row in enumerate(rows[: n + 1]):
             assert all(type(a) is int for a in row)
             assert Poly([Fraction(a, lam.denominator**m) for a in row]) == gfact_falling(X, m, lam)
+
+
+def triangle_examples(test):
+    """Run test at n = 40 on each of triangle_lambdas as well as the drawn examples."""
+    for lam in triangle_lambdas:
+        test = example(n=40, lam=lam)(test)
+    return test
+
+
+class TestTriangleStep:
+    @pytest.mark.parametrize("kind", ["second", "first"])
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(min_value=0, max_value=40), lam=lambdas)
+    @triangle_examples
+    def test_rows_match_fraction_recurrence(self, kind, n, lam):
+        build, weight = TRIANGLES[kind]
+        rows = build(n, lam).rows[: n + 1]
+        assert list(rows) == ref_triangle(weight, n, lam)
+        assert all(type(c) is Fraction for row in rows for c in row)
+
+    @pytest.mark.parametrize("kind", ["second", "first"])
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(min_value=0, max_value=40), lam=lambdas)
+    @triangle_examples
+    def test_denominators_divide_q_power(self, kind, n, lam):
+        q = Fraction(lam).denominator
+        tri = TRIANGLES[kind][0](n, lam)
+        for m in range(n + 1):
+            assert all(q ** (m - k) % c.denominator == 0 for k, c in enumerate(tri.row(m)))
+
+    @pytest.mark.parametrize("kind", ["second", "first"])
+    @pytest.mark.parametrize("lam", triangle_lambdas)
+    def test_growing_stored_rows_equals_cold_build(self, kind, lam):
+        # the step recovers its integers from the stored Fraction rows 0..16
+        build = TRIANGLES[kind][0]
+        key = (kind, lam)
+        sequences._STORE.pop(key, None)
+        assert len(build(0, lam).rows) == sequences.GROW_MIN_N + 1
+        grown = build(40, lam).rows
+        del sequences._STORE[key]
+        assert build(40, lam).rows == grown
+        assert len(grown) == 41
+
+
+class TestHyperharmonic:
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(min_value=0, max_value=40), r=st.integers(min_value=1, max_value=5), lam=lambdas)
+    @example(n=40, r=5, lam=Fraction(0))
+    @example(n=40, r=1, lam=Fraction(1))
+    @example(n=40, r=3, lam=Fraction(57, 89))
+    @example(n=0, r=4, lam=Fraction(-3, 7))
+    def test_matches_fraction_accumulate(self, n, r, lam):
+        want = ref_hyperharmonic_row(n, r, lam)
+        row = dhyperharmonic_row(n, r, lam)
+        assert row == want
+        assert all(type(c) is Fraction for c in row)
+        for m in range(n + 1):
+            got = dhyperharmonic(m, r, lam)
+            assert got == want[m] and type(got) is Fraction

@@ -8,9 +8,9 @@ from math import comb, factorial
 
 import pytest
 
-from degenmath import algebra, classical, sequences
+from degenmath import algebra, classical, sequences, series
 from degenmath.algebra import Poly, X, binom_poly, dfact, gfact_falling, poly_eval
-from degenmath.identities import run_identity
+from degenmath.identities import hyperharmonic_gf, run_identity
 from degenmath.sequences import (
     StirlingTriangle,
     bernoulli_from_triangle,
@@ -483,3 +483,30 @@ class TestStore:
         monkeypatch.setattr(algebra, "_BINOMS", None)
         assert [dbernoulli_poly(n, lam) for n in range(13)] == oracle
         deuler_poly(12, lam)
+
+    def test_triangle_and_hyperharmonic_steps_read_no_series_kernel(self, monkeypatch):
+        # stirling_series_oracle and hyperharmonic_gf are the oracles of the
+        # triangle and hyperharmonic steps and run on the series kernels and
+        # the Poly/Series integer products, so the steps may use none of them
+        lam = Fraction(31, 10**6 - 17)
+        oracles = {
+            kind: [[stirling_series_oracle(kind, n, k, lam, 12) for k in range(n + 1)] for n in range(13)]
+            for kind in ("first", "second")
+        }
+        gfs = {r: hyperharmonic_gf(lam, r, 12).coeffs for r in (1, 2, 3)}
+
+        def untouchable(*args):
+            raise AssertionError("a triangle or hyperharmonic step read a kernel of its oracle")
+
+        for name in ("dexp", "dlog", "ser_compose", "ser_reciprocal"):
+            monkeypatch.setattr(series, name, untouchable)
+        for name in ("dexp", "dlog", "ser_reciprocal"):  # the names sequences imports
+            monkeypatch.setattr(sequences, name, untouchable)
+        for module in (algebra, series):
+            for name in ("_integer_numerators", "_cauchy_product"):
+                monkeypatch.setattr(module, name, untouchable)
+        assert [list(row) for row in s1_triangle(12, lam).rows[:13]] == oracles["first"]
+        assert [list(row) for row in s2_triangle(12, lam).rows[:13]] == oracles["second"]
+        for r, coeffs in gfs.items():
+            assert dhyperharmonic_row(12, r, lam) == coeffs
+            assert dhyperharmonic(12, r, lam) == coeffs[12]
