@@ -7,10 +7,14 @@ Fraction.  There is no floating point anywhere in the computational core.
 
 The hot kernels keep Fraction at their boundary only: a polynomial product
 scales each factor to integers over one common denominator and normalises
-each output coefficient once.  Every generalized falling factorial, the
-rising one and dfact included, is a call into gfact_falling, which makes a
-scalar one integer product over one denominator.  binom(x, k) is memoised
-in a tuple of its own.
+each output coefficient once.  poly_combination sums c * P over many
+(scalar, Poly) pairs the same way: each P goes over the lcm of its
+denominators, the integer numerators are summed over one common
+denominator, and each output coefficient is normalised once.  poly_eval
+is integer Horner, with one Fraction per call.  Every generalized falling
+factorial, the rising one and dfact included, is a call into
+gfact_falling, which makes a scalar one integer product over one
+denominator.  binom(x, k) is memoised in a tuple of its own.
 """
 
 from __future__ import annotations
@@ -288,10 +292,43 @@ def poly_int_over_t(p: Poly) -> Poly:
     return Poly((Fraction(0),) + tuple(c / k for k, c in enumerate(p.coeffs) if k >= 1))
 
 
+def poly_combination(terms) -> Poly:
+    """sum of c * P over the (scalar, Poly) pairs in terms.
+
+    Each P goes over the lcm d of its denominators, so c * P is the integer
+    numerators of P times c.numerator, over c.denominator * d.  The terms
+    are summed on integers over the lcm of those denominators and each
+    output coefficient is normalised once.
+    """
+    scaled = []
+    for c, p in terms:
+        if c and p.coeffs:
+            nums, d = _integer_numerators(p.coeffs)
+            scaled.append((c.numerator, c.denominator * d, nums))
+    if not scaled:
+        return Poly()
+    den = lcm(*(d for _, d, _ in scaled))
+    acc = [0] * max(len(nums) for _, _, nums in scaled)
+    for a, d, nums in scaled:
+        a *= den // d
+        for i, v in enumerate(nums):
+            acc[i] += a * v
+    return Poly([Fraction(v, den) for v in acc])
+
+
 def poly_eval(p: Poly, x0) -> Fraction:
-    """Exact Horner evaluation."""
+    """Exact evaluation by integer Horner.
+
+    With x0 = a/b and the coefficients c_i as integers over d, the value is
+    sum_i c_i a**i b**(deg-i) over d b**deg, normalised once.
+    """
     x0 = Fraction(x0)
-    acc = Fraction(0)
-    for c in reversed(p.coeffs):
-        acc = acc * x0 + c
-    return acc
+    if not p.coeffs:
+        return Fraction(0)
+    a, b = x0.numerator, x0.denominator
+    nums, d = _integer_numerators(p.coeffs)
+    acc, bpow = 0, 1
+    for c in reversed(nums):
+        acc = acc * a + c * bpow
+        bpow *= b
+    return Fraction(acc, d * b ** (len(nums) - 1))

@@ -8,15 +8,19 @@ for a family that does not take one, a binding outside an identity's
 schema, a check grid that leaves nothing to check, or a size flag above
 MAX_SIZE).
 
-MAX_SIZE bounds table --nmax, eval --n, series --order, check --nmax and
-check --order, and is checked before any work.  It is sized by the
-largest table: `table s2 --lambda=57/89 --format json` takes 0.34 s and
-37 MiB at nmax 160 (perfbench's largest size), 0.77 s and 89 MiB at 240,
-and 1.3 s and 159 MiB at 300 (Python 3.11, 2-vCPU host, peak RSS).  The
-triangle's entries grow as n**2 and their digits as n, so the memory
-grows about as n**3: 690 MiB at 500.  Other commands are slower at the
-bound without taking more memory: `eval bernoulli --n 300` takes about
-30 s, and a check sweep at that size far longer.
+MAX_SIZE bounds table --nmax, eval --n, series --order, check --nmax,
+check --order, table and series --r, check --rmax and --pmax, and the
+absolute value of series --k, and is checked before any work.  It is
+sized by the largest table: `table s2 --lambda=57/89 --format json` takes
+0.34 s and 37 MiB at nmax 160 (perfbench's largest size), 0.77 s and
+89 MiB at 240, and 1.3 s and 159 MiB at 300 (Python 3.11, 2-vCPU host,
+peak RSS).  The triangle's entries grow as n**2 and their digits as n, so
+the memory grows about as n**3: 690 MiB at 500.  Other commands are slower
+at the bound without taking more memory: `eval bernoulli --n 300` takes
+about 30 s, `series hypergf --order 300 --r 300` 1.2 s,
+`check --id T1 --rmax 300` 12 s, and a check sweep with --nmax or --pmax
+at the bound far longer (E59 builds the Bernoulli polynomial of degree
+pmax + 1).
 """
 
 from __future__ import annotations
@@ -319,11 +323,16 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("'--' is not a flag value")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    # --nmax (table, check), --n (eval) and --order (series, check)
-    for dest in ("nmax", "n", "order"):
+    # --nmax (table, check), --n (eval), --order (series, check), --r (table,
+    # series), --rmax and --pmax (check) and --k (series)
+    for dest in ("nmax", "n", "order", "r", "rmax", "pmax", "k"):
         size = getattr(args, dest, None)
-        if size is not None and size > MAX_SIZE:
-            print(f"error: --{dest} must be <= {MAX_SIZE}, got {size}", file=sys.stderr)
+        if size is None:
+            continue
+        # --k, the polylogarithm weight, may be negative: its absolute value is bounded
+        if (abs(size) if dest == "k" else size) > MAX_SIZE:
+            qualifier = " in absolute value" if dest == "k" else ""
+            print(f"error: --{dest} must be <= {MAX_SIZE}{qualifier}, got {size}", file=sys.stderr)
             return EXIT_DOMAIN
     handler = {
         "table": _cmd_table,

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import comb, factorial, prod
+from operator import mul
 from typing import Callable, Iterable, Iterator
 
 from . import classical, sequences
@@ -26,6 +27,7 @@ from .algebra import (
     dfact,
     gfact_falling,
     gfact_rising,
+    poly_combination,
     poly_derivative,
     poly_eval,
     poly_int_over_t,
@@ -268,9 +270,7 @@ def _check_t3(b, tab):
 def _check_t4a(b, tab):
     n, lam = b["n"], b["lambda"]
     tri = tab.s1(n, lam)
-    lhs = sum(
-        (tri.entry(n, k) * sequences.deuler_poly(k, lam) for k in range(n + 1)), Poly()
-    )
+    lhs = poly_combination((tri.entry(n, k), sequences.deuler_poly(k, lam)) for k in range(n + 1))
     # the k = n term alone of euler_from_triangle: a unit row
     rhs = sequences.binomial_sum((0,) * n + (1,), sequences.euler_weights(n))
     return _result("T4a", b, lhs, rhs)
@@ -308,15 +308,13 @@ def _check_t5(b, tab):
     n, lam = b["n"], b["lambda"]
     tri = tab.s2(n, lam)
     lhs = sequences.dbernoulli_poly(n, lam)
-    falling = [gfact_falling(X, m, lam) for m in range(n + 1)]
-    rhs = Poly()
-    for j in range(n + 1):
-        weight = dfact(j, lam) / (j + 1)
-        inner = sum(
-            (comb(n, k) * tri.entry(k, j) * falling[n - k] for k in range(j, n + 1)),
-            Poly(),
-        )
-        rhs = rhs + inner * weight
+    # sum_j w_j sum_{k>=j} C(n,k) S2(k,j) (x)_{n-k,lam}, summed over j first:
+    # one scalar per k, then one poly_combination over the falling factorials
+    weights = [dfact(j, lam) / (j + 1) for j in range(n + 1)]
+    falling = list(accumulate((X - m * lam for m in range(n)), mul, initial=Poly.constant(1)))
+    rhs = poly_combination(
+        (comb(n, k) * sum(map(mul, weights, tri.row(k))), falling[n - k]) for k in range(n + 1)
+    )
     return _result("T5", b, lhs, rhs)
 
 
@@ -325,10 +323,7 @@ def _check_t5(b, tab):
 def _check_t6(b, tab):
     n, lam = b["n"], b["lambda"]
     tri = tab.s1(n, lam)
-    lhs = sum(
-        (sequences.dbernoulli_poly(k, lam) * tri.entry(n, k) for k in range(n + 1)),
-        Poly(),
-    )
+    lhs = poly_combination((tri.entry(n, k), sequences.dbernoulli_poly(k, lam)) for k in range(n + 1))
     # the k = n term alone of bernoulli_from_triangle: a unit row
     rhs = sequences.binomial_sum((0,) * n + (1,), sequences.bernoulli_weights(n, lam))
     return _result("T6", b, lhs, rhs)
@@ -427,12 +422,8 @@ def _check_t11a(b, tab):
 def _check_t11b(b, tab):
     n, lam = b["n"], b["lambda"]
     lhs = tab.bell(n + 1, lam)
-    conv = sum(
-        (
-            tab.bell(k, lam) * (comb(n, k) * gfact_falling(1 - lam, n - k, lam))
-            for k in range(n + 1)
-        ),
-        Poly(),
+    conv = poly_combination(
+        (comb(n, k) * gfact_falling(1 - lam, n - k, lam), tab.bell(k, lam)) for k in range(n + 1)
     )
     rhs = X * conv
     return _result("T11b", b, lhs, rhs)
@@ -446,13 +437,9 @@ def _check_t12(b, tab):
     lhs = Poly(
         [Fraction(0)] + [tri.entry(n, k) / k for k in range(1, n + 1)]
     )
-    conv = sum(
-        (
-            tab.bell(n - j, lam)
-            * (comb(n, j) * poly_eval(sequences.dbernoulli_poly(j, lam), 1 - lam))
-            for j in range(n)
-        ),
-        Poly(),
+    conv = poly_combination(
+        (comb(n, j) * poly_eval(sequences.dbernoulli_poly(j, lam), 1 - lam), tab.bell(n - j, lam))
+        for j in range(n)
     )
     rhs = conv * Fraction(1, n)
     # the x = 1 specialization that the general statement implies carries a
@@ -475,16 +462,20 @@ def _check_e61(b, tab):
     lhs = Poly(
         [Fraction(0)] + [tri.entry(n, k) / (k * k) for k in range(1, n + 1)]
     )
-    # beta[i] is the Bernoulli-family value at 1-lam, read by both loops
+    # beta[i] is the Bernoulli-family value at 1-lam
     beta = [poly_eval(sequences.dbernoulli_poly(i, lam), 1 - lam) for i in range(n)]
-    rhs = Poly()
-    for j in range(n):
-        inner = sum(
-            (tab.bell(m, lam) * (comb(n - j, m) * beta[n - j - m]) for m in range(1, n - j + 1)),
-            Poly(),
+    # (1/n) sum_j C(n,j) beta_j/(n-j) sum_{m>=1} C(n-j,m) beta_{n-j-m} Bell_m,
+    # summed over j first: one scalar per Bell_m, then one poly_combination
+    rhs = poly_combination(
+        (
+            sum(
+                Fraction(comb(n, j) * comb(n - j, m), n * (n - j)) * beta[j] * beta[n - j - m]
+                for j in range(n - m + 1)
+            ),
+            tab.bell(m, lam),
         )
-        rhs = rhs + inner * (Fraction(comb(n, j)) * beta[j] / (n - j))
-    rhs = rhs * Fraction(1, n)
+        for m in range(1, n + 1)
+    )
     return _result("E61", b, lhs, rhs)
 
 

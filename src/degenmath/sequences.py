@@ -39,7 +39,7 @@ from itertools import accumulate, repeat
 from math import comb, factorial, lcm
 from operator import mul
 
-from .algebra import Poly, X, binom_poly, dfact, gfact_falling
+from .algebra import Poly, X, binom_poly, dfact, gfact_falling, poly_combination
 from .series import Series, dexp, dlog, ser_reciprocal
 
 STORE_CAPACITY = 128
@@ -305,13 +305,14 @@ def binomial_sum(row, weights) -> Poly:
     row[0..n] and weights[0..n].
 
     Summed over k first: for each j one scalar inner sum
-    sum_{k>=j} k! row[k] weights[k-j], then one binom_poly(j) scaling.  The
-    swap is exact for any row, a mutated triangle's included.
+    sum_{k>=j} k! row[k] weights[k-j], then one poly_combination over the
+    binom_poly(j).  The swap is exact for any row, a mutated triangle's
+    included.
     """
     scaled = [factorial(k) * c for k, c in enumerate(row)]
     # map stops at the end of scaled[j:], pairing row[k] with weights[k-j]
-    return sum(
-        (binom_poly(j) * sum(map(mul, scaled[j:], weights)) for j in range(len(row))), Poly()
+    return poly_combination(
+        (sum(map(mul, scaled[j:], weights)), binom_poly(j)) for j in range(len(row))
     )
 
 

@@ -136,6 +136,21 @@ class TestStirlingTablesGolden:
         assert hashlib.sha256(out.encode()).hexdigest() == digests[f"stirling_{family}.json"]
 
 
+class TestEvalGolden:
+    # eval prints only through poly_eval, so its values are recorded apart
+    # from the check report, which holds pass counts.  Recorded with (from
+    # the repo root), for F in bernoulli euler bell fubini:
+    #   degenmath eval F --n 40 --lambda=-61/89 --x=-7/3 --format json --output eval_F.json
+    #   sha256sum eval_bernoulli.json eval_euler.json eval_bell.json eval_fubini.json > tests/data/eval_values.sha256
+    @pytest.mark.parametrize("family", POLY_FAMILIES)
+    def test_matches_recorded_digest(self, capsys, family):
+        lines = (DATA / "eval_values.sha256").read_text().splitlines()
+        digests = {name: digest for digest, name in map(str.split, lines)}
+        code, out = run_cli(capsys, "eval", family, "--n", "40", "--lambda=-61/89", "--x=-7/3", "--format", "json")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[f"eval_{family}.json"]
+
+
 class TestEval:
     def test_fubini(self, capsys):
         code, out = run_cli(capsys, "eval", "fubini", "--n", "2", "--lambda", "0", "--x", "1")
@@ -297,6 +312,12 @@ class TestSizeBound:
             ["series", "dexp", "--order", str(MAX_SIZE + 1)],
             ["check", "--nmax", str(MAX_SIZE + 1)],
             ["check", "--id", "T1", f"--order={10**9}"],
+            ["table", "hyperharmonic", "--nmax", "2", "--r", str(MAX_SIZE + 1)],
+            ["series", "hypergf", "--order", "4", "--r", str(10**6)],
+            ["series", "dpolylog", "--order", "4", "--k", str(MAX_SIZE + 1)],
+            ["series", "dpolylog", "--order", "4", f"--k={-(MAX_SIZE + 1)}"],
+            ["check", "--id", "T1", "--rmax", str(MAX_SIZE + 1)],
+            ["check", "--id", "E59", f"--pmax={10**9}"],
         ],
     )
     def test_above_bound_is_domain_error_before_any_work(self, capsys, monkeypatch, argv):
@@ -322,11 +343,13 @@ class TestSizeBound:
 
 
 # argv drawn per command: its positionals and flags, with values that are
-# small sizes, sizes above MAX_SIZE (only for the flags MAX_SIZE bounds, so
-# nothing large ever runs) or junk.  A check always names one identity and
+# small sizes, sizes above MAX_SIZE (every size flag is bounded, so nothing
+# large ever runs) or junk.  A check always names one identity and
 # one lambda first, so that no drawn argv runs a whole sweep.
 small_sizes = st.integers(min_value=-3, max_value=20).map(str)
 oversizes = st.sampled_from([MAX_SIZE + 1, 10**9, 10**40]).map(str)
+# --k is bounded in absolute value
+signed_oversizes = st.sampled_from([MAX_SIZE + 1, -(MAX_SIZE + 1), -(10**9), 10**40]).map(str)
 rational_texts = st.sampled_from(["0", "1", "1/2", "-3/7", "2/3", "-61/89", "7/-2"])
 junk = st.sampled_from(["", "x", "1.5", "1e3", "1/0", "0x10", "nan", "--", "-", "-h", "--bogus", "s2", "T1", "=", "2/"])
 formats = st.sampled_from(["plain", "csv", "json", "xml"])
@@ -336,10 +359,10 @@ FLAG_VALUES = {
     "--nmax": st.one_of(small_sizes, oversizes),
     "--n": st.one_of(small_sizes, oversizes),
     "--order": st.one_of(small_sizes, oversizes),
-    "--r": small_sizes,
-    "--k": small_sizes,
-    "--rmax": small_sizes,
-    "--pmax": small_sizes,
+    "--r": st.one_of(small_sizes, oversizes),
+    "--k": st.one_of(small_sizes, signed_oversizes),
+    "--rmax": st.one_of(small_sizes, oversizes),
+    "--pmax": st.one_of(small_sizes, oversizes),
     "--lambda": rational_texts,
     "--x": rational_texts,
     "--lambdas": rational_texts,

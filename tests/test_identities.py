@@ -192,6 +192,27 @@ class TestSuite:
         assert payload["lhs"]["kind"] == "rational"
 
 
+class TestPolyCombinationGuard:
+    # every checker sum routed through poly_combination must notice a kernel
+    # that drops a term: a bug in the kernel cannot pass both sides alike
+    ROUTED = ("T4a", "T5", "T6", "T11b", "T12", "E61")
+    GRID = Grid(nmax=4, lambdas=(HALF, Fraction(-3, 7)))
+
+    def test_dropping_the_last_term_fails_each_routed_identity(self, monkeypatch):
+        from degenmath import algebra, identities, sequences
+
+        honest = run_suite(self.GRID, ids=self.ROUTED)
+        assert all(r.fail_count == 0 and r.pass_count > 0 for r in honest.results)
+
+        def drop_last(terms):
+            return algebra.poly_combination(list(terms)[:-1])
+
+        for module in (identities, sequences):
+            monkeypatch.setattr(module, "poly_combination", drop_last)
+        report = run_suite(self.GRID, ids=self.ROUTED)
+        assert {r.id: r.fail_count > 0 for r in report.results} == dict.fromkeys(self.ROUTED, True)
+
+
 class TestDefaultGrid:
     def test_acceptance_grid_values(self):
         assert DEFAULT_GRID.nmax == 12

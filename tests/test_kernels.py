@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from degenmath import sequences, series
-from degenmath.algebra import Poly, X, dfact, gfact_falling, gfact_rising
+from degenmath.algebra import Poly, X, dfact, gfact_falling, gfact_rising, poly_combination, poly_eval
 from degenmath.identities import _e67_cutoff, _e67_partial
 from degenmath.sequences import (
     dbernoulli_poly,
@@ -56,6 +56,23 @@ def ref_poly_mul(p: Poly, q: Poly) -> Poly:
         for j, b in enumerate(q.coeffs):
             out[i + j] += a * b
     return Poly(out)
+
+
+def ref_poly_combination(terms) -> Poly:
+    out = []
+    for c, p in terms:
+        for i, a in enumerate(p.coeffs):
+            if i == len(out):
+                out.append(Fraction(0))
+            out[i] += c * a
+    return Poly(out)
+
+
+def ref_poly_eval(p: Poly, x0) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * Fraction(x0) + c
+    return acc
 
 
 def ref_reciprocal(a: Series) -> Series:
@@ -218,6 +235,67 @@ class TestPolyMul:
     def test_degree_zero_and_one(self, a, b, c):
         for p, q in [((a,), (b,)), ((a, b), (c,)), ((a, b), (b, c))]:
             assert Poly(p) * Poly(q) == ref_poly_mul(Poly(p), Poly(q))
+
+
+scalars = st.one_of(rationals, st.integers(min_value=-50, max_value=50))
+terms_lists = st.lists(st.tuples(scalars, st.lists(rationals, max_size=8).map(Poly)), max_size=8)
+
+
+class TestPolyCombination:
+    @settings(max_examples=100)
+    @given(terms=terms_lists)
+    def test_matches_fraction_loop(self, terms):
+        got = poly_combination(iter(terms))
+        assert got == ref_poly_combination(terms)
+        assert all(type(c) is Fraction for c in got.coeffs)
+        assert not got.coeffs or got.coeffs[-1] != 0
+
+    def test_empty_input_is_zero(self):
+        assert poly_combination([]).coeffs == ()
+
+    def test_zero_scalars_and_zero_polys(self):
+        p = Poly((1, Fraction(2, 3)))
+        assert poly_combination([(0, p), (Fraction(0), p), (5, Poly())]).coeffs == ()
+
+    def test_int_scalars(self):
+        terms = [(3, Poly((Fraction(1, 2), 1))), (-2, Poly((0, 0, Fraction(1, 3))))]
+        got = poly_combination(terms)
+        assert got == Poly((Fraction(3, 2), 3, Fraction(-2, 3)))
+        assert all(type(c) is Fraction for c in got.coeffs)
+
+    def test_cancellation_leaves_no_trailing_zeros(self):
+        p = Poly((Fraction(1, 3), Fraction(-2, 7), Fraction(5, 11)))
+        assert poly_combination([(Fraction(3, 4), p), (Fraction(-3, 4), p)]).coeffs == ()
+        # the leading terms cancel: degree 2 drops to degree 0
+        got = poly_combination([(2, p), (-1, Poly((0, Fraction(-4, 7), Fraction(10, 11))))])
+        assert got.coeffs == (Fraction(2, 3),)
+
+
+class TestPolyEval:
+    @settings(max_examples=100)
+    @given(p=st.lists(rationals, max_size=10).map(Poly), x0=scalars)
+    @example(p=Poly(), x0=Fraction(-3, 7))
+    @example(p=Poly((Fraction(2, 3), 1, Fraction(-5, 2))), x0=0)
+    @example(p=Poly((Fraction(2, 3), 1, Fraction(-5, 2))), x0=Fraction(-61, 89))
+    @example(p=Poly((Fraction(2, 3), 1, Fraction(-5, 2))), x0=-4)
+    def test_matches_fraction_horner(self, p, x0):
+        got = poly_eval(p, x0)
+        assert got == ref_poly_eval(p, x0)
+        assert type(got) is Fraction
+
+    @pytest.mark.parametrize("x0", [0, 5, Fraction(-3, 7)])
+    def test_zero_polynomial(self, x0):
+        got = poly_eval(Poly(), x0)
+        assert got == 0 and type(got) is Fraction
+
+    def test_at_zero_is_the_constant_term(self):
+        assert poly_eval(Poly((Fraction(-7, 3), 2, 9)), 0) == Fraction(-7, 3)
+
+    def test_negative_rational_and_integer_points(self):
+        p = Poly((1, Fraction(1, 2), Fraction(1, 3)))
+        assert poly_eval(p, Fraction(-3, 2)) == 1 - Fraction(3, 4) + Fraction(3, 4)
+        assert poly_eval(p, -3) == 1 - Fraction(3, 2) + 3
+        assert poly_eval(p, 2) == 1 + 1 + Fraction(4, 3)
 
 
 class TestReciprocal:

@@ -476,7 +476,7 @@ class TestStore:
             raise AssertionError("the Appell step read a kernel of its oracle")
 
         for module in (sequences, algebra):
-            for name in ("binom_poly", "dfact", "gfact_falling"):
+            for name in ("binom_poly", "dfact", "gfact_falling", "poly_combination"):
                 monkeypatch.setattr(module, name, untouchable)
         for name in ("_integer_numerators", "_cauchy_product"):
             monkeypatch.setattr(algebra, name, untouchable)
@@ -505,6 +505,8 @@ class TestStore:
         for module in (algebra, series):
             for name in ("_integer_numerators", "_cauchy_product"):
                 monkeypatch.setattr(module, name, untouchable)
+        for module in (algebra, sequences):
+            monkeypatch.setattr(module, "poly_combination", untouchable)
         assert [list(row) for row in s1_triangle(12, lam).rows[:13]] == oracles["first"]
         assert [list(row) for row in s2_triangle(12, lam).rows[:13]] == oracles["second"]
         for r, coeffs in gfs.items():
