@@ -29,7 +29,6 @@ def hyperharmonic(n: int, r: int) -> Fraction:
     return comb(n + r - 1, r - 1) * (harmonic(n + r - 1) - harmonic(r - 1))
 
 
-@lru_cache(maxsize=None)
 def stirling1_rows(nmax: int) -> tuple[tuple[int, ...], ...]:
     """Signed Stirling numbers of the first kind, s(n+1,k) = s(n,k-1) - n*s(n,k)."""
     rows = [(1,)]
@@ -44,7 +43,6 @@ def stirling1_rows(nmax: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
 def stirling2_rows(nmax: int) -> tuple[tuple[int, ...], ...]:
     """Stirling numbers of the second kind, S(n+1,k) = S(n,k-1) + k*S(n,k)."""
     rows = [(1,)]

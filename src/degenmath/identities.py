@@ -214,7 +214,7 @@ def _result(ident: str, binding: dict, lhs, rhs, note: str = "") -> CheckResult:
 def hyperharmonic_gf(lam, r: int, order: int) -> Series:
     """-log_lam(1-t)/(1-t)^r, the generating function of the hyperharmonic numbers."""
     minus_log = -ser_compose(dlog(lam, order), Series((0, -1), order))
-    return minus_log * ser_reciprocal(Series((1, -1), order) ** r)
+    return minus_log * ser_reciprocal(Series([(-1) ** k * comb(r, k) for k in range(r + 1)], order))
 
 
 @identity("T1", {"r": R1, "lambda": LAM, "order": ORDERS},

@@ -22,9 +22,9 @@ and Euler steps work on integers.  For lam = p/q the triangle rows are
 stored as Fractions, but q**(n-k) S(n,k) is an integer: the step recovers
 row n-1's integers by one exact division per entry, applies the
 recurrence with integer weights and normalises each entry of row n once.
-Entry m of the "falling" family is the tuple of integer coefficients of
-q**m (x)_{m,lam}, not a Poly, and each Bernoulli or Euler coefficient is
-normalised once.
+The Bernoulli and Euler steps sum in the basis of the falling factorials
+(x)_{m,lam} by Horner's scheme on integers, so no falling factorial is
+stored, and each coefficient is normalised once.
 The oracles keep their own memo, bounded at STORE_CAPACITY entries, apart
 from the code they check.
 """
@@ -208,16 +208,6 @@ def dhyperharmonic(n: int, r: int, lam) -> Fraction:
     return Fraction(sums[n], d)
 
 
-def _falling_step(rows, m, lam):
-    # lam = p/q: q**m (x)_{m,lam} has integer coefficients, and row m is row
-    # m-1 times q*x - (m-1)*p
-    if not m:
-        return (1,)
-    q, r = lam.denominator, (m - 1) * lam.numerator
-    prev = rows[m - 1]
-    return tuple(q * a - r * b for a, b in zip((0,) + prev, prev + (0,)))
-
-
 def _over_lcm(fracs) -> tuple[list[int], int]:
     """(numerators, d): the Fractions fracs as integers over d, the lcm of their denominators.
 
@@ -233,13 +223,15 @@ def _appell_step(weight):
     the t**j/j! coefficient w_j of W (w_0 == 1), from the integers
     ones[i] = (1)_{i,lam} * q**i with lam = p/q.  The constant terms c_n of 1/W
     solve sum_j C(n,j) w_j c_{n-j} = [n == 0], and
-    P_n(x) = sum_k C(n,k) c_k (x)_{n-k,lam}, read from the stored integer
-    numerators of q**m (x)_{m,lam}.
+    P_n(x) = sum_m C(n,m) c_{n-m} (x)_{m,lam} is summed by Horner's scheme in
+    the falling-factorial basis: from acc = c_0, for m = n-1 down to 0,
+    acc <- (x - m lam) acc + C(n,m) c_{n-m}.
 
     Both sums run on integers over one denominator, the lcm of their
-    operands' denominators (times q**n for P_n), and each output is
-    normalised once.  The step scales by itself, apart from the Poly kernels
-    that its oracle dbernoulli_poly_stirling runs on."""
+    operands' denominators (times q**(n-m) for acc, so that each pass
+    multiplies by q*x - m*p), and each output is normalised once.  The step
+    scales by itself, apart from the Poly kernels that its oracle
+    dbernoulli_poly_stirling runs on."""
 
     def step(polys, n, lam):
         p, q = lam.numerator, lam.denominator
@@ -252,15 +244,13 @@ def _appell_step(weight):
         dot = sum(comb(n, j) * ws[j - 1] * cs[n - j] for j in range(1, n + 1))
         consts.append(Fraction(int(n == 0) * dw * dc - dot, dw * dc))
         cs, d = _over_lcm(consts)
-        falling = _grown("falling", n, lam, _falling_step)
-        acc = [0] * (n + 1)
-        for k, c in enumerate(cs):
-            if c:
-                # C(n,k) c_k (x)_{n-k,lam} over d q**n
-                c *= comb(n, k) * q**k
-                for i, a in enumerate(falling[n - k]):
-                    acc[i] += c * a
-        den = d * q**n
+        acc, scale = [cs[0]], 1
+        for m in range(n - 1, -1, -1):
+            scale *= q
+            r = m * p
+            acc = [q * a - r * b for a, b in zip([0] + acc, acc + [0])]
+            acc[0] += comb(n, m) * cs[n - m] * scale
+        den = d * scale
         return Poly([Fraction(a, den) for a in acc])
 
     return step

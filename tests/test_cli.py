@@ -142,13 +142,25 @@ class TestEvalGolden:
     # the repo root), for F in bernoulli euler bell fubini:
     #   degenmath eval F --n 40 --lambda=-61/89 --x=-7/3 --format json --output eval_F.json
     #   sha256sum eval_bernoulli.json eval_euler.json eval_bell.json eval_fubini.json > tests/data/eval_values.sha256
+    @staticmethod
+    def recorded(name):
+        lines = (DATA / "eval_values.sha256").read_text().splitlines()
+        return {file: digest for digest, file in map(str.split, lines)}[name]
+
     @pytest.mark.parametrize("family", POLY_FAMILIES)
     def test_matches_recorded_digest(self, capsys, family):
-        lines = (DATA / "eval_values.sha256").read_text().splitlines()
-        digests = {name: digest for digest, name in map(str.split, lines)}
         code, out = run_cli(capsys, "eval", family, "--n", "40", "--lambda=-61/89", "--x=-7/3", "--format", "json")
         assert code == EXIT_OK
-        assert hashlib.sha256(out.encode()).hexdigest() == digests[f"eval_{family}.json"]
+        assert hashlib.sha256(out.encode()).hexdigest() == self.recorded(f"eval_{family}.json")
+
+    # and, for F in bernoulli euler, where the Appell step's integers are large:
+    #   degenmath eval F --n 160 --lambda=57/89 --x=1/3 --format json --output eval_F_160.json
+    #   sha256sum eval_bernoulli_160.json eval_euler_160.json >> tests/data/eval_values.sha256
+    @pytest.mark.parametrize("family", ["bernoulli", "euler"])
+    def test_appell_value_at_n_160_matches_recorded_digest(self, capsys, family):
+        code, out = run_cli(capsys, "eval", family, "--n", "160", "--lambda=57/89", "--x=1/3", "--format", "json")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == self.recorded(f"eval_{family}_160.json")
 
 
 class TestEval:

@@ -1,6 +1,7 @@
 """Identity registry, single checks, and the sweep runner."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -98,9 +99,11 @@ class TestSingleChecks:
 
     @pytest.mark.parametrize("order", [12, 17])
     def test_t1_truncation_robust(self, order):
-        res = run_identity("T1", {"r": 3, "lambda": Fraction(2, 3), "order": order})
-        assert res.passed
-        assert isinstance(res.lhs, Series) and res.lhs.order == order
+        # at r > order the binomial coefficients of (1-t)^r past order are cut
+        for r in (3, order + 5):
+            res = run_identity("T1", {"r": r, "lambda": Fraction(2, 3), "order": order})
+            assert res.passed
+            assert isinstance(res.lhs, Series) and res.lhs.order == order
 
     @pytest.mark.parametrize("order", [12, 17])
     def test_e44_truncation_robust(self, order):
@@ -150,6 +153,19 @@ class TestSuite:
         # T1 runs r x lambda at two orders
         t1 = report.results[0]
         assert t1.id == "T1" and t1.pass_count == 2 * 2 * 2
+
+    def test_c15_sweep_keeps_no_table_per_n(self):
+        # C15 reads classical.stirling2_rows(n) once per n; a memo keyed by n
+        # would keep every table of the sweep
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = run_suite(Grid(nmax=100), ids=("C15",))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert report.all_pass and report.results[0].pass_count == 99
+        assert held < 2**20
 
     def test_empty_lambda_list(self):
         report = run_suite(Grid(lambdas=()))

@@ -405,17 +405,6 @@ class TestAppellStep:
         assert got == ref_appell(ref_euler_weight, n, lam)
         assert all(type(c) is Fraction for poly in got for c in poly.coeffs)
 
-    @settings(max_examples=50, deadline=None)
-    @given(n=st.integers(min_value=0, max_value=24), lam=lambdas)
-    @appell_examples
-    def test_falling_rows_are_numerators_over_q_power(self, n, lam):
-        # the step may not call gfact_falling; the test may
-        lam = Fraction(lam)
-        rows = sequences._grown("falling", n, lam, sequences._falling_step)
-        for m, row in enumerate(rows[: n + 1]):
-            assert all(type(a) is int for a in row)
-            assert Poly([Fraction(a, lam.denominator**m) for a in row]) == gfact_falling(X, m, lam)
-
 
 def triangle_examples(test):
     """Run test at n = 40 on each of triangle_lambdas as well as the drawn examples."""

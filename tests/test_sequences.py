@@ -464,6 +464,13 @@ class TestStore:
         assert reads == [("harmonic", 40)] and len(row) == 41
         assert [key for key in sequences._STORE if key[1] == lam] == [("harmonic", lam)]
 
+    def test_appell_polys_store_only_their_own_families(self):
+        # the Appell step sums in the falling-factorial basis without storing it
+        lam = Fraction(37, 10**6 - 19)
+        dbernoulli_poly(20, lam)
+        deuler_poly(20, lam)
+        assert sorted(key for key in sequences._STORE if key[1] == lam) == [("bernoulli", lam), ("euler", lam)]
+
     def test_appell_step_reads_no_binomial_memo(self, monkeypatch):
         # the Appell step must stay independent of dbernoulli_poly_stirling,
         # which is its oracle and reads binom_poly, dfact and gfact_falling;
