@@ -10,11 +10,14 @@ scales each factor to integers over one common denominator and normalises
 each output coefficient once.  poly_combination sums c * P over many
 (scalar, Poly) pairs the same way: each P goes over the lcm of its
 denominators, the integer numerators are summed over one common
-denominator, and each output coefficient is normalised once.  poly_eval
-is integer Horner, with one Fraction per call.  Every generalized falling
-factorial, the rising one and dfact included, is a call into
-gfact_falling, which makes a scalar one integer product over one
-denominator.  binom(x, k) is memoised in a tuple of its own.
+denominator, and each output coefficient is normalised once.
+rational_dot is its scalar twin: the sum of x * y over paired scalars is
+one integer dot product of the two sides' numerators, each side over the
+lcm of its denominators, and one Fraction.  poly_eval is integer Horner,
+with one Fraction per call.  Every generalized falling factorial, the
+rising one and dfact included, is a call into gfact_falling, which makes
+a scalar one integer product over one denominator.  binom(x, k) is
+memoised in a tuple of its own.
 """
 
 from __future__ import annotations
@@ -194,7 +197,10 @@ X = Poly((0, 1))
 
 def _integer_numerators(cs) -> tuple[list[int], int]:
     """(numerators, d): the Fractions cs as integers over d, the lcm of their denominators."""
-    d = lcm(*(c.denominator for c in cs))
+    # a list, not a generator: CPython builds a generator's argument tuple at
+    # a guessed size and resizes it, and the resized tuples pile up on its
+    # per-size tuple free lists (about 1 MiB after check --all)
+    d = lcm(*[c.denominator for c in cs])
     return [c.numerator * (d // c.denominator) for c in cs], d
 
 
@@ -314,6 +320,21 @@ def poly_combination(terms) -> Poly:
         for i, v in enumerate(nums):
             acc[i] += a * v
     return Poly([Fraction(v, den) for v in acc])
+
+
+def rational_dot(xs, ys) -> Fraction:
+    """sum of x * y over the paired ints or Fractions of xs and ys.
+
+    The sides pair like zip: the longer one's tail is ignored, and an empty
+    side gives 0.  Each side goes over the lcm of its denominators, the
+    integer numerators are multiplied pairwise and summed, and the sum is
+    normalised once.
+    """
+    xs, ys = list(xs), list(ys)
+    n = min(len(xs), len(ys))
+    ix, dx = _integer_numerators(xs[:n])
+    iy, dy = _integer_numerators(ys[:n])
+    return Fraction(sum(map(mul, ix, iy)), dx * dy)
 
 
 def poly_eval(p: Poly, x0) -> Fraction:

@@ -20,7 +20,9 @@ at the bound without taking more memory: `eval bernoulli --n 300` takes
 about 8 s and 34 MiB, `series hypergf --order 300 --r 300` 0.3 s,
 `check --id T1 --rmax 300` 1.4 s, and a check sweep with --nmax or --pmax
 at the bound far longer (E59 builds the Bernoulli polynomial of degree
-pmax + 1).
+pmax + 1): `check --all --lambdas=57/89 --format json` takes 1.2-1.8 s at
+--nmax 40, 8-11 s at --nmax 80 and 30 s at --nmax 120, growing about as
+nmax**3, in 20-31 MiB (wall time and peak RSS of one CLI process).
 """
 
 from __future__ import annotations

@@ -31,6 +31,7 @@ from .algebra import (
     poly_derivative,
     poly_eval,
     poly_int_over_t,
+    rational_dot,
 )
 from .series import Series, dlog, dpolylog, ser_compose, ser_reciprocal
 
@@ -232,16 +233,8 @@ def _check_t2(b, tab):
     n, r, lam = b["n"], b["r"], b["lambda"]
     tri = tab.s2(n, lam)
     hyper = sequences.dhyperharmonic_row(n, r, lam)
-    lhs = sum(
-        (
-            Fraction((-1) ** k)
-            * hyper[k]
-            * factorial(k)
-            * tri.entry(n, k)
-            for k in range(1, n + 1)
-        ),
-        Fraction(0),
-    )
+    signed = [(-1) ** k * factorial(k) * tri.entry(n, k) for k in range(1, n + 1)]
+    lhs = rational_dot(hyper[1:], signed)
     rhs = Fraction((-1) ** n) * gfact_rising(Fraction(r), n - 1, lam) * n
     return _result("T2", b, lhs, rhs)
 
@@ -252,16 +245,8 @@ def _check_t3(b, tab):
     n, r, lam = b["n"], b["r"], b["lambda"]
     tri = tab.s1(n, lam)
     lhs = sequences.dhyperharmonic(n, r, lam)
-    rhs = sum(
-        (
-            Fraction((-1) ** (n - k))
-            * gfact_rising(Fraction(r), k - 1, lam)
-            * k
-            * tri.entry(n, k)
-            for k in range(1, n + 1)
-        ),
-        Fraction(0),
-    ) / factorial(n)
+    rising = [(-1) ** (n - k) * k * gfact_rising(Fraction(r), k - 1, lam) for k in range(1, n + 1)]
+    rhs = rational_dot(rising, tri.row(n)[1:]) / factorial(n)
     return _result("T3", b, lhs, rhs)
 
 
@@ -292,13 +277,11 @@ def _check_e32(b, tab):
     n, lam = b["n"], b["lambda"]
     tri = tab.s2(n, lam)
     lhs = poly_eval(sequences.deuler_poly(n, lam), Fraction(1, 2))
-    rhs = Fraction(0)
-    for k in range(n + 1):
-        inner = sum(
-            (Fraction(comb(2 * j, j), (1 - 2 * j) * 2 ** (k + j)) for j in range(k + 1)),
-            Fraction(0),
-        )
-        rhs += factorial(k) * tri.entry(n, k) * Fraction((-1) ** k) * inner
+    # the inner sum over j <= k is 2**-k P_k, with P_k the prefix sums of
+    # C(2j,j)/((1-2j) 2**j), which do not depend on lam
+    prefix = accumulate(Fraction(comb(2 * j, j), (1 - 2 * j) * 2**j) for j in range(n + 1))
+    weights = [Fraction((-1) ** k * factorial(k), 2**k) * pk for k, pk in enumerate(prefix)]
+    rhs = rational_dot(weights, tri.row(n))
     return _result("E32", b, lhs, rhs)
 
 
@@ -313,7 +296,7 @@ def _check_t5(b, tab):
     weights = [dfact(j, lam) / (j + 1) for j in range(n + 1)]
     falling = list(accumulate((X - m * lam for m in range(n)), mul, initial=Poly.constant(1)))
     rhs = poly_combination(
-        (comb(n, k) * sum(map(mul, weights, tri.row(k))), falling[n - k]) for k in range(n + 1)
+        (comb(n, k) * rational_dot(weights, tri.row(k)), falling[n - k]) for k in range(n + 1)
     )
     return _result("T5", b, lhs, rhs)
 
@@ -337,15 +320,9 @@ def _check_t7(b, tab):
     lhs = sequences.dbernoulli_poly(n, lam)
     rhs = sequences.bernoulli_from_triangle(tri, n, lam)
     # the x = 0 instance in its own right: the constant terms against the
-    # single-sum form with dfact(k)/(k+1)! weights
+    # single sum of k! S2(n,k) dfact(k)/(k+1)!, with k! cancelled
     const_lhs = poly_eval(lhs, 0)
-    const_rhs = sum(
-        (
-            factorial(k) * tri.entry(n, k) * dfact(k, lam) / factorial(k + 1)
-            for k in range(n + 1)
-        ),
-        Fraction(0),
-    )
+    const_rhs = rational_dot(tri.row(n), [dfact(k, lam) / (k + 1) for k in range(n + 1)])
     res = _result("T7", b, lhs, rhs, note="x=0 instance checked")
     if const_lhs != const_rhs:
         return CheckResult(
@@ -360,15 +337,9 @@ def _check_t8(b, tab):
     n, lam = b["n"], b["lambda"]
     tri = tab.s1(n, -lam)
     lhs = factorial(n - 1) * sequences.dharmonic(n, -lam)
-    rhs = sum(
-        (
-            Fraction((-1) ** (n - k))
-            * poly_eval(sequences.dbernoulli_poly(k - 1, lam), 1 - lam)
-            * tri.entry(n, k)
-            for k in range(1, n + 1)
-        ),
-        Fraction(0),
-    )
+    values = [poly_eval(sequences.dbernoulli_poly(k - 1, lam), 1 - lam) for k in range(1, n + 1)]
+    signed = [(-1) ** (n - k) * v for k, v in enumerate(values, 1)]
+    rhs = rational_dot(signed, tri.row(n)[1:])
     return _result("T8", b, lhs, rhs)
 
 
@@ -378,16 +349,8 @@ def _check_t9(b, tab):
     n, lam = b["n"], b["lambda"]
     tri = tab.s2(n, lam)
     lhs = poly_eval(sequences.dbernoulli_poly(n - 1, -lam), 2 * lam + 1)
-    rhs = sum(
-        (
-            factorial(k - 1)
-            * Fraction((-1) ** (n - k))
-            * sequences.dharmonic(k, -lam)
-            * tri.entry(n, k)
-            for k in range(1, n + 1)
-        ),
-        Fraction(0),
-    )
+    weighted = [(-1) ** (n - k) * factorial(k - 1) * sequences.dharmonic(k, -lam) for k in range(1, n + 1)]
+    rhs = rational_dot(weighted, tri.row(n)[1:])
     return _result("T9", b, lhs, rhs)
 
 
@@ -397,13 +360,8 @@ def _check_t10(b, tab):
     n, lam = b["n"], b["lambda"]
     tri = tab.s1(n, lam)
     lhs = dfact(n - 1, lam) / n
-    rhs = sum(
-        (
-            poly_eval(sequences.dbernoulli_poly(k - 1, lam), 1 - lam) * tri.entry(n, k)
-            for k in range(1, n + 1)
-        ),
-        Fraction(0),
-    )
+    values = [poly_eval(sequences.dbernoulli_poly(k - 1, lam), 1 - lam) for k in range(1, n + 1)]
+    rhs = rational_dot(values, tri.row(n)[1:])
     return _result("T10", b, lhs, rhs)
 
 
@@ -466,11 +424,12 @@ def _check_e61(b, tab):
     beta = [poly_eval(sequences.dbernoulli_poly(i, lam), 1 - lam) for i in range(n)]
     # (1/n) sum_j C(n,j) beta_j/(n-j) sum_{m>=1} C(n-j,m) beta_{n-j-m} Bell_m,
     # summed over j first: one scalar per Bell_m, then one poly_combination
+    # beta[n-m::-1] runs beta[n-j-m] for j = 0..n-m
     rhs = poly_combination(
         (
-            sum(
-                Fraction(comb(n, j) * comb(n - j, m), n * (n - j)) * beta[j] * beta[n - j - m]
-                for j in range(n - m + 1)
+            rational_dot(
+                [Fraction(comb(n, j) * comb(n - j, m), n * (n - j)) * beta[j] for j in range(n - m + 1)],
+                beta[n - m :: -1],
             ),
             tab.bell(m, lam),
         )
@@ -509,11 +468,10 @@ def _check_t13(b, tab):
 def _check_t13r(b, tab):
     n, lam = b["n"], b["lambda"]
     tri = tab.s2(n + 1, lam)
-    lhs = sum(
-        (tri.entry(n + 1, k) * factorial(k - 1) for k in range(1, n + 2)), Fraction(0)
-    ) + (n * lam) * sum(
-        (tri.entry(n, k) * factorial(k - 1) for k in range(1, n + 1)), Fraction(0)
-    )
+    # factorials[k-1] is (k-1)!, paired with row entries k = 1, 2, ...
+    factorials = list(accumulate(range(1, n + 1), mul, initial=1))
+    lhs = rational_dot(tri.row(n + 1)[1:], factorials)
+    lhs += n * lam * rational_dot(tri.row(n)[1:], factorials)
     if n >= 1:
         rhs = 2 * poly_eval(sequences.fubini_from_triangle(tri, n), 1)
     else:
@@ -537,9 +495,7 @@ def _check_t14(b, tab):
 def _check_t15(b, tab):
     n, lam = b["n"], b["lambda"]
     tri = tab.s2(n, lam)
-    lhs = sum(
-        (dfact(k - 2, lam) * tri.entry(n, k) for k in range(2, n + 1)), Fraction(0)
-    )
+    lhs = rational_dot([dfact(k - 2, lam) for k in range(2, n + 1)], tri.row(n)[2:])
     rhs = (n - 1) * gfact_falling(Fraction(1), n - 1, lam)
     return _result("T15", b, lhs, rhs)
 
@@ -549,10 +505,7 @@ def _check_t15(b, tab):
 def _check_c15(b, tab):
     n = b["n"]
     rows = classical.stirling2_rows(n)
-    lhs = sum(
-        (Fraction((-1) ** (k - 2) * factorial(k - 2) * rows[n][k]) for k in range(2, n + 1)),
-        Fraction(0),
-    )
+    lhs = Fraction(sum((-1) ** k * factorial(k - 2) * rows[n][k] for k in range(2, n + 1)))
     rhs = Fraction(n - 1)
     return _result("C15", b, lhs, rhs)
 

@@ -36,10 +36,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 from operator import mul
 
-from .algebra import Poly, X, binom_poly, dfact, gfact_falling, poly_combination
+from .algebra import Poly, X, binom_poly, dfact, poly_combination, rational_dot
 from .series import Series, dexp, dlog, ser_reciprocal
 
 STORE_CAPACITY = 128
@@ -295,14 +295,14 @@ def binomial_sum(row, weights) -> Poly:
     row[0..n] and weights[0..n].
 
     Summed over k first: for each j one scalar inner sum
-    sum_{k>=j} k! row[k] weights[k-j], then one poly_combination over the
-    binom_poly(j).  The swap is exact for any row, a mutated triangle's
-    included.
+    sum_{k>=j} k! row[k] weights[k-j], a rational_dot, then one
+    poly_combination over the binom_poly(j).  The swap is exact for any row,
+    a mutated triangle's included.
     """
     scaled = [factorial(k) * c for k, c in enumerate(row)]
-    # map stops at the end of scaled[j:], pairing row[k] with weights[k-j]
+    # rational_dot pairs like zip, so scaled[j:] meets weights[0..n-j]
     return poly_combination(
-        (sum(map(mul, scaled[j:], weights)), binom_poly(j)) for j in range(len(row))
+        (rational_dot(scaled[j:], weights), binom_poly(j)) for j in range(len(row))
     )
 
 
@@ -344,8 +344,13 @@ def dfubini_series_oracle(n: int, lam) -> Poly:
 
 
 def power_sum(p: int, n: int, lam) -> Fraction:
-    """Direct sum of (k - lam)_{p,lam} for k = 1..n."""
+    """Direct sum of (k - lam)_{p,lam} for k = 1..n, as one integer sum.
+
+    With lam = a/q, q**p (k - lam)_{p,lam} is the integer
+    prod_j (k*q - (j+1)*a), so the sum is one integer sum over q**p.
+    """
     if p < 0:
         raise ValueError("power-sum exponent must be >= 0")
     lam = Fraction(lam)
-    return sum((gfact_falling(k - lam, p, lam) for k in range(1, n + 1)), Fraction(0))
+    a, q = lam.numerator, lam.denominator
+    return Fraction(sum(prod(k * q - (j + 1) * a for j in range(p)) for k in range(1, n + 1)), q**p)

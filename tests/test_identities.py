@@ -229,6 +229,30 @@ class TestPolyCombinationGuard:
         assert {r.id: r.fail_count > 0 for r in report.results} == dict.fromkeys(self.ROUTED, True)
 
 
+class TestRationalDotGuard:
+    # every checker sum routed through rational_dot, directly or through
+    # sequences.binomial_sum, must notice a kernel that drops its last pair
+    ROUTED = ("T2", "T3", "T4a", "T4b", "E32", "T5", "T6", "T7", "T8", "T9", "T10", "E61", "T13r", "T15")
+    GRID = Grid(nmax=4, lambdas=(HALF, Fraction(-3, 7)))
+
+    def test_dropping_the_last_pair_fails_each_routed_identity(self, monkeypatch):
+        from degenmath import algebra, identities, sequences
+
+        honest = run_suite(self.GRID, ids=self.ROUTED)
+        assert all(r.fail_count == 0 and r.pass_count > 0 for r in honest.results)
+
+        def drop_last(xs, ys):
+            xs, ys = list(xs), list(ys)
+            n = min(len(xs), len(ys))
+            # at n == 0 both slices still pair nothing
+            return algebra.rational_dot(xs[: n - 1], ys[: n - 1])
+
+        for module in (identities, sequences):
+            monkeypatch.setattr(module, "rational_dot", drop_last)
+        report = run_suite(self.GRID, ids=self.ROUTED)
+        assert {r.id: r.fail_count > 0 for r in report.results} == dict.fromkeys(self.ROUTED, True)
+
+
 class TestDefaultGrid:
     def test_acceptance_grid_values(self):
         assert DEFAULT_GRID.nmax == 12

@@ -13,7 +13,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from degenmath import sequences, series
-from degenmath.algebra import Poly, X, dfact, gfact_falling, gfact_rising, poly_combination, poly_eval
+from degenmath.algebra import (
+    Poly,
+    X,
+    dfact,
+    gfact_falling,
+    gfact_rising,
+    poly_combination,
+    poly_eval,
+    rational_dot,
+)
 from degenmath.identities import _e67_cutoff, _e67_partial
 from degenmath.sequences import (
     dbernoulli_poly,
@@ -21,6 +30,7 @@ from degenmath.sequences import (
     dharmonic,
     dhyperharmonic,
     dhyperharmonic_row,
+    power_sum,
     s1_triangle,
     s2_triangle,
 )
@@ -66,6 +76,10 @@ def ref_poly_combination(terms) -> Poly:
                 out.append(Fraction(0))
             out[i] += c * a
     return Poly(out)
+
+
+def ref_rational_dot(xs, ys) -> Fraction:
+    return sum((Fraction(x) * y for x, y in zip(xs, ys)), Fraction(0))
 
 
 def ref_poly_eval(p: Poly, x0) -> Fraction:
@@ -121,6 +135,11 @@ def ref_e67_cutoff(n: int, lam: Fraction, tol: Fraction) -> tuple[int, Fraction]
 
 def ref_e67_partial(n: int, lam: Fraction, cutoff: int) -> Fraction:
     return sum((gfact_falling(k, n, lam) / 2 ** (k + 1) for k in range(cutoff)), Fraction(0))
+
+
+def ref_power_sum(p: int, n: int, lam) -> Fraction:
+    lam = Fraction(lam)
+    return sum((gfact_falling(k - lam, p, lam) for k in range(1, n + 1)), Fraction(0))
 
 
 def ref_appell(weight, n: int, lam) -> list[Poly]:
@@ -271,6 +290,32 @@ class TestPolyCombination:
         assert got.coeffs == (Fraction(2, 3),)
 
 
+class TestRationalDot:
+    @settings(max_examples=100)
+    @given(xs=st.lists(scalars, max_size=12), ys=st.lists(scalars, max_size=12))
+    @example(xs=[3, -2, 7], ys=[5, 4, -1])
+    @example(xs=[], ys=[])
+    @example(xs=[Fraction(1, 2), 0, -4], ys=[Fraction(-3, 7), Fraction(0), Fraction(5, 11)])
+    def test_matches_fraction_loop(self, xs, ys):
+        got = rational_dot(iter(xs), iter(ys))
+        assert got == ref_rational_dot(xs, ys)
+        assert type(got) is Fraction
+
+    def test_empty_input_is_zero(self):
+        for xs, ys in (([], []), ([], [Fraction(1, 3)]), ((Fraction(2, 5),), ())):
+            got = rational_dot(xs, ys)
+            assert got == 0 and type(got) is Fraction
+
+    def test_pairs_like_zip(self):
+        # the longer side's tail is ignored
+        assert rational_dot([2, Fraction(1, 3)], [Fraction(1, 2), 3, Fraction(1, 10**9)]) == 2
+        assert rational_dot([Fraction(-1, 2)], [4, 5, 6]) == -2
+
+    def test_cancellation_normalises(self):
+        got = rational_dot([Fraction(2, 3), Fraction(-1, 3)], [Fraction(3, 4), Fraction(3, 2)])
+        assert got == 0 and got.denominator == 1
+
+
 class TestPolyEval:
     @settings(max_examples=100)
     @given(p=st.lists(rationals, max_size=10).map(Poly), x0=scalars)
@@ -378,6 +423,20 @@ class TestE67Partial:
     def test_matches_fraction_sum(self, n, lam, cutoff):
         got = _e67_partial(n, lam, cutoff)
         assert got == ref_e67_partial(n, lam, cutoff)
+        assert type(got) is Fraction
+
+
+class TestPowerSum:
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(min_value=0, max_value=10), n=st.integers(min_value=0, max_value=20), lam=lambdas)
+    @example(p=3, n=0, lam=Fraction(-3, 7))
+    @example(p=0, n=9, lam=Fraction(-3, 7))
+    @example(p=5, n=7, lam=Fraction(0))
+    @example(p=4, n=6, lam=Fraction(-61, 89))
+    @example(p=2, n=5, lam=-2)
+    def test_matches_fraction_sum(self, p, n, lam):
+        got = power_sum(p, n, lam)
+        assert got == ref_power_sum(p, n, lam)
         assert type(got) is Fraction
 
 

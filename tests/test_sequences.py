@@ -8,7 +8,7 @@ from math import comb, factorial
 
 import pytest
 
-from degenmath import algebra, classical, sequences, series
+from degenmath import algebra, classical, identities, sequences, series
 from degenmath.algebra import Poly, X, binom_poly, dfact, gfact_falling, poly_eval
 from degenmath.identities import hyperharmonic_gf, run_identity
 from degenmath.sequences import (
@@ -473,9 +473,9 @@ class TestStore:
 
     def test_appell_step_reads_no_binomial_memo(self, monkeypatch):
         # the Appell step must stay independent of dbernoulli_poly_stirling,
-        # which is its oracle and reads binom_poly, dfact and gfact_falling;
-        # the binom_poly memo is built by Poly products, so the step shares
-        # no integer kernel with them either
+        # which is its oracle and reads binom_poly, dfact, gfact_falling and
+        # rational_dot; the binom_poly memo is built by Poly products, so the
+        # step shares no integer kernel with them either
         lam = Fraction(23, 10**6 - 11)
         oracle = [dbernoulli_poly_stirling(n, lam) for n in range(13)]
 
@@ -483,9 +483,9 @@ class TestStore:
             raise AssertionError("the Appell step read a kernel of its oracle")
 
         for module in (sequences, algebra):
-            for name in ("binom_poly", "dfact", "gfact_falling", "poly_combination"):
+            for name in ("binom_poly", "dfact", "poly_combination", "rational_dot"):
                 monkeypatch.setattr(module, name, untouchable)
-        for name in ("_integer_numerators", "_cauchy_product"):
+        for name in ("gfact_falling", "_integer_numerators", "_cauchy_product"):
             monkeypatch.setattr(algebra, name, untouchable)
         monkeypatch.setattr(algebra, "_BINOMS", None)
         assert [dbernoulli_poly(n, lam) for n in range(13)] == oracle
@@ -494,16 +494,21 @@ class TestStore:
     def test_triangle_and_hyperharmonic_steps_read_no_series_kernel(self, monkeypatch):
         # stirling_series_oracle and hyperharmonic_gf are the oracles of the
         # triangle and hyperharmonic steps and run on the series kernels and
-        # the Poly/Series integer products, so the steps may use none of them
+        # the Poly/Series integer products, so the steps may use none of them;
+        # neither the oracles nor the steps sum through rational_dot
         lam = Fraction(31, 10**6 - 17)
+
+        def untouchable(*args):
+            raise AssertionError("a triangle or hyperharmonic step read a kernel of its oracle")
+
+        for module in (algebra, sequences, identities):
+            monkeypatch.setattr(module, "rational_dot", untouchable)
         oracles = {
             kind: [[stirling_series_oracle(kind, n, k, lam, 12) for k in range(n + 1)] for n in range(13)]
             for kind in ("first", "second")
         }
         gfs = {r: hyperharmonic_gf(lam, r, 12).coeffs for r in (1, 2, 3)}
-
-        def untouchable(*args):
-            raise AssertionError("a triangle or hyperharmonic step read a kernel of its oracle")
+        fubini = [dfubini_series_oracle(n, lam) for n in range(8)]
 
         for name in ("dexp", "dlog", "ser_compose", "ser_reciprocal"):
             monkeypatch.setattr(series, name, untouchable)
@@ -519,3 +524,4 @@ class TestStore:
         for r, coeffs in gfs.items():
             assert dhyperharmonic_row(12, r, lam) == coeffs
             assert dhyperharmonic(12, r, lam) == coeffs[12]
+        assert [dfubini_poly(n, lam) for n in range(8)] == fubini
