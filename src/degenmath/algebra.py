@@ -81,9 +81,6 @@ class Poly:
         """Degree as an int, or None for the zero polynomial."""
         return len(self.coeffs) - 1 if self.coeffs else None
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def coeff(self, i: int) -> Fraction:
         """Coefficient of x**i (zero outside the stored range)."""
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)

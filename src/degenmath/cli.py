@@ -17,7 +17,7 @@ sized by the largest table: `table s2 --lambda=57/89 --format json` takes
 peak RSS).  The triangle's entries grow as n**2 and their digits as n, so
 the memory grows about as n**3: 690 MiB at 500.  Other commands are slower
 at the bound without taking more memory: `eval bernoulli --n 300` takes
-about 8 s and 34 MiB, `series hypergf --order 300 --r 300` 0.3 s,
+4.4-7.7 s and 34 MiB, `series hypergf --order 300 --r 300` 0.3 s,
 `check --id T1 --rmax 300` 1.4 s, and a check sweep with --nmax or --pmax
 at the bound far longer (E59 builds the Bernoulli polynomial of degree
 pmax + 1): `check --all --lambdas=57/89 --format json` takes 1.2-1.8 s at

@@ -5,26 +5,29 @@ formula) and, where one exists, an independent generating-function path
 that the test suite uses as an oracle.
 
 The primary paths share one store of per-lambda tables, keyed by
-(family, lambda), and every stored family grows by one rule: entry m is
-computed once, by the family's step, from the entries before it.  A miss
-computes only the missing entries, up to at least GROW_MIN_N, and a hit
-returns the stored table itself, which may hold more entries than were
-asked for.  The floor is fixed: a caller that asks n = 0, 1, 2, ... in
-turn for each new lambda (perfbench's lambda_stream) misses on every
-query under a rule that never overshoots n, and a geometric rule builds
-entries far past the n asked for.  The store keeps at most
+(family, lambda), and every stored family grows by one rule: a miss makes
+one call extend(entries, upto, lam) of the family's extend, which returns
+entries 0..upto with the stored ones kept as the same objects, so each
+entry is computed once.  upto is at least GROW_MIN_N, and a hit returns
+the stored table itself, which may hold more entries than were asked
+for.  The floor is fixed: a caller that asks n = 0, 1, 2, ... in turn for
+each new lambda (perfbench's lambda_stream) misses on every query under a
+rule that never overshoots n, and a geometric rule builds entries far
+past the n asked for.  The per-lambda setup of an extend (the integer
+weights, the common denominators, the last stored row's integers) is done
+once per miss, not once per entry.  The store keeps at most
 STORE_CAPACITY entries and drops the oldest when full.  Stored values
 are immutable and an entry is only ever replaced wholesale, so a reader
 never sees a partial table.  The harmonic numbers are a stored family;
 hyperharmonic numbers are cumulative sums of its entries, taken on the
 integer numerators over one common denominator.  The triangle, Bernoulli
-and Euler steps work on integers.  For lam = p/q the triangle rows are
-stored as Fractions, but q**(n-k) S(n,k) is an integer: the step recovers
-row n-1's integers by one exact division per entry, applies the
-recurrence with integer weights and normalises each entry of row n once.
-The Bernoulli and Euler steps sum in the basis of the falling factorials
-(x)_{m,lam} by Horner's scheme on integers, so no falling factorial is
-stored, and each coefficient is normalised once.
+and Euler extends work on integers.  For lam = p/q the triangle rows are
+stored as Fractions, but q**(n-k) S(n,k) is an integer: the extend
+recovers the last stored row's integers by one exact division per entry,
+carries the integer rows from row to row and normalises each new entry
+once.  The Bernoulli and Euler extends sum in the basis of the falling
+factorials (x)_{m,lam} by Horner's scheme on integers, so no falling
+factorial is stored, and each coefficient is normalised once.
 The oracles keep their own memo, bounded at STORE_CAPACITY entries, apart
 from the code they check.
 """
@@ -59,19 +62,16 @@ def _put(key, value):
     return value
 
 
-def _grown(family: str, n: int, lam: Fraction, step) -> tuple:
-    """Stored entries 0..n or more of family at lam; a miss appends
-    step(entries, m, lam) for each missing m up to max(n, GROW_MIN_N)."""
+def _grown(family: str, n: int, lam: Fraction, extend) -> tuple:
+    """Stored entries 0..n or more of family at lam; a miss stores
+    extend(entries, max(n, GROW_MIN_N), lam), the entries 0..that bound."""
     if n < 0:
         # a negative n would index the stored table from its end
         raise ValueError(f"n must be >= 0, got {n}")
     entries = _STORE.get((family, lam), ())
     if n < len(entries):
         return entries
-    grown = list(entries)
-    for m in range(len(grown), max(n, GROW_MIN_N) + 1):
-        grown.append(step(grown, m, lam))
-    return _put((family, lam), tuple(grown))
+    return _put((family, lam), extend(entries, max(n, GROW_MIN_N), lam))
 
 
 @dataclass(frozen=True)
@@ -107,41 +107,43 @@ def s1_triangle(nmax: int, lam) -> StirlingTriangle:
     return _triangle("first", int(nmax), Fraction(lam))
 
 
-def _row_step(weight):
-    """Step for S(m,k) = S(m-1,k-1) + weight * S(m-1,k), run on integers.
+def _row_extend(weight):
+    """Extend for S(m,k) = S(m-1,k-1) + weight * S(m-1,k), run on integers.
 
     For lam = p/q, S(n,k) is a polynomial of degree at most n-k in lam with
     integer coefficients, so T(n,k) = q**(n-k) S(n,k) is an integer and
     T(m,k) = T(m-1,k-1) + weight(m-1, k, p, q) * T(m-1,k), where the weight
-    is the old one times q.  Row m-1's integers are recovered from its stored
-    Fractions by one exact division each, and each entry of row m is
-    normalised once, over q**(m-k).  That scale, not q**m, keeps the
-    integers small; a reduced output needs its one gcd either way."""
+    is the old one times q.  The last stored row's integers are recovered
+    from its Fractions by one exact division each, the integer rows are then
+    carried from row to row, and each entry of a new row m is normalised
+    once, over q**(m-k).  That scale, not q**m, keeps the integers small; a
+    reduced output needs its one gcd either way."""
 
-    def step(rows, m, lam):
-        if m == 0:
-            return (Fraction(1),)
+    def extend(rows, upto, lam):
         p, q = lam.numerator, lam.denominator
-        scale = list(accumulate(repeat(q, m), mul, initial=1))  # q**0 .. q**m
-        # the zero past the end of row m-1 is also read as T(m-1, -1)
-        prev = [v.numerator * (scale[m - 1 - k] // v.denominator) for k, v in enumerate(rows[m - 1])]
-        prev.append(0)
-        return tuple(
-            Fraction(prev[k - 1] + weight(m - 1, k, p, q) * prev[k], scale[m - k]) for k in range(m + 1)
-        )
+        scale = list(accumulate(repeat(q, upto), mul, initial=1))  # q**0 .. q**upto
+        rows = list(rows) or [(Fraction(1),)]
+        last = len(rows) - 1
+        ints = [v.numerator * (scale[last - k] // v.denominator) for k, v in enumerate(rows[last])]
+        for m in range(last + 1, upto + 1):
+            # the zero past the end of row m-1 is also read as T(m-1, -1)
+            ints.append(0)
+            ints = [ints[k - 1] + weight(m - 1, k, p, q) * ints[k] for k in range(m + 1)]
+            rows.append(tuple(Fraction(t, scale[m - k]) for k, t in enumerate(ints)))
+        return tuple(rows)
 
-    return step
+    return extend
 
 
 # row m from row m-1 with lam = p/q: the weights k - n*lam and k*lam - n, times q
-_ROW_STEPS = {
-    "second": _row_step(lambda n, k, p, q: k * q - n * p),
-    "first": _row_step(lambda n, k, p, q: k * p - n * q),
+_ROW_EXTENDS = {
+    "second": _row_extend(lambda n, k, p, q: k * q - n * p),
+    "first": _row_extend(lambda n, k, p, q: k * p - n * q),
 }
 
 
 def _triangle(kind: str, nmax: int, lam: Fraction) -> StirlingTriangle:
-    return StirlingTriangle(_grown(kind, nmax, lam, _ROW_STEPS[kind]))
+    return StirlingTriangle(_grown(kind, nmax, lam, _ROW_EXTENDS[kind]))
 
 
 def stirling_series_oracle(kind: str, n: int, k: int, lam, order: int) -> Fraction:
@@ -169,9 +171,12 @@ def _gf_power(kind: str, lam: Fraction, k: int, order: int) -> Series:
     return _gf_power(kind, lam, k - 1, order) * base
 
 
-def _harmonic_step(sums, m, lam):
+def _harmonic_extend(sums, upto, lam):
     # H_m = H_{m-1} + (-1)**(m-1) dfact(m-1,lam)/m!, H_0 = 0
-    return sums[m - 1] + (-1) ** (m - 1) * dfact(m - 1, lam) / factorial(m) if m else Fraction(0)
+    sums = list(sums) or [Fraction(0)]
+    for m in range(len(sums), upto + 1):
+        sums.append(sums[-1] + (-1) ** (m - 1) * dfact(m - 1, lam) / factorial(m))
+    return tuple(sums)
 
 
 def dharmonic(n: int, lam) -> Fraction:
@@ -180,7 +185,7 @@ def dharmonic(n: int, lam) -> Fraction:
     The summand is the singularity-free rewriting of (1/lam) binom(lam, k)
     (-1)**(k-1), so lam == 0 is legal and yields the classical 1 + 1/2 + ... + 1/n.
     """
-    return _grown("harmonic", n, Fraction(lam), _harmonic_step)[n]
+    return _grown("harmonic", n, Fraction(lam), _harmonic_extend)[n]
 
 
 def _hyperharmonic_numerators(n: int, r: int, lam) -> tuple[list[int], int]:
@@ -190,7 +195,7 @@ def _hyperharmonic_numerators(n: int, r: int, lam) -> tuple[list[int], int]:
     the r-1 cumulative sums run on the integer numerators."""
     if r < 1:
         raise ValueError("hyperharmonic order r must be >= 1")
-    sums, d = _over_lcm(_grown("harmonic", n, Fraction(lam), _harmonic_step)[: n + 1])
+    sums, d = _over_lcm(_grown("harmonic", n, Fraction(lam), _harmonic_extend)[: n + 1])
     for _ in range(r - 1):
         sums = list(accumulate(sums))
     return sums, d
@@ -214,56 +219,65 @@ def _over_lcm(fracs) -> tuple[list[int], int]:
     The same scaling as algebra._integer_numerators, kept apart because the
     oracles of its callers (the Poly products of dbernoulli_poly_stirling and
     the series kernels of identities.hyperharmonic_gf) run on that one."""
-    d = lcm(*(f.denominator for f in fracs))
+    d = lcm(*[f.denominator for f in fracs])
     return [f.numerator * (d // f.denominator) for f in fracs], d
 
 
-def _appell_step(weight):
-    """Step for the P_n(x) generated by e_lam^x(t) / W(t): weight(j, ones, q) is
-    the t**j/j! coefficient w_j of W (w_0 == 1), from the integers
+def _appell_extend(weight):
+    """Extend for the P_n(x) generated by e_lam^x(t) / W(t): weight(j, ones, q)
+    is the t**j/j! coefficient w_j of W (w_0 == 1), from the integers
     ones[i] = (1)_{i,lam} * q**i with lam = p/q.  The constant terms c_n of 1/W
     solve sum_j C(n,j) w_j c_{n-j} = [n == 0], and
     P_n(x) = sum_m C(n,m) c_{n-m} (x)_{m,lam} is summed by Horner's scheme in
     the falling-factorial basis: from acc = c_0, for m = n-1 down to 0,
     acc <- (x - m lam) acc + C(n,m) c_{n-m}.
 
-    Both sums run on integers over one denominator, the lcm of their
-    operands' denominators (times q**(n-m) for acc, so that each pass
-    multiplies by q*x - m*p), and each output is normalised once.  The step
-    scales by itself, apart from the Poly kernels that its oracle
-    dbernoulli_poly_stirling runs on."""
+    Both sums run on integers over one denominator, and each output is
+    normalised once.  Per miss, ones and the weights (over the lcm dw of their
+    denominators) are built once and the stored constants go over one
+    denominator d once; each new c_n is one Fraction, and d is raised to the
+    lcm only when c_n's denominator needs it.  acc is kept over d*q**(n-m), so
+    that each pass multiplies by q*x - m*p.  The extend scales by itself,
+    apart from the Poly kernels that its oracle dbernoulli_poly_stirling runs
+    on."""
 
-    def step(polys, n, lam):
+    def extend(polys, upto, lam):
         p, q = lam.numerator, lam.denominator
         ones = [1]
-        for i in range(n + 1):
+        for i in range(upto + 1):
             ones.append(ones[-1] * (q - i * p))
-        consts = [poly.coeff(0) for poly in polys]
-        ws, dw = _over_lcm([weight(j, ones, q) for j in range(1, n + 1)])
-        cs, dc = _over_lcm(consts)
-        dot = sum(comb(n, j) * ws[j - 1] * cs[n - j] for j in range(1, n + 1))
-        consts.append(Fraction(int(n == 0) * dw * dc - dot, dw * dc))
-        cs, d = _over_lcm(consts)
-        acc, scale = [cs[0]], 1
-        for m in range(n - 1, -1, -1):
-            scale *= q
-            r = m * p
-            acc = [q * a - r * b for a, b in zip([0] + acc, acc + [0])]
-            acc[0] += comb(n, m) * cs[n - m] * scale
-        den = d * scale
-        return Poly([Fraction(a, den) for a in acc])
+        ws, dw = _over_lcm([weight(j, ones, q) for j in range(1, upto + 1)])
+        cs, d = _over_lcm([poly.coeff(0) for poly in polys])
+        polys = list(polys)
+        for n in range(len(polys), upto + 1):
+            dot = sum(comb(n, j) * ws[j - 1] * cs[n - j] for j in range(1, n + 1))
+            c = Fraction(int(n == 0) * dw * d - dot, dw * d)
+            if d % c.denominator:
+                raise_by = lcm(d, c.denominator) // d
+                cs = [a * raise_by for a in cs]
+                d *= raise_by
+            cs.append(c.numerator * (d // c.denominator))
+            acc, scale = [cs[0]], 1
+            for m in range(n - 1, -1, -1):
+                scale *= q
+                r = m * p
+                acc = [q * a - r * b for a, b in zip([0] + acc, acc + [0])]
+                acc[0] += comb(n, m) * cs[n - m] * scale
+            den = d * scale
+            polys.append(Poly([Fraction(a, den) for a in acc]))
+        return tuple(polys)
 
-    return step
+    return extend
 
 
 # W = (e_lam(t) - 1)/t and W = (e_lam(t) + 1)/2
-_BERNOULLI_STEP = _appell_step(lambda j, ones, q: Fraction(ones[j + 1], (j + 1) * q ** (j + 1)))
-_EULER_STEP = _appell_step(lambda j, ones, q: Fraction(ones[j], 2 * q**j))
+_BERNOULLI_EXTEND = _appell_extend(lambda j, ones, q: Fraction(ones[j + 1], (j + 1) * q ** (j + 1)))
+_EULER_EXTEND = _appell_extend(lambda j, ones, q: Fraction(ones[j], 2 * q**j))
 
 
 def dbernoulli_poly(n: int, lam) -> Poly:
     """Degenerate Bernoulli polynomial, the t**n/n! coefficient of t/(e_lam(t)-1) * e_lam^x(t)."""
-    return _grown("bernoulli", n, Fraction(lam), _BERNOULLI_STEP)[n]
+    return _grown("bernoulli", n, Fraction(lam), _BERNOULLI_EXTEND)[n]
 
 
 def dbernoulli_poly_stirling(n: int, lam) -> Poly:
@@ -277,7 +291,7 @@ def dbernoulli_poly_stirling(n: int, lam) -> Poly:
 
 def deuler_poly(n: int, lam) -> Poly:
     """Degenerate Euler polynomial, the t**n/n! coefficient of 2/(e_lam(t)+1) * e_lam^x(t)."""
-    return _grown("euler", n, Fraction(lam), _EULER_STEP)[n]
+    return _grown("euler", n, Fraction(lam), _EULER_EXTEND)[n]
 
 
 def bell_from_triangle(tri: StirlingTriangle, n: int) -> Poly:

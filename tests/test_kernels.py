@@ -507,6 +507,33 @@ class TestTriangleStep:
         assert len(grown) == 41
 
 
+STORED_FAMILIES = {"first": s1_triangle, "second": s2_triangle, "bernoulli": dbernoulli_poly,
+                   "euler": deuler_poly, "harmonic": dharmonic}
+
+
+class TestGrowth:
+    @pytest.mark.parametrize("family", list(STORED_FAMILIES))
+    @settings(max_examples=15, deadline=None)
+    @given(a=st.integers(min_value=0, max_value=24), extra=st.integers(min_value=0, max_value=24), lam=lambdas)
+    @example(a=0, extra=30, lam=Fraction(0))
+    @example(a=3, extra=1, lam=Fraction(3))
+    @example(a=20, extra=9, lam=Fraction(-3, 7))
+    @example(a=1, extra=16, lam=Fraction(-2))
+    def test_growing_from_any_stored_prefix_equals_cold_build(self, family, a, extra, lam):
+        # a short stored prefix (a may be below GROW_MIN_N) makes one extend
+        # start from few entries and raise its common denominators as it goes
+        build, lam, b = STORED_FAMILIES[family], Fraction(lam), a + extra
+        key = (family, lam)
+        sequences._STORE.pop(key, None)
+        build(b, lam)
+        cold = sequences._STORE.pop(key)
+        prefix = sequences._put(key, cold[: a + 1])
+        build(b, lam)
+        grown = sequences._STORE[key]
+        assert grown == (cold if b > a else prefix)
+        assert all(x is y for x, y in zip(grown, prefix))
+
+
 class TestHyperharmonic:
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(min_value=0, max_value=40), r=st.integers(min_value=1, max_value=5), lam=lambdas)

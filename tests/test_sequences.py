@@ -8,6 +8,7 @@ from math import comb, factorial
 
 import pytest
 
+import classical_oracles as oracles
 from degenmath import algebra, classical, identities, sequences, series
 from degenmath.algebra import Poly, X, binom_poly, dfact, gfact_falling, poly_eval
 from degenmath.identities import hyperharmonic_gf, run_identity
@@ -266,7 +267,7 @@ class TestGrowthPastStoredMinimum:
     def test_classical_limit(self):
         for n in range(17, 25):
             assert dbernoulli_poly(n, 0) == classical.bernoulli_poly(n)
-            assert deuler_poly(n, 0) == classical.euler_poly(n)
+            assert deuler_poly(n, 0) == oracles.euler_poly(n)
 
 
 class TestBellFubini:
@@ -294,7 +295,7 @@ class TestClassicalDegeneration:
     def test_stirling(self):
         tri1 = s1_triangle(10, 0)
         tri2 = s2_triangle(10, 0)
-        c1 = classical.stirling1_rows(10)
+        c1 = oracles.stirling1_rows(10)
         c2 = classical.stirling2_rows(10)
         for n in range(11):
             for k in range(n + 1):
@@ -303,12 +304,12 @@ class TestClassicalDegeneration:
 
     def test_harmonic(self):
         for n in range(11):
-            assert dharmonic(n, 0) == classical.harmonic(n)
+            assert dharmonic(n, 0) == oracles.harmonic(n)
 
     def test_hyperharmonic_closed_form(self):
         for r in range(1, 5):
             for n in range(11):
-                assert dhyperharmonic(n, r, 0) == classical.hyperharmonic(n, r)
+                assert dhyperharmonic(n, r, 0) == oracles.hyperharmonic(n, r)
 
     def test_bernoulli(self):
         for n in range(11):
@@ -316,15 +317,15 @@ class TestClassicalDegeneration:
 
     def test_euler(self):
         for n in range(11):
-            assert deuler_poly(n, 0) == classical.euler_poly(n)
+            assert deuler_poly(n, 0) == oracles.euler_poly(n)
 
     def test_bell_numbers(self):
         for n in range(11):
-            assert poly_eval(dbell_poly(n, 0), 1) == classical.bell_number(n)
+            assert poly_eval(dbell_poly(n, 0), 1) == oracles.bell_number(n)
 
     def test_fubini_numbers(self):
         for n in range(11):
-            assert poly_eval(dfubini_poly(n, 0), 1) == classical.fubini_number(n)
+            assert poly_eval(dfubini_poly(n, 0), 1) == oracles.fubini_number(n)
 
 
 class TestPowerSum:
@@ -421,11 +422,12 @@ class TestStore:
         computed = []
         grown = sequences._grown
 
-        def counting(name, n, at, step):
-            def counted(entries, m, at):
+        def counting(name, n, at, extend):
+            def counted(entries, upto, at):
+                # one extend call builds the entries len(entries)..upto
                 if name == family:
-                    computed.append(m)
-                return step(entries, m, at)
+                    computed.extend(range(len(entries), upto + 1))
+                return extend(entries, upto, at)
 
             return grown(name, n, at, counted)
 
@@ -455,9 +457,9 @@ class TestStore:
         reads = []
         grown = sequences._grown
 
-        def counting(name, n, at, step):
+        def counting(name, n, at, extend):
             reads.append((name, n))
-            return grown(name, n, at, step)
+            return grown(name, n, at, extend)
 
         monkeypatch.setattr(sequences, "_grown", counting)
         row = dhyperharmonic_row(40, 3, lam)
