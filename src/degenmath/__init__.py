@@ -40,7 +40,9 @@ from .sequences import (
     dbell_poly,
     dbernoulli_poly,
     dbernoulli_poly_stirling,
+    dbernoulli_value,
     deuler_poly,
+    deuler_value,
     dfubini_poly,
     dfubini_series_oracle,
     dharmonic,

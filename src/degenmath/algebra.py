@@ -135,14 +135,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial powers take a nonnegative integer exponent")
-        out = Poly((1,))
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.coeffs == other.coeffs

@@ -16,13 +16,16 @@ sized by the largest table: `table s2 --lambda=57/89 --format json` takes
 89 MiB at 240, and 1.3 s and 159 MiB at 300 (Python 3.11, 2-vCPU host,
 peak RSS).  The triangle's entries grow as n**2 and their digits as n, so
 the memory grows about as n**3: 690 MiB at 500.  Other commands are slower
-at the bound without taking more memory: `eval bernoulli --n 300` takes
-4.4-7.7 s and 34 MiB, `series hypergf --order 300 --r 300` 0.3 s,
-`check --id T1 --rmax 300` 1.4 s, and a check sweep with --nmax or --pmax
-at the bound far longer (E59 builds the Bernoulli polynomial of degree
-pmax + 1): `check --all --lambdas=57/89 --format json` takes 1.2-1.8 s at
---nmax 40, 8-11 s at --nmax 80 and 30 s at --nmax 120, growing about as
-nmax**3, in 20-31 MiB (wall time and peak RSS of one CLI process).
+at the bound without taking more memory: `eval bernoulli --n 300` and
+`eval euler --n 300` take 0.4-0.8 s and 18 MiB (the value is summed from
+the stored constants, building no polynomial), `series hypergf --order 300
+--r 300` 0.3 s, `check --id T1 --rmax 300` 1.4 s, and a check sweep with
+--nmax or --pmax at the bound far longer: `check --id E59 --pmax 300
+--lambdas=57/89` takes 6-10 s (E59 reads two Bernoulli values of degree
+p + 1 for each of its 3,612 bindings), and `check --all --lambdas=57/89
+--format json` takes 1.2-1.8 s at --nmax 40, 8-11 s at --nmax 80 and 30 s
+at --nmax 120, growing about as nmax**3, in 20-31 MiB (wall time and peak
+RSS of one CLI process).
 """
 
 from __future__ import annotations
@@ -60,6 +63,9 @@ FAMILY_FUNCTIONS = {
     "bell": "dbell_poly",
     "fubini": "dfubini_poly",
 }
+
+# the Appell families evaluate from their stored constants, building no polynomial
+VALUE_FUNCTIONS = {"bernoulli": "dbernoulli_value", "euler": "deuler_value"}
 
 
 def _rational_list(text: str) -> tuple[Fraction, ...]:
@@ -195,8 +201,10 @@ def _cmd_eval(args) -> int:
     if args.n < 0:
         print("error: --n must be >= 0", file=sys.stderr)
         return EXIT_DOMAIN
-    maker = getattr(sequences, FAMILY_FUNCTIONS[args.family])
-    value = poly_eval(maker(args.n, args.lam), args.x)
+    if args.family in VALUE_FUNCTIONS:
+        value = getattr(sequences, VALUE_FUNCTIONS[args.family])(args.n, args.lam, args.x)
+    else:
+        value = poly_eval(getattr(sequences, FAMILY_FUNCTIONS[args.family])(args.n, args.lam), args.x)
     if args.format == "json":
         text = _json_text({"family": args.family, "n": args.n, "lambda": str(args.lam), "x": str(args.x), "value": str(value)})
     elif args.format == "csv":

@@ -276,7 +276,7 @@ def _check_t4b(b, tab):
 def _check_e32(b, tab):
     n, lam = b["n"], b["lambda"]
     tri = tab.s2(n, lam)
-    lhs = poly_eval(sequences.deuler_poly(n, lam), Fraction(1, 2))
+    lhs = sequences.deuler_value(n, lam, Fraction(1, 2))
     # the inner sum over j <= k is 2**-k P_k, with P_k the prefix sums of
     # C(2j,j)/((1-2j) 2**j), which do not depend on lam
     prefix = accumulate(Fraction(comb(2 * j, j), (1 - 2 * j) * 2**j) for j in range(n + 1))
@@ -337,7 +337,7 @@ def _check_t8(b, tab):
     n, lam = b["n"], b["lambda"]
     tri = tab.s1(n, -lam)
     lhs = factorial(n - 1) * sequences.dharmonic(n, -lam)
-    values = [poly_eval(sequences.dbernoulli_poly(k - 1, lam), 1 - lam) for k in range(1, n + 1)]
+    values = [sequences.dbernoulli_value(k - 1, lam, 1 - lam) for k in range(1, n + 1)]
     signed = [(-1) ** (n - k) * v for k, v in enumerate(values, 1)]
     rhs = rational_dot(signed, tri.row(n)[1:])
     return _result("T8", b, lhs, rhs)
@@ -348,7 +348,7 @@ def _check_t8(b, tab):
 def _check_t9(b, tab):
     n, lam = b["n"], b["lambda"]
     tri = tab.s2(n, lam)
-    lhs = poly_eval(sequences.dbernoulli_poly(n - 1, -lam), 2 * lam + 1)
+    lhs = sequences.dbernoulli_value(n - 1, -lam, 2 * lam + 1)
     weighted = [(-1) ** (n - k) * factorial(k - 1) * sequences.dharmonic(k, -lam) for k in range(1, n + 1)]
     rhs = rational_dot(weighted, tri.row(n)[1:])
     return _result("T9", b, lhs, rhs)
@@ -360,7 +360,7 @@ def _check_t10(b, tab):
     n, lam = b["n"], b["lambda"]
     tri = tab.s1(n, lam)
     lhs = dfact(n - 1, lam) / n
-    values = [poly_eval(sequences.dbernoulli_poly(k - 1, lam), 1 - lam) for k in range(1, n + 1)]
+    values = [sequences.dbernoulli_value(k - 1, lam, 1 - lam) for k in range(1, n + 1)]
     rhs = rational_dot(values, tri.row(n)[1:])
     return _result("T10", b, lhs, rhs)
 
@@ -396,7 +396,7 @@ def _check_t12(b, tab):
         [Fraction(0)] + [tri.entry(n, k) / k for k in range(1, n + 1)]
     )
     conv = poly_combination(
-        (comb(n, j) * poly_eval(sequences.dbernoulli_poly(j, lam), 1 - lam), tab.bell(n - j, lam))
+        (comb(n, j) * sequences.dbernoulli_value(j, lam, 1 - lam), tab.bell(n - j, lam))
         for j in range(n)
     )
     rhs = conv * Fraction(1, n)
@@ -421,7 +421,7 @@ def _check_e61(b, tab):
         [Fraction(0)] + [tri.entry(n, k) / (k * k) for k in range(1, n + 1)]
     )
     # beta[i] is the Bernoulli-family value at 1-lam
-    beta = [poly_eval(sequences.dbernoulli_poly(i, lam), 1 - lam) for i in range(n)]
+    beta = [sequences.dbernoulli_value(i, lam, 1 - lam) for i in range(n)]
     # (1/n) sum_j C(n,j) beta_j/(n-j) sum_{m>=1} C(n-j,m) beta_{n-j-m} Bell_m,
     # summed over j first: one scalar per Bell_m, then one poly_combination
     # beta[n-m::-1] runs beta[n-j-m] for j = 0..n-m
@@ -529,8 +529,8 @@ def _check_e44(b, tab):
 def _check_e59(b, tab):
     p, n, lam = b["p"], b["n"], b["lambda"]
     lhs = sequences.power_sum(p, n, lam)
-    beta = sequences.dbernoulli_poly(p + 1, lam)
-    rhs = (poly_eval(beta, n + 1 - lam) - poly_eval(beta, 1 - lam)) / (p + 1)
+    upper = sequences.dbernoulli_value(p + 1, lam, n + 1 - lam)
+    rhs = (upper - sequences.dbernoulli_value(p + 1, lam, 1 - lam)) / (p + 1)
     return _result("E59", b, lhs, rhs)
 
 

@@ -5,29 +5,33 @@ formula) and, where one exists, an independent generating-function path
 that the test suite uses as an oracle.
 
 The primary paths share one store of per-lambda tables, keyed by
-(family, lambda), and every stored family grows by one rule: a miss makes
-one call extend(entries, upto, lam) of the family's extend, which returns
-entries 0..upto with the stored ones kept as the same objects, so each
-entry is computed once.  upto is at least GROW_MIN_N, and a hit returns
-the stored table itself, which may hold more entries than were asked
-for.  The floor is fixed: a caller that asks n = 0, 1, 2, ... in turn for
-each new lambda (perfbench's lambda_stream) misses on every query under a
-rule that never overshoots n, and a geometric rule builds entries far
-past the n asked for.  The per-lambda setup of an extend (the integer
-weights, the common denominators, the last stored row's integers) is done
-once per miss, not once per entry.  The store keeps at most
-STORE_CAPACITY entries and drops the oldest when full.  Stored values
-are immutable and an entry is only ever replaced wholesale, so a reader
-never sees a partial table.  The harmonic numbers are a stored family;
-hyperharmonic numbers are cumulative sums of its entries, taken on the
-integer numerators over one common denominator.  The triangle, Bernoulli
-and Euler extends work on integers.  For lam = p/q the triangle rows are
-stored as Fractions, but q**(n-k) S(n,k) is an integer: the extend
-recovers the last stored row's integers by one exact division per entry,
-carries the integer rows from row to row and normalises each new entry
-once.  The Bernoulli and Euler extends sum in the basis of the falling
-factorials (x)_{m,lam} by Horner's scheme on integers, so no falling
-factorial is stored, and each coefficient is normalised once.
+(family, lambda), and every stored family grows by one rule.  An entry
+holds the family's entries and the integer state its extend ended with,
+and a miss makes one call extend(entries, state, upto, lam) of the
+family's extend, which returns entries 0..upto, the stored ones kept as
+the same objects, and the state they end with; so each entry is computed
+once, and a miss starts from the stored state instead of rebuilding it.
+upto is at least GROW_MIN_N, and a hit returns the stored table itself,
+which may hold more entries than were asked for.  The floor is fixed: a
+caller that asks n = 0, 1, 2, ... in turn for each new lambda (perfbench's
+lambda_stream) misses on every query under a rule that never overshoots
+n, and a geometric rule builds entries far past the n asked for.  The
+store keeps at most STORE_CAPACITY entries and drops the oldest, state
+and all, when full.  Stored values are immutable and an entry is only
+ever replaced wholesale, so a reader never sees a partial table.  The
+harmonic numbers are a stored family; hyperharmonic numbers are
+cumulative sums of its entries, taken on the integer numerators over one
+common denominator.  The triangle, Bernoulli and Euler extends work on
+integers.  For lam = p/q the triangle rows are stored as Fractions, but
+q**(n-k) S(n,k) is an integer: the state is the last row's integers,
+which the extend carries from row to row, normalising each new entry
+once.  The Bernoulli and Euler constants c_n are stored families of their
+own, with the constants and the weights they are solved from as integers
+over one denominator each as state.  The polynomial extends read them and
+sum in the basis of the falling factorials (x)_{m,lam} by Horner's scheme
+on integers, so no falling factorial is stored, and each coefficient is
+normalised once; dbernoulli_value and deuler_value run the same sum on a
+scalar x0, building no polynomial.
 The oracles keep their own memo, bounded at STORE_CAPACITY entries, apart
 from the code they check.
 """
@@ -48,9 +52,11 @@ from .series import Series, dexp, dlog, ser_reciprocal
 STORE_CAPACITY = 128
 GROW_MIN_N = 16
 
-# (family, lambda) -> tuple of entries 0..n, oldest first; reads are single
-# dict lookups, writes take the lock so eviction cannot race
-_STORE: dict[tuple[str, Fraction], object] = {}
+# (family, lambda) -> (entries, state): the tuple of entries 0..n, oldest
+# first, and the integer state the family's extend ended with, which the next
+# miss starts from; reads are single dict lookups, writes take the lock so
+# eviction cannot race
+_STORE: dict[tuple[str, Fraction], tuple[tuple, object]] = {}
 _STORE_LOCK = threading.Lock()
 
 
@@ -62,16 +68,18 @@ def _put(key, value):
     return value
 
 
-def _grown(family: str, n: int, lam: Fraction, extend) -> tuple:
-    """Stored entries 0..n or more of family at lam; a miss stores
-    extend(entries, max(n, GROW_MIN_N), lam), the entries 0..that bound."""
+def _grown(family: str, n: int, lam: Fraction, extend) -> tuple[tuple, object]:
+    """(entries, state) stored for family at lam, with entries 0..n or more;
+    a miss stores extend(entries, state, max(n, GROW_MIN_N), lam), the
+    entries 0..that bound and the state they end with.  An empty table has
+    state None."""
     if n < 0:
         # a negative n would index the stored table from its end
         raise ValueError(f"n must be >= 0, got {n}")
-    entries = _STORE.get((family, lam), ())
+    entries, state = _STORE.get((family, lam), ((), None))
     if n < len(entries):
-        return entries
-    return _put((family, lam), extend(entries, max(n, GROW_MIN_N), lam))
+        return entries, state
+    return _put((family, lam), extend(entries, state, max(n, GROW_MIN_N), lam))
 
 
 @dataclass(frozen=True)
@@ -113,24 +121,22 @@ def _row_extend(weight):
     For lam = p/q, S(n,k) is a polynomial of degree at most n-k in lam with
     integer coefficients, so T(n,k) = q**(n-k) S(n,k) is an integer and
     T(m,k) = T(m-1,k-1) + weight(m-1, k, p, q) * T(m-1,k), where the weight
-    is the old one times q.  The last stored row's integers are recovered
-    from its Fractions by one exact division each, the integer rows are then
-    carried from row to row, and each entry of a new row m is normalised
-    once, over q**(m-k).  That scale, not q**m, keeps the integers small; a
-    reduced output needs its one gcd either way."""
+    is the old one times q.  The state is the last row's integers, so a miss
+    carries the integer rows on from the last stored row, and each entry of a
+    new row m is normalised once, over q**(m-k).  That scale, not q**m, keeps
+    the integers small; a reduced output needs its one gcd either way."""
 
-    def extend(rows, upto, lam):
+    def extend(rows, ints, upto, lam):
         p, q = lam.numerator, lam.denominator
         scale = list(accumulate(repeat(q, upto), mul, initial=1))  # q**0 .. q**upto
         rows = list(rows) or [(Fraction(1),)]
-        last = len(rows) - 1
-        ints = [v.numerator * (scale[last - k] // v.denominator) for k, v in enumerate(rows[last])]
-        for m in range(last + 1, upto + 1):
+        ints = list(ints or (1,))
+        for m in range(len(rows), upto + 1):
             # the zero past the end of row m-1 is also read as T(m-1, -1)
             ints.append(0)
             ints = [ints[k - 1] + weight(m - 1, k, p, q) * ints[k] for k in range(m + 1)]
             rows.append(tuple(Fraction(t, scale[m - k]) for k, t in enumerate(ints)))
-        return tuple(rows)
+        return tuple(rows), tuple(ints)
 
     return extend
 
@@ -143,7 +149,7 @@ _ROW_EXTENDS = {
 
 
 def _triangle(kind: str, nmax: int, lam: Fraction) -> StirlingTriangle:
-    return StirlingTriangle(_grown(kind, nmax, lam, _ROW_EXTENDS[kind]))
+    return StirlingTriangle(_grown(kind, nmax, lam, _ROW_EXTENDS[kind])[0])
 
 
 def stirling_series_oracle(kind: str, n: int, k: int, lam, order: int) -> Fraction:
@@ -171,12 +177,13 @@ def _gf_power(kind: str, lam: Fraction, k: int, order: int) -> Series:
     return _gf_power(kind, lam, k - 1, order) * base
 
 
-def _harmonic_extend(sums, upto, lam):
-    # H_m = H_{m-1} + (-1)**(m-1) dfact(m-1,lam)/m!, H_0 = 0
+def _harmonic_extend(sums, state, upto, lam):
+    # H_m = H_{m-1} + (-1)**(m-1) dfact(m-1,lam)/m!, H_0 = 0; the last entry
+    # is all the state a miss needs
     sums = list(sums) or [Fraction(0)]
     for m in range(len(sums), upto + 1):
         sums.append(sums[-1] + (-1) ** (m - 1) * dfact(m - 1, lam) / factorial(m))
-    return tuple(sums)
+    return tuple(sums), None
 
 
 def dharmonic(n: int, lam) -> Fraction:
@@ -185,7 +192,7 @@ def dharmonic(n: int, lam) -> Fraction:
     The summand is the singularity-free rewriting of (1/lam) binom(lam, k)
     (-1)**(k-1), so lam == 0 is legal and yields the classical 1 + 1/2 + ... + 1/n.
     """
-    return _grown("harmonic", n, Fraction(lam), _harmonic_extend)[n]
+    return _grown("harmonic", n, Fraction(lam), _harmonic_extend)[0][n]
 
 
 def _hyperharmonic_numerators(n: int, r: int, lam) -> tuple[list[int], int]:
@@ -195,7 +202,7 @@ def _hyperharmonic_numerators(n: int, r: int, lam) -> tuple[list[int], int]:
     the r-1 cumulative sums run on the integer numerators."""
     if r < 1:
         raise ValueError("hyperharmonic order r must be >= 1")
-    sums, d = _over_lcm(_grown("harmonic", n, Fraction(lam), _harmonic_extend)[: n + 1])
+    sums, d = _over_lcm(_grown("harmonic", n, Fraction(lam), _harmonic_extend)[0][: n + 1])
     for _ in range(r - 1):
         sums = list(accumulate(sums))
     return sums, d
@@ -213,50 +220,64 @@ def dhyperharmonic(n: int, r: int, lam) -> Fraction:
     return Fraction(sums[n], d)
 
 
-def _over_lcm(fracs) -> tuple[list[int], int]:
-    """(numerators, d): the Fractions fracs as integers over d, the lcm of their denominators.
+def _over_lcm(fracs, nums=(), d=1) -> tuple[list[int], int]:
+    """(numerators, e): the integers nums over d followed by the Fractions
+    fracs, all as integers over e, the lcm of d and the denominators of fracs.
 
     The same scaling as algebra._integer_numerators, kept apart because the
     oracles of its callers (the Poly products of dbernoulli_poly_stirling and
     the series kernels of identities.hyperharmonic_gf) run on that one."""
-    d = lcm(*[f.denominator for f in fracs])
-    return [f.numerator * (d // f.denominator) for f in fracs], d
+    e = lcm(d, *[f.denominator for f in fracs])
+    return [a * (e // d) for a in nums] + [f.numerator * (e // f.denominator) for f in fracs], e
 
 
-def _appell_extend(weight):
-    """Extend for the P_n(x) generated by e_lam^x(t) / W(t): weight(j, ones, q)
-    is the t**j/j! coefficient w_j of W (w_0 == 1), from the integers
-    ones[i] = (1)_{i,lam} * q**i with lam = p/q.  The constant terms c_n of 1/W
-    solve sum_j C(n,j) w_j c_{n-j} = [n == 0], and
+def _constants_extend(weight):
+    """Extend for the constant terms c_n of 1/W(t) = sum_n c_n t**n/n!, where
+    weight(j, ones, q) is the t**j/j! coefficient w_j of W (w_0 == 1), from
+    the integers ones[i] = (1)_{i,lam} * q**i with lam = p/q.  The c_n solve
+    sum_j C(n,j) w_j c_{n-j} = [n == 0].
+
+    The state is (cs, d, ws, dw, ones): the constants as integers over one
+    denominator d, the weights as integers over the lcm dw of theirs, and
+    ones, so a miss builds only the new ones and weights.  Each new c_n is
+    one Fraction, and d is raised to the lcm when c_n's denominator needs
+    it."""
+
+    def extend(consts, state, upto, lam):
+        p, q = lam.numerator, lam.denominator
+        cs, d, ws, dw, ones = state or ((), 1, (), 1, (1,))
+        ones = list(ones)
+        for i in range(len(ones) - 1, upto + 1):
+            ones.append(ones[-1] * (q - i * p))
+        ws, dw = _over_lcm([weight(j, ones, q) for j in range(len(ws) + 1, upto + 1)], ws, dw)
+        consts, cs = list(consts), list(cs)
+        for n in range(len(consts), upto + 1):
+            dot = sum(comb(n, j) * ws[j - 1] * cs[n - j] for j in range(1, n + 1))
+            consts.append(Fraction(int(n == 0) * dw * d - dot, dw * d))
+            cs, d = _over_lcm(consts[n:], cs, d)
+        return tuple(consts), (tuple(cs), d, tuple(ws), dw, tuple(ones))
+
+    return extend
+
+
+def _appell_extend(constants, constants_extend):
+    """Extend for the P_n(x) generated by e_lam^x(t) / W(t), whose constant
+    terms c_n are the stored family constants, built by constants_extend.
+
     P_n(x) = sum_m C(n,m) c_{n-m} (x)_{m,lam} is summed by Horner's scheme in
     the falling-factorial basis: from acc = c_0, for m = n-1 down to 0,
-    acc <- (x - m lam) acc + C(n,m) c_{n-m}.
-
-    Both sums run on integers over one denominator, and each output is
-    normalised once.  Per miss, ones and the weights (over the lcm dw of their
-    denominators) are built once and the stored constants go over one
-    denominator d once; each new c_n is one Fraction, and d is raised to the
-    lcm only when c_n's denominator needs it.  acc is kept over d*q**(n-m), so
-    that each pass multiplies by q*x - m*p.  The extend scales by itself,
+    acc <- (x - m lam) acc + C(n,m) c_{n-m}.  The sum runs on the stored
+    constants' integers over their one denominator d, with acc kept over
+    d*q**(n-m) for lam = p/q, so that each pass multiplies by q*x - m*p, and
+    each output coefficient is normalised once.  The extend scales by itself,
     apart from the Poly kernels that its oracle dbernoulli_poly_stirling runs
-    on."""
+    on, and needs no state of its own."""
 
-    def extend(polys, upto, lam):
+    def extend(polys, state, upto, lam):
         p, q = lam.numerator, lam.denominator
-        ones = [1]
-        for i in range(upto + 1):
-            ones.append(ones[-1] * (q - i * p))
-        ws, dw = _over_lcm([weight(j, ones, q) for j in range(1, upto + 1)])
-        cs, d = _over_lcm([poly.coeff(0) for poly in polys])
+        cs, d = _grown(constants, upto, lam, constants_extend)[1][:2]
         polys = list(polys)
         for n in range(len(polys), upto + 1):
-            dot = sum(comb(n, j) * ws[j - 1] * cs[n - j] for j in range(1, n + 1))
-            c = Fraction(int(n == 0) * dw * d - dot, dw * d)
-            if d % c.denominator:
-                raise_by = lcm(d, c.denominator) // d
-                cs = [a * raise_by for a in cs]
-                d *= raise_by
-            cs.append(c.numerator * (d // c.denominator))
             acc, scale = [cs[0]], 1
             for m in range(n - 1, -1, -1):
                 scale *= q
@@ -265,19 +286,44 @@ def _appell_extend(weight):
                 acc[0] += comb(n, m) * cs[n - m] * scale
             den = d * scale
             polys.append(Poly([Fraction(a, den) for a in acc]))
-        return tuple(polys)
+        return tuple(polys), None
 
     return extend
 
 
+def _appell_value(constants, constants_extend, n: int, lam, x0) -> Fraction:
+    """P_n(x0) = sum_m C(n,m) c_{n-m} (x0)_{m,lam} for the Appell family whose
+    stored constants are constants, as one integer sum over one denominator.
+
+    The same Horner pass as _appell_extend on the scalar x0 = a/b: acc is kept
+    over d*(b*q)**(n-m), so that each pass multiplies by a*q - m*p*b, and the
+    value is normalised once.  It builds no polynomial."""
+    lam, x0 = Fraction(lam), Fraction(x0)
+    cs, d = _grown(constants, n, lam, constants_extend)[1][:2]
+    p, q, a, b = lam.numerator, lam.denominator, x0.numerator, x0.denominator
+    acc, scale, binom = cs[0], 1, 1
+    for m in range(n - 1, -1, -1):
+        scale *= b * q
+        binom = binom * (m + 1) // (n - m)  # C(n, m) from C(n, m+1)
+        acc = (a * q - m * p * b) * acc + binom * cs[n - m] * scale
+    return Fraction(acc, d * scale)
+
+
 # W = (e_lam(t) - 1)/t and W = (e_lam(t) + 1)/2
-_BERNOULLI_EXTEND = _appell_extend(lambda j, ones, q: Fraction(ones[j + 1], (j + 1) * q ** (j + 1)))
-_EULER_EXTEND = _appell_extend(lambda j, ones, q: Fraction(ones[j], 2 * q**j))
+_BERNOULLI_CONSTANTS = _constants_extend(lambda j, ones, q: Fraction(ones[j + 1], (j + 1) * q ** (j + 1)))
+_EULER_CONSTANTS = _constants_extend(lambda j, ones, q: Fraction(ones[j], 2 * q**j))
+_BERNOULLI_EXTEND = _appell_extend("bernoulli constants", _BERNOULLI_CONSTANTS)
+_EULER_EXTEND = _appell_extend("euler constants", _EULER_CONSTANTS)
 
 
 def dbernoulli_poly(n: int, lam) -> Poly:
     """Degenerate Bernoulli polynomial, the t**n/n! coefficient of t/(e_lam(t)-1) * e_lam^x(t)."""
-    return _grown("bernoulli", n, Fraction(lam), _BERNOULLI_EXTEND)[n]
+    return _grown("bernoulli", n, Fraction(lam), _BERNOULLI_EXTEND)[0][n]
+
+
+def dbernoulli_value(n: int, lam, x0) -> Fraction:
+    """dbernoulli_poly(n, lam) at x0, summed from the stored constants in O(n)."""
+    return _appell_value("bernoulli constants", _BERNOULLI_CONSTANTS, n, lam, x0)
 
 
 def dbernoulli_poly_stirling(n: int, lam) -> Poly:
@@ -291,7 +337,12 @@ def dbernoulli_poly_stirling(n: int, lam) -> Poly:
 
 def deuler_poly(n: int, lam) -> Poly:
     """Degenerate Euler polynomial, the t**n/n! coefficient of 2/(e_lam(t)+1) * e_lam^x(t)."""
-    return _grown("euler", n, Fraction(lam), _EULER_EXTEND)[n]
+    return _grown("euler", n, Fraction(lam), _EULER_EXTEND)[0][n]
+
+
+def deuler_value(n: int, lam, x0) -> Fraction:
+    """deuler_poly(n, lam) at x0, summed from the stored constants in O(n)."""
+    return _appell_value("euler constants", _EULER_CONSTANTS, n, lam, x0)
 
 
 def bell_from_triangle(tri: StirlingTriangle, n: int) -> Poly:

@@ -162,6 +162,15 @@ class TestEvalGolden:
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == self.recorded(f"eval_{family}_160.json")
 
+    # and at the size bound, where the value is summed from the stored constants:
+    #   degenmath eval F --n 300 --lambda=57/89 --x=1/3 --format json --output eval_F_300.json
+    #   sha256sum eval_bernoulli_300.json eval_euler_300.json >> tests/data/eval_values.sha256
+    @pytest.mark.parametrize("family", ["bernoulli", "euler"])
+    def test_appell_value_at_the_size_bound_matches_recorded_digest(self, capsys, family):
+        code, out = run_cli(capsys, "eval", family, "--n", "300", "--lambda=57/89", "--x=1/3", "--format", "json")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == self.recorded(f"eval_{family}_300.json")
+
 
 class TestEval:
     def test_fubini(self, capsys):

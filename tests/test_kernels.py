@@ -26,7 +26,9 @@ from degenmath.algebra import (
 from degenmath.identities import _e67_cutoff, _e67_partial
 from degenmath.sequences import (
     dbernoulli_poly,
+    dbernoulli_value,
     deuler_poly,
+    deuler_value,
     dharmonic,
     dhyperharmonic,
     dhyperharmonic_row,
@@ -464,6 +466,22 @@ class TestAppellStep:
         assert got == ref_appell(ref_euler_weight, n, lam)
         assert all(type(c) is Fraction for poly in got for c in poly.coeffs)
 
+    @pytest.mark.parametrize("family", ["bernoulli", "euler"])
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(min_value=0, max_value=24), lam=lambdas, x0=rationals)
+    @example(n=24, lam=Fraction(0), x0=Fraction(-7, 3))
+    @example(n=24, lam=Fraction(1), x0=Fraction(1, 3))
+    @example(n=24, lam=Fraction(3), x0=Fraction(0))
+    @example(n=24, lam=Fraction(-3, 7), x0=Fraction(57, 89))
+    @example(n=0, lam=Fraction(-3, 7), x0=Fraction(5))
+    def test_value_equals_the_stored_polynomial_at_x0(self, family, n, lam, x0):
+        # x0 and the points the identity checkers read: 0, 1-lam and 2*lam+1
+        poly, value = {"bernoulli": (dbernoulli_poly, dbernoulli_value), "euler": (deuler_poly, deuler_value)}[family]
+        lam = Fraction(lam)
+        for at in (x0, Fraction(0), 1 - lam, 2 * lam + 1):
+            got = value(n, lam, at)
+            assert got == poly_eval(poly(n, lam), at) and type(got) is Fraction
+
 
 def triangle_examples(test):
     """Run test at n = 40 on each of triangle_lambdas as well as the drawn examples."""
@@ -496,19 +514,42 @@ class TestTriangleStep:
     @pytest.mark.parametrize("kind", ["second", "first"])
     @pytest.mark.parametrize("lam", triangle_lambdas)
     def test_growing_stored_rows_equals_cold_build(self, kind, lam):
-        # the step recovers its integers from the stored Fraction rows 0..16
+        # the extend carries on from the stored rows 0..16 and the integers
+        # of the last one, its state
         build = TRIANGLES[kind][0]
         key = (kind, lam)
         sequences._STORE.pop(key, None)
         assert len(build(0, lam).rows) == sequences.GROW_MIN_N + 1
         grown = build(40, lam).rows
+        entry = sequences._STORE[key]
         del sequences._STORE[key]
         assert build(40, lam).rows == grown
+        assert sequences._STORE[key] == entry
         assert len(grown) == 41
 
 
-STORED_FAMILIES = {"first": s1_triangle, "second": s2_triangle, "bernoulli": dbernoulli_poly,
-                   "euler": deuler_poly, "harmonic": dharmonic}
+# family -> (a call that grows it, its extend); the constants are grown
+# through the value at 0, which is the constant itself
+STORED_FAMILIES = {
+    "first": (s1_triangle, sequences._ROW_EXTENDS["first"]),
+    "second": (s2_triangle, sequences._ROW_EXTENDS["second"]),
+    "bernoulli": (dbernoulli_poly, sequences._BERNOULLI_EXTEND),
+    "euler": (deuler_poly, sequences._EULER_EXTEND),
+    "harmonic": (dharmonic, sequences._harmonic_extend),
+    "bernoulli constants": (lambda n, lam: dbernoulli_value(n, lam, 0), sequences._BERNOULLI_CONSTANTS),
+    "euler constants": (lambda n, lam: deuler_value(n, lam, 0), sequences._EULER_CONSTANTS),
+}
+
+
+# the weights of the stored integer extends, written out again so that a
+# test can count their calls
+COUNTED_WEIGHTS = {
+    "second": (sequences._row_extend, lambda n, k, p, q: k * q - n * p),
+    "first": (sequences._row_extend, lambda n, k, p, q: k * p - n * q),
+    "bernoulli constants": (
+        sequences._constants_extend, lambda j, ones, q: Fraction(ones[j + 1], (j + 1) * q ** (j + 1))),
+    "euler constants": (sequences._constants_extend, lambda j, ones, q: Fraction(ones[j], 2 * q**j)),
+}
 
 
 class TestGrowth:
@@ -521,17 +562,39 @@ class TestGrowth:
     @example(a=1, extra=16, lam=Fraction(-2))
     def test_growing_from_any_stored_prefix_equals_cold_build(self, family, a, extra, lam):
         # a short stored prefix (a may be below GROW_MIN_N) makes one extend
-        # start from few entries and raise its common denominators as it goes
-        build, lam, b = STORED_FAMILIES[family], Fraction(lam), a + extra
+        # start from few entries and the state they end with, and raise its
+        # common denominators as it goes; the state it ends with is a cold
+        # build's
+        (build, extend), lam, b = STORED_FAMILIES[family], Fraction(lam), a + extra
         key = (family, lam)
         sequences._STORE.pop(key, None)
         build(b, lam)
         cold = sequences._STORE.pop(key)
-        prefix = sequences._put(key, cold[: a + 1])
+        prefix = sequences._put(key, extend((), None, a, lam))
+        assert prefix[0] == cold[0][: a + 1]
         build(b, lam)
         grown = sequences._STORE[key]
         assert grown == (cold if b > a else prefix)
-        assert all(x is y for x, y in zip(grown, prefix))
+        assert all(x is y for x, y in zip(grown[0], prefix[0]))
+
+    @pytest.mark.parametrize("family", list(COUNTED_WEIGHTS))
+    def test_a_miss_past_the_floor_starts_from_the_stored_state(self, family):
+        # each weight runs once, for the entry it makes, and never again for
+        # a stored one: the misses at 17, 18 and 20 start from the state
+        make, weight = COUNTED_WEIGHTS[family]
+        calls = []
+
+        def counted(i, *args):
+            calls.append(i)
+            return weight(i, *args)
+
+        lam, name = Fraction(-43, 10**6 - 29), f"counted {family}"
+        for n in (0, 16, 17, 18, 5, 20):
+            sequences._grown(name, n, lam, make(counted))
+        # weight(m-1, k, ...) for k = 0..m makes triangle row m; weight(j, ...) is w_j
+        rows = make is sequences._row_extend
+        assert calls == ([m - 1 for m in range(1, 21) for _ in range(m + 1)] if rows else list(range(1, 21)))
+        assert sequences._STORE.pop((name, lam)) == STORED_FAMILIES[family][1]((), None, 20, lam)
 
 
 class TestHyperharmonic:

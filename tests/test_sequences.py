@@ -382,7 +382,7 @@ class TestStore:
             try:
                 for i in range(1500):
                     # an empty table is what a miss would start growing from
-                    sequences._put(("second", Fraction(1, 2 * 10**6 + 4 * i + offset)), ())
+                    sequences._put(("second", Fraction(1, 2 * 10**6 + 4 * i + offset)), ((), None))
             except Exception as exc:  # any exception is a lost race
                 errors.append(exc)
 
@@ -423,23 +423,24 @@ class TestStore:
         grown = sequences._grown
 
         def counting(name, n, at, extend):
-            def counted(entries, upto, at):
+            def counted(entries, state, upto, at):
                 # one extend call builds the entries len(entries)..upto
                 if name == family:
                     computed.extend(range(len(entries), upto + 1))
-                return extend(entries, upto, at)
+                return extend(entries, state, upto, at)
 
             return grown(name, n, at, counted)
 
         monkeypatch.setattr(sequences, "_grown", counting)
         fn(0, lam)
-        first = sequences._STORE[key]
+        first = sequences._STORE[key][0]
         assert len(first) == sequences.GROW_MIN_N + 1 == 17
         assert computed == list(range(17))
         for n in range(41):
             fn(n, lam)
         assert computed == list(range(41))  # each entry computed once, in order
-        stored = sequences._STORE[key]
+        entry = sequences._STORE[key]
+        stored = entry[0]
         assert all(a is b for a, b in zip(stored, first))  # growth keeps the entries
         computed.clear()
         hit = fn(7, lam)
@@ -450,7 +451,8 @@ class TestStore:
             assert hit is stored[7]
         del sequences._STORE[key]
         fn(40, lam)
-        assert sequences._STORE[key] == stored  # step-by-step growth equals one build
+        # step-by-step growth equals one build, the state included
+        assert sequences._STORE[key] == entry
 
     def test_hyperharmonic_row_reads_the_harmonic_entries_once(self, monkeypatch):
         lam = Fraction(29, 10**6 - 13)
@@ -467,11 +469,13 @@ class TestStore:
         assert [key for key in sequences._STORE if key[1] == lam] == [("harmonic", lam)]
 
     def test_appell_polys_store_only_their_own_families(self):
-        # the Appell step sums in the falling-factorial basis without storing it
+        # the Appell step sums in the falling-factorial basis without storing
+        # it; the constants it reads are a family of their own
         lam = Fraction(37, 10**6 - 19)
         dbernoulli_poly(20, lam)
         deuler_poly(20, lam)
-        assert sorted(key for key in sequences._STORE if key[1] == lam) == [("bernoulli", lam), ("euler", lam)]
+        assert sorted(key[0] for key in sequences._STORE if key[1] == lam) == [
+            "bernoulli", "bernoulli constants", "euler", "euler constants"]
 
     def test_appell_step_reads_no_binomial_memo(self, monkeypatch):
         # the Appell step must stay independent of dbernoulli_poly_stirling,
@@ -492,6 +496,29 @@ class TestStore:
         monkeypatch.setattr(algebra, "_BINOMS", None)
         assert [dbernoulli_poly(n, lam) for n in range(13)] == oracle
         deuler_poly(12, lam)
+
+    def test_value_kernel_builds_no_polynomial(self, monkeypatch):
+        # a value is one integer sum over the stored constants: it builds and
+        # evaluates no Poly and reads none of the checkers' integer kernels,
+        # also when it has to build the constants themselves
+        lam, x0 = Fraction(41, 10**6 - 23), Fraction(-7, 3)
+        want = [(poly_eval(dbernoulli_poly(n, lam), x0), poly_eval(deuler_poly(n, lam), x0)) for n in range(25)]
+        for family in ("bernoulli", "bernoulli constants", "euler", "euler constants"):
+            del sequences._STORE[(family, lam)]
+
+        def untouchable(*args):
+            raise AssertionError("the value kernel built a polynomial or read a checker kernel")
+
+        for name in ("__init__", "__mul__", "__rmul__"):
+            monkeypatch.setattr(Poly, name, untouchable)
+        for module in (sequences, algebra):
+            for name in ("poly_combination", "rational_dot"):
+                monkeypatch.setattr(module, name, untouchable)
+        for name in ("poly_eval", "_integer_numerators"):
+            monkeypatch.setattr(algebra, name, untouchable)
+        got = [(sequences.dbernoulli_value(n, lam, x0), sequences.deuler_value(n, lam, x0)) for n in range(25)]
+        assert got == want
+        assert ("bernoulli", lam) not in sequences._STORE and ("euler", lam) not in sequences._STORE
 
     def test_triangle_and_hyperharmonic_steps_read_no_series_kernel(self, monkeypatch):
         # stirling_series_oracle and hyperharmonic_gf are the oracles of the
