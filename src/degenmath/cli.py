@@ -6,16 +6,17 @@ before the command does its work), 3 domain
 error (structurally valid flags that cannot be satisfied, e.g. an r bound
 for a family that does not take one, a binding outside an identity's
 schema, a check grid that leaves nothing to check, or a size flag above
-MAX_SIZE).
+MAX_SIZE).  On exit 2 or 3 an existing --output file keeps its bytes; a
+path that did not exist is left as an empty file.
 
 MAX_SIZE bounds table --nmax, eval --n, series --order, check --nmax,
 check --order, table and series --r, check --rmax and --pmax, and the
 absolute value of series --k, and is checked before any work.  It is
 sized by the largest table: `table s2 --lambda=57/89 --format json` takes
-0.34 s and 37 MiB at nmax 160 (perfbench's largest size), 0.77 s and
-89 MiB at 240, and 1.3 s and 159 MiB at 300 (Python 3.11, 2-vCPU host,
-peak RSS).  The triangle's entries grow as n**2 and their digits as n, so
-the memory grows about as n**3: 690 MiB at 500.  Other commands are slower
+0.30-0.32 s and 27 MiB at nmax 160 (perfbench's largest size), 0.71-0.86 s
+and 51 MiB at 240, and 1.15-1.26 s and 85 MiB at 300 (Python 3.11, 2-vCPU
+host, peak RSS).  The triangle's entries grow as n**2 and their digits as
+n, so the memory grows about as n**3.  Other commands are slower
 at the bound without taking more memory: `eval bernoulli --n 300` and
 `eval euler --n 300` take 0.4-0.8 s and 18 MiB (the value is summed from
 the stored constants, building no polynomial), `series hypergf --order 300
@@ -32,7 +33,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
+import os
+import stat
 import sys
 from fractions import Fraction
 
@@ -125,11 +129,49 @@ def _output_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _emit(text: str, out) -> None:
-    out.write(text if text.endswith("\n") else text + "\n")
+    out.write(text)
+    if not text.endswith("\n"):
+        out.write("\n")
 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2)
+
+
+def _rational_json(fields: dict) -> str:
+    r"""json.dumps(fields, indent=2) byte for byte, for a flat dict whose list
+    values hold Fractions, or rows of Fractions, to be written as their str.
+
+    Those lists are joined directly from the Fractions: str(Fraction) matches
+    -?\d+(/\d+)?, which JSON never escapes, so json's escape scan over every
+    string, and the list of strings it would scan, are skipped.  The parts
+    are joined once, so the megabytes of a large table are copied once.
+    """
+    parts = ["{\n"]
+    for key, value in fields.items():
+        parts.append(f"  {json.dumps(key)}: ")
+        if isinstance(value, (list, tuple)):
+            _json_rationals(value, "  ", parts)
+        else:
+            parts.append(json.dumps(value))
+        parts.append(",\n")
+    parts[-1] = "\n}"
+    return "".join(parts)
+
+
+def _json_rationals(values, indent: str, parts: list) -> None:
+    """Append values, laid out at indent as json.dumps(..., indent=2) lays out
+    their strs, to parts; never empty, as every table row and series has an entry."""
+    inner = indent + "  "
+    parts.append("[\n" + inner)
+    if isinstance(values[0], (list, tuple)):
+        for row in values:
+            _json_rationals(row, inner, parts)
+            parts.append(",\n" + inner)
+        parts.pop()
+    else:
+        parts.append('"' + ('",\n' + inner + '"').join(map(str, values)) + '"')
+    parts.append("\n" + indent + "]")
 
 
 def _csv_text(header: str, rows) -> str:
@@ -140,7 +182,12 @@ class DomainError(Exception):
     pass
 
 
-def _table_rows(args) -> list[list]:
+def _error(code: int, message: str) -> tuple[int, None]:
+    print(f"error: {message}", file=sys.stderr)
+    return code, None
+
+
+def _table_rows(args) -> list:
     family, nmax, lam, r = args.family, args.nmax, args.lam, args.r
     if nmax < 0:
         raise DomainError("--nmax must be >= 0")
@@ -152,7 +199,7 @@ def _table_rows(args) -> list[list]:
     fn = getattr(sequences, FAMILY_FUNCTIONS[family])
     if family in TRIANGLE_FAMILIES:
         tri = fn(nmax, lam)
-        return [list(tri.row(n)) for n in range(nmax + 1)]
+        return [tri.row(n) for n in range(nmax + 1)]
     if family == "harmonic":
         return [[fn(n, lam)] for n in range(nmax + 1)]
     if family == "hyperharmonic":
@@ -164,22 +211,16 @@ def _table_rows(args) -> list[list]:
     return rows
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> tuple[int, str | None]:
     try:
         rows = _table_rows(args)
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return _error(EXIT_DOMAIN, str(exc))
     if args.format == "json":
-        doc = {
-            "family": args.family,
-            "lambda": str(args.lam),
-            "nmax": args.nmax,
-            "values": [[str(v) for v in row] for row in rows],
-        }
+        doc = {"family": args.family, "lambda": str(args.lam), "nmax": args.nmax, "values": rows}
         if args.family == "hyperharmonic":
             doc["r"] = args.r
-        text = _json_text(doc)
+        text = _rational_json(doc)
     elif args.format == "csv":
         flat = [(n, k, v) for n, row in enumerate(rows) for k, v in enumerate(row)]
         text = _csv_text("n,k,value", flat)
@@ -193,14 +234,12 @@ def _cmd_table(args) -> int:
             else:
                 lines.append(f"{n}: {Poly(row)}")
         text = "\n".join(lines)
-    _emit(text, args.out)
-    return EXIT_OK
+    return EXIT_OK, text
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> tuple[int, str | None]:
     if args.n < 0:
-        print("error: --n must be >= 0", file=sys.stderr)
-        return EXIT_DOMAIN
+        return _error(EXIT_DOMAIN, "--n must be >= 0")
     if args.family in VALUE_FUNCTIONS:
         value = getattr(sequences, VALUE_FUNCTIONS[args.family])(args.n, args.lam, args.x)
     else:
@@ -211,14 +250,12 @@ def _cmd_eval(args) -> int:
         text = _csv_text("n,x,value", [(args.n, args.x, value)])
     else:
         text = str(value)
-    _emit(text, args.out)
-    return EXIT_OK
+    return EXIT_OK, text
 
 
-def _cmd_series(args) -> int:
+def _cmd_series(args) -> tuple[int, str | None]:
     if args.order < 0:
-        print("error: --order must be >= 0", file=sys.stderr)
-        return EXIT_DOMAIN
+        return _error(EXIT_DOMAIN, "--order must be >= 0")
     if args.selector == "dexp":
         series = dexp(args.x, args.lam, args.order)
     elif args.selector == "dlog":
@@ -227,18 +264,16 @@ def _cmd_series(args) -> int:
         series = dpolylog(args.k, args.lam, args.order)
     else:
         if args.r < 1:
-            print("error: --r must be >= 1", file=sys.stderr)
-            return EXIT_DOMAIN
+            return _error(EXIT_DOMAIN, "--r must be >= 1")
         series = identities.hyperharmonic_gf(args.lam, args.r, args.order)
-    coeffs = [str(c) for c in series.coeffs]
     if args.format == "json":
-        text = _json_text({"coeffs": coeffs, "order": series.order})
-    elif args.format == "csv":
+        return EXIT_OK, _rational_json({"coeffs": series.coeffs, "order": series.order})
+    coeffs = [str(c) for c in series.coeffs]
+    if args.format == "csv":
         text = _csv_text("k,value", list(enumerate(coeffs)))
     else:
         text = "[" + ", ".join(coeffs) + "]"
-    _emit(text, args.out)
-    return EXIT_OK
+    return EXIT_OK, text
 
 
 def grid_from_args(args) -> Grid:
@@ -258,23 +293,20 @@ def grid_from_args(args) -> Grid:
     return Grid(**kwargs)
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[int, str | None]:
     ids = None if (args.all or not args.ids) else args.ids
     try:
         report = identities.run_suite(grid_from_args(args), ids=ids)
     except UnknownIdentityError as exc:
-        print(f"error: unknown identity id {exc.args[0]!r}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(EXIT_USAGE, f"unknown identity id {exc.args[0]!r}")
     except BindingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return _error(EXIT_DOMAIN, str(exc))
     # a check of zero bindings passes vacuously, so it is not reported as a
     # pass; under --all E44 always has bindings, so only named ids can be empty
     checked = {r.id: r.pass_count + r.fail_count for r in report.results}
     empty = [ident for ident in (ids or ()) if not checked[ident]]
     if empty:
-        print(f"error: no bindings checked for {', '.join(empty)}; widen the grid", file=sys.stderr)
-        return EXIT_DOMAIN
+        return _error(EXIT_DOMAIN, f"no bindings checked for {', '.join(empty)}; widen the grid")
     if args.format == "json":
         text = _json_text(identities.suite_report_json(report))
     elif args.format == "csv":
@@ -294,15 +326,14 @@ def _cmd_check(args) -> int:
                     lines.append(f"    note: {failure.note}")
         lines.append("all identities passed" if report.all_pass else "FAILURES detected")
         text = "\n".join(lines)
-    _emit(text, args.out)
-    return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED
+    return (EXIT_OK if report.all_pass else EXIT_CHECK_FAILED), text
 
 
 def _plain_binding(binding: dict) -> str:
     return ", ".join(f"{k}={v}" for k, v in binding.items())
 
 
-def _cmd_list(args) -> int:
+def _cmd_list(args) -> tuple[int, str | None]:
     specs = identities.list_identities()
     if args.format == "json":
         text = _json_text(
@@ -319,12 +350,17 @@ def _cmd_list(args) -> int:
             schema = "; ".join(f"{k}: {v}" for k, v in s.param_summary().items())
             lines.append(f"{s.id}\t{schema}\t{s.description}")
         text = "\n".join(lines)
-    _emit(text, args.out)
-    return EXIT_OK
+    return EXIT_OK, text
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first main call rather than at import, and kept for the process
+    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         # argparse drops a "--" given as a flag value (--nmax=--) and stores
@@ -352,14 +388,22 @@ def main(argv: list[str] | None = None) -> int:
         "list": _cmd_list,
     }[args.command]
     try:
-        # opened before the command runs, so a path that cannot be written
-        # fails before any work is done
+        # opened for appending before the command runs, so a path that cannot
+        # be written fails before any work is done, and an existing file keeps
+        # its bytes until there is output to replace them with
         if args.output is None:
             out = contextlib.nullcontext(sys.stdout)
         else:
-            out = open(args.output, "w", encoding="utf-8")
-        with out as args.out:
-            return handler(args)
+            out = open(args.output, "a", encoding="utf-8")
+        with out as stream:
+            code, text = handler(args)
+            if text is None:
+                return code
+            # only a regular file can be truncated (not /dev/null or a pipe)
+            if args.output is not None and stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
+                stream.truncate(0)
+            _emit(text, stream)
+            return code
     except OSError as exc:
         # only the output stream does I/O; 2 is the exit code argparse gives
         # a path it cannot open

@@ -50,6 +50,29 @@ def run_cli(capsys, *argv):
     return code, captured.out
 
 
+# every command's JSON: each table family at nmax 0 and 5, every series
+# selector, eval, list and check; negative rationals use the = form so
+# argparse does not read them as flags
+JSON_ARGVS = [
+    *(
+        pytest.param(
+            ["table", family, "--nmax", nmax, "--lambda=-3/7"] + (["--r", "3"] if family == "hyperharmonic" else []),
+            id=f"table-{family}-{nmax}",
+        )
+        for family in TRIANGLE_FAMILIES + SCALAR_FAMILIES + POLY_FAMILIES
+        for nmax in ("0", "5")
+    ),
+    pytest.param(["series", "dexp", "--order", "6", "--lambda=-3/7", "--x=5/2"], id="series-dexp"),
+    pytest.param(["series", "dlog", "--order", "6", "--lambda=-3/7"], id="series-dlog"),
+    pytest.param(["series", "dlog", "--order", "0", "--lambda=-3/7"], id="series-dlog-0"),
+    pytest.param(["series", "dpolylog", "--order", "6", "--k=-2", "--lambda=-3/7"], id="series-dpolylog"),
+    pytest.param(["series", "hypergf", "--order", "6", "--r", "3", "--lambda=-3/7"], id="series-hypergf"),
+    pytest.param(["eval", "bernoulli", "--n", "5", "--lambda=-3/7", "--x=-7/3"], id="eval"),
+    pytest.param(["list"], id="list"),
+    pytest.param(["check", "--id", "T15", "--nmax", "3"], id="check"),
+]
+
+
 class TestTable:
     def test_s2_csv_row(self, capsys):
         code, out = run_cli(capsys, "table", "s2", "--nmax", "3", "--lambda", "1/2", "--format", "csv")
@@ -84,17 +107,17 @@ class TestTable:
     def test_decimal_lambda_rejected(self, capsys):
         assert main(["table", "s2", "--nmax", "3", "--lambda", "0.5"]) == EXIT_USAGE
 
-    def test_json_roundtrip_bytes(self, capsys):
-        # negative rationals use the = form so argparse does not read them as flags
-        code, out = run_cli(
-            capsys, "table", "s1", "--nmax", "4", "--lambda=-3/7", "--format", "json"
-        )
+    @pytest.mark.parametrize("argv", JSON_ARGVS)
+    def test_json_roundtrip_bytes(self, capsys, argv):
+        # laid out exactly as json.dumps(..., indent=2) lays out the parsed document
+        code, out = run_cli(capsys, *argv, "--format", "json")
         assert code == EXIT_OK
-        parsed = json.loads(out)
-        assert parsed["family"] == "s1"
-        assert parsed["lambda"] == "-3/7"
-        redumped = json.dumps(parsed, indent=2) + "\n"
-        assert redumped == out
+        assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+    def test_json_fields(self, capsys):
+        code, out = run_cli(capsys, "table", "hyperharmonic", "--nmax", "1", "--r", "2", "--lambda=-3/7", "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out) == {"family": "hyperharmonic", "lambda": "-3/7", "nmax": 1, "values": [["0"], ["1"]], "r": 2}
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "table.csv"
@@ -104,6 +127,36 @@ class TestTable:
         assert code == EXIT_OK
         assert out == ""
         assert target.read_text().startswith("n,k,value")
+
+
+class TestJsonOutputsGolden:
+    # JSON tables and series, recorded with (from the repo root):
+    #   for F in bell fubini harmonic; do
+    #     degenmath table $F --nmax 60 --lambda=-61/89 --format json --output table_$F.json
+    #   done
+    #   degenmath series dexp --order 40 --lambda=-61/89 --format json --output series_dexp.json
+    #   degenmath series dlog --order 40 --lambda=-61/89 --format json --output series_dlog.json
+    #   degenmath series dpolylog --k 2 --order 40 --lambda=-61/89 --format json --output series_dpolylog.json
+    #   degenmath series hypergf --r 3 --order 40 --lambda=-61/89 --format json --output series_hypergf.json
+    #   sha256sum table_bell.json table_fubini.json table_harmonic.json series_dexp.json \
+    #     series_dlog.json series_dpolylog.json series_hypergf.json > tests/data/json_outputs.sha256
+    ARGV = {
+        "table_bell.json": ["table", "bell", "--nmax", "60"],
+        "table_fubini.json": ["table", "fubini", "--nmax", "60"],
+        "table_harmonic.json": ["table", "harmonic", "--nmax", "60"],
+        "series_dexp.json": ["series", "dexp", "--order", "40"],
+        "series_dlog.json": ["series", "dlog", "--order", "40"],
+        "series_dpolylog.json": ["series", "dpolylog", "--k", "2", "--order", "40"],
+        "series_hypergf.json": ["series", "hypergf", "--r", "3", "--order", "40"],
+    }
+
+    @pytest.mark.parametrize("name", list(ARGV))
+    def test_matches_recorded_digest(self, capsys, name):
+        lines = (DATA / "json_outputs.sha256").read_text().splitlines()
+        digests = {file: digest for digest, file in map(str.split, lines)}
+        code, out = run_cli(capsys, *self.ARGV[name], "--lambda=-61/89", "--format", "json")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[name]
 
 
 class TestAppellTablesGolden:
@@ -322,6 +375,44 @@ class TestOutput:
         assert captured.err.startswith(f"error: cannot write {path}")
         assert not path.exists()
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["table", "hyperharmonic", "--nmax", "5", "--format", "json"], EXIT_DOMAIN),
+            (["eval", "bell", "--n=-1", "--x", "1"], EXIT_DOMAIN),
+            (["check", "--id", "NOPE"], EXIT_USAGE),
+            (["check", "--id", "C15", "--nmax", "1"], EXIT_DOMAIN),
+        ],
+        ids=["table-without-r", "eval-negative-n", "check-unknown-id", "check-no-bindings"],
+    )
+    def test_failed_command_leaves_existing_file_unchanged(self, capsys, tmp_path, argv, expected):
+        path = tmp_path / "keep.json"
+        path.write_bytes(b'{"kept": true}\n')
+        code = main(argv + ["--output", str(path)])
+        captured = capsys.readouterr()
+        assert code == expected and captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert path.read_bytes() == b'{"kept": true}\n'
+
+    def test_output_replaces_a_longer_file(self, capsys, tmp_path):
+        path = tmp_path / "table.json"
+        path.write_text("x" * 10_000)
+        code, out = run_cli(capsys, "table", "s1", "--nmax", "2", "--format", "json", "--output", str(path))
+        assert code == EXIT_OK and out == ""
+        code, expected = run_cli(capsys, "table", "s1", "--nmax", "2", "--format", "json")
+        assert path.read_text() == expected
+
+    def test_one_parser_per_process(self, capsys, monkeypatch):
+        built, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            assert main(["list"]) == main(["table", "s1", "--nmax", "2"]) == EXIT_OK
+        finally:
+            cli._parser.cache_clear()
+        capsys.readouterr()
+        assert built == [1]
 
 
 class TestSizeBound:
