@@ -6,8 +6,8 @@ before the command does its work), 3 domain
 error (structurally valid flags that cannot be satisfied, e.g. an r bound
 for a family that does not take one, a binding outside an identity's
 schema, a check grid that leaves nothing to check, or a size flag above
-MAX_SIZE).  On exit 2 or 3 an existing --output file keeps its bytes; a
-path that did not exist is left as an empty file.
+MAX_SIZE).  On exit 2 or 3 an existing --output file keeps its bytes, and
+a file that the command created is removed.
 
 MAX_SIZE bounds table --nmax, eval --n, series --order, check --nmax,
 check --order, table and series --r, check --rmax and --pmax, and the
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import os
@@ -71,6 +72,14 @@ FAMILY_FUNCTIONS = {
 # the Appell families evaluate from their stored constants, building no polynomial
 VALUE_FUNCTIONS = {"bernoulli": "dbernoulli_value", "euler": "deuler_value"}
 
+# series selector -> its series from the parsed flags
+SERIES = {
+    "dexp": lambda args: dexp(args.x, args.lam, args.order),
+    "dlog": lambda args: dlog(args.lam, args.order),
+    "dpolylog": lambda args: dpolylog(args.k, args.lam, args.order),
+    "hypergf": lambda args: identities.hyperharmonic_gf(args.lam, args.r, args.order),
+}
+
 
 def _rational_list(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(part) for part in text.split(","))
@@ -98,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     _output_flags(ev)
 
     ser = sub.add_parser("series", help="dump generating-function coefficients")
-    ser.add_argument("selector", choices=("dexp", "dlog", "dpolylog", "hypergf"))
+    ser.add_argument("selector", choices=tuple(SERIES))
     ser.add_argument("--lambda", dest="lam", type=parse_rational, default=Fraction(0))
     ser.add_argument("--order", type=int, required=True)
     ser.add_argument("--k", type=int, default=1, help="polylogarithm weight (dpolylog)")
@@ -114,7 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--pmax", type=int, default=None)
     check.add_argument("--lambdas", type=_rational_list, default=None)
     check.add_argument("--order", type=int, default=None)
-    check.add_argument("--tolerance", type=parse_rational, default=None)
+    check.add_argument(
+        "--tolerance", dest="e67_tol", metavar="TOLERANCE", type=parse_rational, default=None
+    )
     _output_flags(check)
 
     lst = sub.add_parser("list", help="list the identity registry")
@@ -256,16 +267,9 @@ def _cmd_eval(args) -> tuple[int, str | None]:
 def _cmd_series(args) -> tuple[int, str | None]:
     if args.order < 0:
         return _error(EXIT_DOMAIN, "--order must be >= 0")
-    if args.selector == "dexp":
-        series = dexp(args.x, args.lam, args.order)
-    elif args.selector == "dlog":
-        series = dlog(args.lam, args.order)
-    elif args.selector == "dpolylog":
-        series = dpolylog(args.k, args.lam, args.order)
-    else:
-        if args.r < 1:
-            return _error(EXIT_DOMAIN, "--r must be >= 1")
-        series = identities.hyperharmonic_gf(args.lam, args.r, args.order)
+    if args.selector == "hypergf" and args.r < 1:
+        return _error(EXIT_DOMAIN, "--r must be >= 1")
+    series = SERIES[args.selector](args)
     if args.format == "json":
         return EXIT_OK, _rational_json({"coeffs": series.coeffs, "order": series.order})
     coeffs = [str(c) for c in series.coeffs]
@@ -277,20 +281,9 @@ def _cmd_series(args) -> tuple[int, str | None]:
 
 
 def grid_from_args(args) -> Grid:
-    kwargs = {}
-    if args.nmax is not None:
-        kwargs["nmax"] = args.nmax
-    if args.rmax is not None:
-        kwargs["rmax"] = args.rmax
-    if args.pmax is not None:
-        kwargs["pmax"] = args.pmax
-    if args.lambdas is not None:
-        kwargs["lambdas"] = args.lambdas
-    if args.order is not None:
-        kwargs["order"] = args.order
-    if args.tolerance is not None:
-        kwargs["e67_tol"] = args.tolerance
-    return Grid(**kwargs)
+    """The default grid, with each Grid field that a check flag gave replaced."""
+    given = {field.name: getattr(args, field.name) for field in dataclasses.fields(Grid)}
+    return Grid(**{name: value for name, value in given.items() if value is not None})
 
 
 def _cmd_check(args) -> tuple[int, str | None]:
@@ -392,18 +385,20 @@ def main(argv: list[str] | None = None) -> int:
         # be written fails before any work is done, and an existing file keeps
         # its bytes until there is output to replace them with
         if args.output is None:
-            out = contextlib.nullcontext(sys.stdout)
+            out, created = contextlib.nullcontext(sys.stdout), False
         else:
+            created = not os.path.lexists(args.output)
             out = open(args.output, "a", encoding="utf-8")
         with out as stream:
             code, text = handler(args)
-            if text is None:
-                return code
-            # only a regular file can be truncated (not /dev/null or a pipe)
-            if args.output is not None and stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
-                stream.truncate(0)
-            _emit(text, stream)
-            return code
+            if text is not None:
+                # only a regular file can be truncated (not /dev/null or a pipe)
+                if args.output is not None and stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
+                    stream.truncate(0)
+                _emit(text, stream)
+        if text is None and created:
+            os.remove(args.output)
+        return code
     except OSError as exc:
         # only the output stream does I/O; 2 is the exit code argparse gives
         # a path it cannot open

@@ -3,10 +3,17 @@
 Each checker is declared with `@identity(id, params, description)`.  The
 params map each parameter name to a Param: its kind, its domain, and the
 Grid axis it sweeps.  An identity's bindings over a Grid are the product
-of its axes, so no identity has a hand-written enumerator.  All checks
-except E67 compare exact objects (Fraction, Poly, or Series); identities
-with a free variable x are compared as polynomials, coefficient by
-coefficient, never by sampling.  E67 is the one numeric check: an
+of its axes, so no identity has a hand-written enumerator.
+
+A checker takes the Tables, then its bound values positionally in declared
+order (lambda spelled lam, symbolic params omitted), as in
+`_check_t2(tab, n, r, lam)`.  It returns `(lhs, rhs)`, or `(lhs, rhs,
+note)`, or `(lhs, rhs, note, passed)` when the verdict is not lhs == rhs.
+IdentitySpec.check builds every CheckResult, stamping the id and binding.
+
+All checks except E67 compare exact objects (Fraction, Poly, or Series);
+identities with a free variable x are compared as polynomials, coefficient
+by coefficient, never by sampling.  E67 is the one numeric check: an
 exact-rational partial sum is compared against an exact polynomial value
 within an explicit, certified geometric tail bound.
 """
@@ -137,7 +144,7 @@ class IdentitySpec:
     id: str
     description: str
     params: dict[str, Param]
-    checker: Callable[[dict, "Tables"], CheckResult]
+    checker: Callable[..., tuple]
 
     def param_summary(self) -> dict[str, str]:
         return {name: param.describe() for name, param in self.params.items()}
@@ -162,14 +169,31 @@ class IdentitySpec:
 
         return expand()
 
+    def check(self, binding: dict, tables: Tables) -> CheckResult:
+        """The checker's result at binding: the one place a CheckResult is built."""
+        lhs, rhs, *rest = self.checker(tables, *binding.values())
+        note = rest[0] if rest else ""
+        passed = rest[1] if len(rest) > 1 else lhs == rhs
+        return CheckResult(self.id, dict(binding), lhs, rhs, passed, note)
+
 
 REGISTRY: dict[str, IdentitySpec] = {}
 
 
 def identity(ident: str, params: dict[str, Param], description: str):
-    """Register the decorated checker as identity ident; it is returned unchanged."""
+    """Register the decorated checker as identity ident; it is returned unchanged.
+
+    TypeError if the checker's parameters after the tables are not the
+    declared non-symbolic params, in order, with lambda spelled lam.
+    """
+    bound = [name for name, param in params.items() if param.kind != "symbolic"]
+    declared = ["lam" if name == "lambda" else name for name in bound]
 
     def register(checker):
+        code = checker.__code__
+        taken = list(code.co_varnames[1 : code.co_argcount])
+        if taken != declared:
+            raise TypeError(f"{ident}: checker takes {taken}, the schema declares {declared}")
         REGISTRY[ident] = IdentitySpec(ident, description, params, checker)
         return checker
 
@@ -204,10 +228,6 @@ class Tables:
 _DEFAULT_TABLES = Tables()
 
 
-def _result(ident: str, binding: dict, lhs, rhs, note: str = "") -> CheckResult:
-    return CheckResult(ident, dict(binding), lhs, rhs, lhs == rhs, note)
-
-
 # ---------------------------------------------------------------------------
 # checkers
 
@@ -220,61 +240,55 @@ def hyperharmonic_gf(lam, r: int, order: int) -> Series:
 
 @identity("T1", {"r": R1, "lambda": LAM, "order": ORDERS},
           "series -log_lam(1-t)/(1-t)^r generates the degenerate hyperharmonic numbers")
-def _check_t1(b, tab):
-    lam, r, order = b["lambda"], b["r"], b["order"]
+def _check_t1(tab, r, lam, order):
     lhs = hyperharmonic_gf(lam, r, order)
     rhs = Series(sequences.dhyperharmonic_row(order, r, lam), order)
-    return _result("T1", b, lhs, rhs)
+    return lhs, rhs
 
 
 @identity("T2", {"n": N1, "r": R1, "lambda": LAM},
           "alternating k!-weighted hyperharmonic sum over the second-kind row equals (-1)^n <r>_{n-1} n")
-def _check_t2(b, tab):
-    n, r, lam = b["n"], b["r"], b["lambda"]
+def _check_t2(tab, n, r, lam):
     tri = tab.s2(n, lam)
     hyper = sequences.dhyperharmonic_row(n, r, lam)
     signed = [(-1) ** k * factorial(k) * tri.entry(n, k) for k in range(1, n + 1)]
     lhs = rational_dot(hyper[1:], signed)
     rhs = Fraction((-1) ** n) * gfact_rising(Fraction(r), n - 1, lam) * n
-    return _result("T2", b, lhs, rhs)
+    return lhs, rhs
 
 
 @identity("T3", {"n": N1, "r": R1, "lambda": LAM},
           "hyperharmonic numbers recovered from the first-kind triangle and rising factorials")
-def _check_t3(b, tab):
-    n, r, lam = b["n"], b["r"], b["lambda"]
+def _check_t3(tab, n, r, lam):
     tri = tab.s1(n, lam)
     lhs = sequences.dhyperharmonic(n, r, lam)
     rising = [(-1) ** (n - k) * k * gfact_rising(Fraction(r), k - 1, lam) for k in range(1, n + 1)]
     rhs = rational_dot(rising, tri.row(n)[1:]) / factorial(n)
-    return _result("T3", b, lhs, rhs)
+    return lhs, rhs
 
 
 @identity("T4a", {"n": N0, "lambda": LAM, "x": SYM},
           "first-kind transform of the Euler-family polynomials equals n! sum binom(x,k)(-1/2)^(n-k)")
-def _check_t4a(b, tab):
-    n, lam = b["n"], b["lambda"]
+def _check_t4a(tab, n, lam):
     tri = tab.s1(n, lam)
     lhs = poly_combination((tri.entry(n, k), sequences.deuler_poly(k, lam)) for k in range(n + 1))
     # the k = n term alone of euler_from_triangle: a unit row
     rhs = sequences.binomial_sum((0,) * n + (1,), sequences.euler_weights(n))
-    return _result("T4a", b, lhs, rhs)
+    return lhs, rhs
 
 
 @identity("T4b", {"n": N0, "lambda": LAM, "x": SYM},
           "Euler-family polynomial as a k! S2(n,k)-weighted double binomial sum")
-def _check_t4b(b, tab):
-    n, lam = b["n"], b["lambda"]
+def _check_t4b(tab, n, lam):
     tri = tab.s2(n, lam)
     lhs = sequences.deuler_poly(n, lam)
     rhs = sequences.euler_from_triangle(tri, n)
-    return _result("T4b", b, lhs, rhs)
+    return lhs, rhs
 
 
 @identity("E32", {"n": N0, "lambda": LAM},
           "Euler-family polynomial at x=1/2 via central binomial coefficients")
-def _check_e32(b, tab):
-    n, lam = b["n"], b["lambda"]
+def _check_e32(tab, n, lam):
     tri = tab.s2(n, lam)
     lhs = sequences.deuler_value(n, lam, Fraction(1, 2))
     # the inner sum over j <= k is 2**-k P_k, with P_k the prefix sums of
@@ -282,13 +296,12 @@ def _check_e32(b, tab):
     prefix = accumulate(Fraction(comb(2 * j, j), (1 - 2 * j) * 2**j) for j in range(n + 1))
     weights = [Fraction((-1) ** k * factorial(k), 2**k) * pk for k, pk in enumerate(prefix)]
     rhs = rational_dot(weights, tri.row(n))
-    return _result("E32", b, lhs, rhs)
+    return lhs, rhs
 
 
 @identity("T5", {"n": N0, "lambda": LAM, "x": SYM},
           "Bernoulli-family polynomial as a dfact-weighted double sum with falling factorials")
-def _check_t5(b, tab):
-    n, lam = b["n"], b["lambda"]
+def _check_t5(tab, n, lam):
     tri = tab.s2(n, lam)
     lhs = sequences.dbernoulli_poly(n, lam)
     # sum_j w_j sum_{k>=j} C(n,k) S2(k,j) (x)_{n-k,lam}, summed over j first:
@@ -298,24 +311,22 @@ def _check_t5(b, tab):
     rhs = poly_combination(
         (comb(n, k) * rational_dot(weights, tri.row(k)), falling[n - k]) for k in range(n + 1)
     )
-    return _result("T5", b, lhs, rhs)
+    return lhs, rhs
 
 
 @identity("T6", {"n": N0, "lambda": LAM, "x": SYM},
           "first-kind transform of the Bernoulli-family polynomials equals a binomial dfact sum")
-def _check_t6(b, tab):
-    n, lam = b["n"], b["lambda"]
+def _check_t6(tab, n, lam):
     tri = tab.s1(n, lam)
     lhs = poly_combination((tri.entry(n, k), sequences.dbernoulli_poly(k, lam)) for k in range(n + 1))
     # the k = n term alone of bernoulli_from_triangle: a unit row
     rhs = sequences.binomial_sum((0,) * n + (1,), sequences.bernoulli_weights(n, lam))
-    return _result("T6", b, lhs, rhs)
+    return lhs, rhs
 
 
 @identity("T7", {"n": N0, "lambda": LAM, "x": SYM},
           "Bernoulli-family polynomial as a k! S2(n,k)-weighted double sum (x=0 instance included)")
-def _check_t7(b, tab):
-    n, lam = b["n"], b["lambda"]
+def _check_t7(tab, n, lam):
     tri = tab.s2(n, lam)
     lhs = sequences.dbernoulli_poly(n, lam)
     rhs = sequences.bernoulli_from_triangle(tri, n, lam)
@@ -323,74 +334,65 @@ def _check_t7(b, tab):
     # single sum of k! S2(n,k) dfact(k)/(k+1)!, with k! cancelled
     const_lhs = poly_eval(lhs, 0)
     const_rhs = rational_dot(tri.row(n), [dfact(k, lam) / (k + 1) for k in range(n + 1)])
-    res = _result("T7", b, lhs, rhs, note="x=0 instance checked")
     if const_lhs != const_rhs:
-        return CheckResult(
-            "T7", dict(b), lhs, rhs, False, f"x=0 instance differs: {const_lhs} vs {const_rhs}"
-        )
-    return res
+        return lhs, rhs, f"x=0 instance differs: {const_lhs} vs {const_rhs}", False
+    return lhs, rhs, "x=0 instance checked"
 
 
 @identity("T8", {"n": N1, "lambda": LAM},
           "(n-1)! H_{n,-lam} from Bernoulli-family values at 1-lam through the first-kind triangle at -lam")
-def _check_t8(b, tab):
-    n, lam = b["n"], b["lambda"]
+def _check_t8(tab, n, lam):
     tri = tab.s1(n, -lam)
     lhs = factorial(n - 1) * sequences.dharmonic(n, -lam)
     values = [sequences.dbernoulli_value(k - 1, lam, 1 - lam) for k in range(1, n + 1)]
     signed = [(-1) ** (n - k) * v for k, v in enumerate(values, 1)]
     rhs = rational_dot(signed, tri.row(n)[1:])
-    return _result("T8", b, lhs, rhs)
+    return lhs, rhs
 
 
 @identity("T9", {"n": N1, "lambda": LAM},
           "Bernoulli-family value at 2*lam+1 from harmonic numbers through the second-kind triangle")
-def _check_t9(b, tab):
-    n, lam = b["n"], b["lambda"]
+def _check_t9(tab, n, lam):
     tri = tab.s2(n, lam)
     lhs = sequences.dbernoulli_value(n - 1, -lam, 2 * lam + 1)
     weighted = [(-1) ** (n - k) * factorial(k - 1) * sequences.dharmonic(k, -lam) for k in range(1, n + 1)]
     rhs = rational_dot(weighted, tri.row(n)[1:])
-    return _result("T9", b, lhs, rhs)
+    return lhs, rhs
 
 
 @identity("T10", {"n": N1, "lambda": LAM},
           "dfact(n-1)/n as a first-kind transform of Bernoulli-family values at 1-lam")
-def _check_t10(b, tab):
-    n, lam = b["n"], b["lambda"]
+def _check_t10(tab, n, lam):
     tri = tab.s1(n, lam)
     lhs = dfact(n - 1, lam) / n
     values = [sequences.dbernoulli_value(k - 1, lam, 1 - lam) for k in range(1, n + 1)]
     rhs = rational_dot(values, tri.row(n)[1:])
-    return _result("T10", b, lhs, rhs)
+    return lhs, rhs
 
 
 @identity("T11a", {"n": N1, "lambda": LAM, "x": SYM},
           "Bell-family recurrence phi_{n+1} = x phi_n + (x d/dx - n lam) phi_n")
-def _check_t11a(b, tab):
-    n, lam = b["n"], b["lambda"]
+def _check_t11a(tab, n, lam):
     phi_n = tab.bell(n, lam)
     lhs = tab.bell(n + 1, lam)
     rhs = X * phi_n + (X * poly_derivative(phi_n) - phi_n * (n * lam))
-    return _result("T11a", b, lhs, rhs)
+    return lhs, rhs
 
 
 @identity("T11b", {"n": N1, "lambda": LAM, "x": SYM},
           "Bell-family recurrence as x times a binomial convolution with (1-lam)_{k,lam}")
-def _check_t11b(b, tab):
-    n, lam = b["n"], b["lambda"]
+def _check_t11b(tab, n, lam):
     lhs = tab.bell(n + 1, lam)
     conv = poly_combination(
         (comb(n, k) * gfact_falling(1 - lam, n - k, lam), tab.bell(k, lam)) for k in range(n + 1)
     )
     rhs = X * conv
-    return _result("T11b", b, lhs, rhs)
+    return lhs, rhs
 
 
 @identity("T12", {"n": N1, "lambda": LAM, "x": SYM},
           "second-kind sum x^k/k as a Bernoulli-Bell convolution with 1/n prefactor")
-def _check_t12(b, tab):
-    n, lam = b["n"], b["lambda"]
+def _check_t12(tab, n, lam):
     tri = tab.s2(n, lam)
     lhs = Poly(
         [Fraction(0)] + [tri.entry(n, k) / k for k in range(1, n + 1)]
@@ -409,13 +411,12 @@ def _check_t12(b, tab):
         note = "x=1 variant with 1/n! prefactor matches"
     else:
         note = f"x=1 variant with 1/n! prefactor differs: {at_one} vs {printed}"
-    return _result("T12", b, lhs, rhs, note=note)
+    return lhs, rhs, note
 
 
 @identity("E61", {"n": N1, "lambda": LAM, "x": SYM},
           "second-kind sum x^k/k^2 as a nested Bernoulli-Bell convolution")
-def _check_e61(b, tab):
-    n, lam = b["n"], b["lambda"]
+def _check_e61(tab, n, lam):
     tri = tab.s2(n, lam)
     lhs = Poly(
         [Fraction(0)] + [tri.entry(n, k) / (k * k) for k in range(1, n + 1)]
@@ -435,7 +436,7 @@ def _check_e61(b, tab):
         )
         for m in range(1, n + 1)
     )
-    return _result("E61", b, lhs, rhs)
+    return lhs, rhs
 
 
 def _weighted_row_poly(tri, n: int) -> Poly:
@@ -447,26 +448,21 @@ def _weighted_row_poly(tri, n: int) -> Poly:
 
 @identity("T13", {"n": N1, "lambda": LAM, "x": SYM},
           "(1+x) F_n against (k-1)!-weighted second-kind rows, plus its integral restatement")
-def _check_t13(b, tab):
-    n, lam = b["n"], b["lambda"]
+def _check_t13(tab, n, lam):
     tri = tab.s2(n + 1, lam)
     f_n = sequences.fubini_from_triangle(tri, n)
     lhs = (X + 1) * f_n
     rhs = _weighted_row_poly(tri, n + 1) + _weighted_row_poly(tri, n) * (n * lam)
-    res = _result("T13", b, lhs, rhs, note="integral restatement agrees")
     f_n1 = sequences.fubini_from_triangle(tri, n + 1)
     integral_rhs = poly_int_over_t(f_n1) + poly_int_over_t(f_n) * (n * lam)
     if lhs != integral_rhs:
-        return CheckResult(
-            "T13", dict(b), lhs, rhs, False, f"integral restatement differs: {integral_rhs}"
-        )
-    return res
+        return lhs, rhs, f"integral restatement differs: {integral_rhs}", False
+    return lhs, rhs, "integral restatement agrees"
 
 
 @identity("T13r", {"n": N0, "lambda": LAM},
           "(k-1)!-weighted row sums equal 2 F_n(1) for n >= 1 and 1 at n = 0")
-def _check_t13r(b, tab):
-    n, lam = b["n"], b["lambda"]
+def _check_t13r(tab, n, lam):
     tri = tab.s2(n + 1, lam)
     # factorials[k-1] is (k-1)!, paired with row entries k = 1, 2, ...
     factorials = list(accumulate(range(1, n + 1), mul, initial=1))
@@ -476,44 +472,40 @@ def _check_t13r(b, tab):
         rhs = 2 * poly_eval(sequences.fubini_from_triangle(tri, n), 1)
     else:
         rhs = Fraction(1)
-    return _result("T13r", b, lhs, rhs)
+    return lhs, rhs
 
 
 @identity("T14", {"n": N1, "lambda": LAM, "x": SYM},
           "Fubini-family recurrence F_{n+1} = (x - n lam) F_n + (x + x^2) F_n'")
-def _check_t14(b, tab):
-    n, lam = b["n"], b["lambda"]
+def _check_t14(tab, n, lam):
     tri = tab.s2(n + 1, lam)
     lhs = sequences.fubini_from_triangle(tri, n + 1)
     f_n = sequences.fubini_from_triangle(tri, n)
     rhs = (X - n * lam) * f_n + (X + X * X) * poly_derivative(f_n)
-    return _result("T14", b, lhs, rhs)
+    return lhs, rhs
 
 
 @identity("T15", {"n": N2, "lambda": LAM},
           "dfact-weighted second-kind row sum equals (n-1)(1)_{n-1,lam}")
-def _check_t15(b, tab):
-    n, lam = b["n"], b["lambda"]
+def _check_t15(tab, n, lam):
     tri = tab.s2(n, lam)
     lhs = rational_dot([dfact(k - 2, lam) for k in range(2, n + 1)], tri.row(n)[2:])
     rhs = (n - 1) * gfact_falling(Fraction(1), n - 1, lam)
-    return _result("T15", b, lhs, rhs)
+    return lhs, rhs
 
 
 @identity("C15", {"n": N2},
           "classical limit of the dfact-weighted row sum, against classical Stirling numbers")
-def _check_c15(b, tab):
-    n = b["n"]
+def _check_c15(tab, n):
     rows = classical.stirling2_rows(n)
     lhs = Fraction(sum((-1) ** k * factorial(k - 2) * rows[n][k] for k in range(2, n + 1)))
     rhs = Fraction(n - 1)
-    return _result("C15", b, lhs, rhs)
+    return lhs, rhs
 
 
 @identity("E44", {"lambda": LAM, "order": ORDERS},
           "weight-2 polylogarithm at -t/(1-t) has coefficients -H_{n,-lam}/n")
-def _check_e44(b, tab):
-    lam, order = b["lambda"], b["order"]
+def _check_e44(tab, lam, order):
     inner = Series([Fraction(0)] + [Fraction(-1)] * order, order)
     lhs = ser_compose(dpolylog(2, lam, order), inner)
     rhs = Series(
@@ -521,23 +513,21 @@ def _check_e44(b, tab):
         + [-(sequences.dharmonic(n, -lam) / n) for n in range(1, order + 1)],
         order,
     )
-    return _result("E44", b, lhs, rhs)
+    return lhs, rhs
 
 
 @identity("E59", {"p": P0, "n": N1, "lambda": LAM},
           "power sums of shifted falling factorials via Bernoulli-family differences")
-def _check_e59(b, tab):
-    p, n, lam = b["p"], b["n"], b["lambda"]
+def _check_e59(tab, p, n, lam):
     lhs = sequences.power_sum(p, n, lam)
     upper = sequences.dbernoulli_value(p + 1, lam, n + 1 - lam)
     rhs = (upper - sequences.dbernoulli_value(p + 1, lam, 1 - lam)) / (p + 1)
-    return _result("E59", b, lhs, rhs)
+    return lhs, rhs
 
 
 @identity("E66", {"n": N0, "lambda": LAM, "order": ORDER},
           "geometric transform of the Fubini-family polynomial generates (k)_{n,lam}")
-def _check_e66(b, tab):
-    n, lam, order = b["n"], b["lambda"], b["order"]
+def _check_e66(tab, n, lam, order):
     f_n = tab.fubini(n, lam)
     outer = Series(f_n.coeffs or (Fraction(0),), order)
     inner = Series([Fraction(0)] + [Fraction(1)] * order, order)  # x/(1-x)
@@ -545,7 +535,7 @@ def _check_e66(b, tab):
     rhs = Series(
         [gfact_falling(Fraction(k), n, lam) for k in range(order + 1)], order
     )
-    return _result("E66", b, lhs, rhs)
+    return lhs, rhs
 
 
 def _e67_cutoff(n: int, lam: Fraction, tol: Fraction) -> tuple[int, Fraction]:
@@ -587,14 +577,12 @@ def _e67_partial(n: int, lam: Fraction, cutoff: int) -> Fraction:
 
 @identity("E67", {"n": N0, "lambda": LAM, "tol": TOL},
           "F_n(1) as a tail-bounded exact-rational binary sum")
-def _check_e67(b, tab):
-    n, lam, tol = b["n"], b["lambda"], b["tol"]
+def _check_e67(tab, n, lam, tol):
     exact = poly_eval(tab.fubini(n, lam), 1)
     cutoff, bound = _e67_cutoff(n, lam, tol)
     partial = _e67_partial(n, lam, cutoff)
-    passed = abs(partial - exact) <= tol
     note = f"partial sum over k < {cutoff}; certified tail bound {float(bound):.3e}"
-    return CheckResult("E67", dict(b), exact, partial, passed, note)
+    return exact, partial, note, abs(partial - exact) <= tol
 
 
 ALL_IDENTITY_IDS = tuple(REGISTRY)
@@ -618,7 +606,7 @@ def run_identity(identity_id: str, binding: dict, tables: Tables | None = None) 
     spec = REGISTRY.get(identity_id)
     if spec is None:
         raise UnknownIdentityError(identity_id)
-    return spec.checker(_validated(spec, binding), tables if tables is not None else _DEFAULT_TABLES)
+    return spec.check(_validated(spec, binding), tables if tables is not None else _DEFAULT_TABLES)
 
 
 def list_identities() -> list[IdentitySpec]:
@@ -674,11 +662,11 @@ def run_suite(
     sweeps = [(ident, REGISTRY[ident].bindings(grid)) for ident in selected]
     results = []
     for ident, bindings in sweeps:
-        checker = REGISTRY[ident].checker
+        spec = REGISTRY[ident]
         passes = 0
         failures = []
         for binding in bindings:
-            res = checker(binding, tables)
+            res = spec.check(binding, tables)
             if res.passed:
                 passes += 1
             else:

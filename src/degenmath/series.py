@@ -26,10 +26,6 @@ from .algebra import Poly, _cauchy_product, _integer_numerators
 _SCALARS = (int, Fraction, Poly)
 
 
-def _is_zero(c) -> bool:
-    return c == 0
-
-
 def _all_fractions(cs) -> bool:
     return not any(isinstance(c, Poly) for c in cs)
 
@@ -67,7 +63,7 @@ class Series:
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, or None if all vanish."""
         for i, c in enumerate(self.coeffs):
-            if not _is_zero(c):
+            if c != 0:
                 return i
         return None
 
@@ -200,7 +196,7 @@ def ser_compose(outer: Series, inner: Series) -> Series:
     R(t) = D*outer(inner(L*t)), where D scales outer to integers, and
     coefficient m of the result is R_m / (D * L**m).
     """
-    if not _is_zero(inner.coeffs[0]):
+    if inner.coeffs[0] != 0:
         raise ValueError("composition needs valuation >= 1")
     v = inner.valuation()
     if v is None:

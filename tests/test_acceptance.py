@@ -5,6 +5,7 @@ lines; the suite asserts exact equality everywhere except criterion 7,
 whose tolerance is 10**-30 evaluated in exact rational arithmetic.
 """
 
+import dataclasses
 import json
 import time
 from fractions import Fraction
@@ -111,6 +112,15 @@ def test_criterion_1_full_identity_suite():
     assert elapsed < 60, f"suite took {elapsed:.1f}s"
     assert _report_text(report) == (DATA / "check_all.json").read_text(encoding="utf-8")
     _report("1 (full identity suite)", f"{len(report.results)} identities, {elapsed:.1f}s")
+
+
+def test_wrapped_checkers_give_the_golden_report(monkeypatch):
+    """Each checker wrapped as the benchmark's timers wrap it, called with
+    positional arguments only, gives the same report."""
+    for ident, spec in list(REGISTRY.items()):
+        wrapped = dataclasses.replace(spec, checker=lambda *a, f=spec.checker: f(*a))
+        monkeypatch.setitem(REGISTRY, ident, wrapped)
+    assert _report_text(run_suite()) == (DATA / "check_all.json").read_text(encoding="utf-8")
 
 
 def test_criterion_2_oracle_equivalence():

@@ -26,7 +26,7 @@ from degenmath.cli import (
     grid_from_args,
     main,
 )
-from degenmath.identities import DEFAULT_GRID, REGISTRY, CheckResult
+from degenmath.identities import DEFAULT_GRID, REGISTRY
 
 DATA = Path(__file__).parent / "data"
 
@@ -35,9 +35,9 @@ def counting_checkers(monkeypatch) -> list:
     """Swap every registry checker for a passing stub; the list records each call."""
     calls = []
 
-    def counting(binding, tables):
-        calls.append(binding)
-        return CheckResult("stub", binding, 0, 0, True)
+    def counting(tables, *values):
+        calls.append(values)
+        return 0, 0
 
     for ident, spec in list(REGISTRY.items()):
         monkeypatch.setitem(REGISTRY, ident, dataclasses.replace(spec, checker=counting))
@@ -376,16 +376,20 @@ class TestOutput:
         assert not path.exists()
         assert calls == []
 
-    @pytest.mark.parametrize(
+    FAILED_COMMANDS = pytest.mark.parametrize(
         "argv, expected",
         [
             (["table", "hyperharmonic", "--nmax", "5", "--format", "json"], EXIT_DOMAIN),
+            (["table", "s2", "--nmax", "3", "--r", "2"], EXIT_DOMAIN),
             (["eval", "bell", "--n=-1", "--x", "1"], EXIT_DOMAIN),
             (["check", "--id", "NOPE"], EXIT_USAGE),
             (["check", "--id", "C15", "--nmax", "1"], EXIT_DOMAIN),
         ],
-        ids=["table-without-r", "eval-negative-n", "check-unknown-id", "check-no-bindings"],
+        ids=["table-without-r", "table-r-not-taken", "eval-negative-n", "check-unknown-id",
+             "check-no-bindings"],
     )
+
+    @FAILED_COMMANDS
     def test_failed_command_leaves_existing_file_unchanged(self, capsys, tmp_path, argv, expected):
         path = tmp_path / "keep.json"
         path.write_bytes(b'{"kept": true}\n')
@@ -394,6 +398,15 @@ class TestOutput:
         assert code == expected and captured.out == ""
         assert captured.err.startswith("error: ")
         assert path.read_bytes() == b'{"kept": true}\n'
+
+    @FAILED_COMMANDS
+    def test_failed_command_leaves_no_new_file(self, capsys, tmp_path, argv, expected):
+        path = tmp_path / "new.json"
+        code = main(argv + ["--output", str(path)])
+        captured = capsys.readouterr()
+        assert code == expected and captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_output_replaces_a_longer_file(self, capsys, tmp_path):
         path = tmp_path / "table.json"

@@ -1,20 +1,24 @@
 """Identity registry, single checks, and the sweep runner."""
 
+import dataclasses
 import json
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from degenmath import identities
 from degenmath.algebra import Poly
 from degenmath.identities import (
     ALL_IDENTITY_IDS,
     BindingError,
+    CheckResult,
     DEFAULT_GRID,
     Grid,
     REGISTRY,
     UnknownIdentityError,
     check_result_json,
+    identity,
     list_identities,
     run_identity,
     run_suite,
@@ -58,6 +62,36 @@ class TestRegistry:
             run_identity("T15", {"n": 3, "lambda": HALF, "bogus": 1})
         with pytest.raises(BindingError):
             run_identity("T2", {"n": "2", "r": 1, "lambda": HALF})
+
+    def test_checker_with_swapped_parameters_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(identities, "REGISTRY", {})
+        declare = identity("T2", REGISTRY["T2"].params, "swapped")
+
+        def swapped(tab, r, n, lam):
+            return 0, 0
+
+        with pytest.raises(TypeError, match="schema declares"):
+            declare(swapped)
+        assert identities.REGISTRY == {}
+
+        def in_order(tab, n, r, lam):
+            return 0, 0
+
+        assert declare(in_order) is in_order
+        assert identities.REGISTRY["T2"].checker is in_order
+
+    def test_check_builds_the_result_from_the_returned_sides(self):
+        spec = REGISTRY["T15"]
+        binding = {"n": 3, "lambda": HALF}
+
+        def result(*sides):
+            return dataclasses.replace(spec, checker=lambda tab, n, lam: sides).check(binding, None)
+
+        assert result(1, 1) == CheckResult("T15", binding, 1, 1, True)
+        assert result(1, 2, "why") == CheckResult("T15", binding, 1, 2, False, "why")
+        assert result(1, 1, "why", False) == CheckResult("T15", binding, 1, 1, False, "why")
+        assert result(1, 2, "", True).passed
+        assert result(1, 1).binding is not binding
 
 
 class TestSingleChecks:
