@@ -1,5 +1,7 @@
 """Command line front end: tables, evaluations, series dumps, identity suite.
 
+FAMILIES is the one place a table family is declared.
+
 Exit codes: 0 all requested checks pass, 1 an identity check failed,
 2 usage error (including an --output path that cannot be written, found
 before the command does its work), 3 domain
@@ -33,8 +35,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import dataclasses
 import functools
+import io
 import json
 import os
 import stat
@@ -53,24 +57,22 @@ EXIT_DOMAIN = 3
 
 MAX_SIZE = 300
 
-TRIANGLE_FAMILIES = ("s1", "s2")
-SCALAR_FAMILIES = ("harmonic", "hyperharmonic")
-POLY_FAMILIES = ("bernoulli", "euler", "bell", "fubini")
-
-# family -> function name in sequences, looked up on the module at call time
-FAMILY_FUNCTIONS = {
-    "s1": "s1_triangle",
-    "s2": "s2_triangle",
-    "harmonic": "dharmonic",
-    "hyperharmonic": "dhyperharmonic",
-    "bernoulli": "dbernoulli_poly",
-    "euler": "deuler_poly",
-    "bell": "dbell_poly",
-    "fubini": "dfubini_poly",
+# family -> (kind, function, value function): the kind is triangle, scalar or
+# poly; the functions are names in sequences, looked up at call time, and a
+# value function evaluates from stored constants, building no polynomial
+FAMILIES = {
+    "s1": ("triangle", "s1_triangle", None),
+    "s2": ("triangle", "s2_triangle", None),
+    "harmonic": ("scalar", "dharmonic", None),
+    "hyperharmonic": ("scalar", "dhyperharmonic", None),
+    "bernoulli": ("poly", "dbernoulli_poly", "dbernoulli_value"),
+    "euler": ("poly", "deuler_poly", "deuler_value"),
+    "bell": ("poly", "dbell_poly", None),
+    "fubini": ("poly", "dfubini_poly", None),
 }
 
-# the Appell families evaluate from their stored constants, building no polynomial
-VALUE_FUNCTIONS = {"bernoulli": "dbernoulli_value", "euler": "deuler_value"}
+# the families that eval takes
+POLY_FAMILIES = tuple(name for name, (kind, _, _) in FAMILIES.items() if kind == "poly")
 
 # series selector -> its series from the parsed flags
 SERIES = {
@@ -93,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     table = sub.add_parser("table", help="print a triangle, sequence, or polynomial family")
-    table.add_argument("family", choices=TRIANGLE_FAMILIES + SCALAR_FAMILIES + POLY_FAMILIES)
+    table.add_argument("family", choices=tuple(FAMILIES))
     table.add_argument("--nmax", type=int, required=True)
     table.add_argument("--lambda", dest="lam", type=parse_rational, default=Fraction(0))
     table.add_argument("--r", type=int, default=None)
@@ -116,8 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
     _output_flags(ser)
 
     check = sub.add_parser("check", help="run the identity suite")
-    check.add_argument("--all", action="store_true", help="run every identity (the default)")
-    check.add_argument("--id", dest="ids", action="append", help="run one identity (repeatable)")
+    which = check.add_mutually_exclusive_group()
+    which.add_argument("--all", action="store_true", help="run every identity (the default)")
+    which.add_argument("--id", dest="ids", action="append", help="run one identity (repeatable)")
     check.add_argument("--nmax", type=int, default=None)
     check.add_argument("--rmax", type=int, default=None)
     check.add_argument("--pmax", type=int, default=None)
@@ -185,8 +188,10 @@ def _json_rationals(values, indent: str, parts: list) -> None:
     parts.append("\n" + indent + "]")
 
 
-def _csv_text(header: str, rows) -> str:
-    return "\n".join([header] + [",".join(str(c) for c in row) for row in rows])
+def _csv_text(header: tuple, rows) -> str:
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([header, *rows])
+    return text.getvalue()
 
 
 class DomainError(Exception):
@@ -207,13 +212,14 @@ def _table_rows(args) -> list:
             raise DomainError("hyperharmonic needs --r >= 1")
     elif r is not None:
         raise DomainError(f"--r does not apply to family {family!r}")
-    fn = getattr(sequences, FAMILY_FUNCTIONS[family])
-    if family in TRIANGLE_FAMILIES:
+    kind, function, _ = FAMILIES[family]
+    fn = getattr(sequences, function)
+    if kind == "triangle":
         tri = fn(nmax, lam)
         return [tri.row(n) for n in range(nmax + 1)]
-    if family == "harmonic":
-        return [[fn(n, lam)] for n in range(nmax + 1)]
-    if family == "hyperharmonic":
+    if kind == "scalar":
+        if r is None:
+            return [[fn(n, lam)] for n in range(nmax + 1)]
         return [[fn(n, r, lam)] for n in range(nmax + 1)]
     rows = []
     for n in range(nmax + 1):
@@ -234,13 +240,14 @@ def _cmd_table(args) -> tuple[int, str | None]:
         text = _rational_json(doc)
     elif args.format == "csv":
         flat = [(n, k, v) for n, row in enumerate(rows) for k, v in enumerate(row)]
-        text = _csv_text("n,k,value", flat)
+        text = _csv_text(("n", "k", "value"), flat)
     else:
+        kind, _, _ = FAMILIES[args.family]
         lines = []
         for n, row in enumerate(rows):
-            if args.family in TRIANGLE_FAMILIES:
+            if kind == "triangle":
                 lines.append(f"{n}: " + " ".join(str(v) for v in row))
-            elif args.family in SCALAR_FAMILIES:
+            elif kind == "scalar":
                 lines.append(f"{n}\t{row[0]}")
             else:
                 lines.append(f"{n}: {Poly(row)}")
@@ -251,14 +258,15 @@ def _cmd_table(args) -> tuple[int, str | None]:
 def _cmd_eval(args) -> tuple[int, str | None]:
     if args.n < 0:
         return _error(EXIT_DOMAIN, "--n must be >= 0")
-    if args.family in VALUE_FUNCTIONS:
-        value = getattr(sequences, VALUE_FUNCTIONS[args.family])(args.n, args.lam, args.x)
+    _, function, value_function = FAMILIES[args.family]
+    if value_function is not None:
+        value = getattr(sequences, value_function)(args.n, args.lam, args.x)
     else:
-        value = poly_eval(getattr(sequences, FAMILY_FUNCTIONS[args.family])(args.n, args.lam), args.x)
+        value = poly_eval(getattr(sequences, function)(args.n, args.lam), args.x)
     if args.format == "json":
         text = _json_text({"family": args.family, "n": args.n, "lambda": str(args.lam), "x": str(args.x), "value": str(value)})
     elif args.format == "csv":
-        text = _csv_text("n,x,value", [(args.n, args.x, value)])
+        text = _csv_text(("n", "x", "value"), [(args.n, args.x, value)])
     else:
         text = str(value)
     return EXIT_OK, text
@@ -274,7 +282,7 @@ def _cmd_series(args) -> tuple[int, str | None]:
         return EXIT_OK, _rational_json({"coeffs": series.coeffs, "order": series.order})
     coeffs = [str(c) for c in series.coeffs]
     if args.format == "csv":
-        text = _csv_text("k,value", list(enumerate(coeffs)))
+        text = _csv_text(("k", "value"), enumerate(coeffs))
     else:
         text = "[" + ", ".join(coeffs) + "]"
     return EXIT_OK, text
@@ -287,9 +295,8 @@ def grid_from_args(args) -> Grid:
 
 
 def _cmd_check(args) -> tuple[int, str | None]:
-    ids = None if (args.all or not args.ids) else args.ids
     try:
-        report = identities.run_suite(grid_from_args(args), ids=ids)
+        report = identities.run_suite(grid_from_args(args), ids=args.ids)
     except UnknownIdentityError as exc:
         return _error(EXIT_USAGE, f"unknown identity id {exc.args[0]!r}")
     except BindingError as exc:
@@ -297,14 +304,14 @@ def _cmd_check(args) -> tuple[int, str | None]:
     # a check of zero bindings passes vacuously, so it is not reported as a
     # pass; under --all E44 always has bindings, so only named ids can be empty
     checked = {r.id: r.pass_count + r.fail_count for r in report.results}
-    empty = [ident for ident in (ids or ()) if not checked[ident]]
+    empty = [ident for ident in (args.ids or ()) if not checked[ident]]
     if empty:
         return _error(EXIT_DOMAIN, f"no bindings checked for {', '.join(empty)}; widen the grid")
     if args.format == "json":
         text = _json_text(identities.suite_report_json(report))
     elif args.format == "csv":
         text = _csv_text(
-            "id,pass_count,fail_count",
+            ("id", "pass_count", "fail_count"),
             [(r.id, r.pass_count, r.fail_count) for r in report.results],
         )
     else:
@@ -336,7 +343,7 @@ def _cmd_list(args) -> tuple[int, str | None]:
             ]
         )
     elif args.format == "csv":
-        text = _csv_text("id,description", [(s.id, s.description) for s in specs])
+        text = _csv_text(("id", "description"), [(s.id, s.description) for s in specs])
     else:
         lines = []
         for s in specs:

@@ -5,9 +5,10 @@ formula) and, where one exists, an independent generating-function path
 that the test suite uses as an oracle.
 
 The primary paths share one store of per-lambda tables, keyed by
-(family, lambda), and every stored family grows by one rule.  An entry
-holds the family's entries and the integer state its extend ended with,
-and a miss makes one call extend(entries, state, upto, lam) of the
+(family, lambda), and every stored family grows by one rule.  _EXTENDS,
+the one place a stored family is declared, maps it to its extend.  An
+entry holds the family's entries and the integer state its extend ended
+with, and a miss makes one call extend(entries, state, upto, lam) of the
 family's extend, which returns entries 0..upto, the stored ones kept as
 the same objects, and the state they end with; so each entry is computed
 once, and a miss starts from the stored state instead of rebuilding it.
@@ -68,18 +69,18 @@ def _put(key, value):
     return value
 
 
-def _grown(family: str, n: int, lam: Fraction, extend) -> tuple[tuple, object]:
+def _grown(family: str, n: int, lam: Fraction) -> tuple[tuple, object]:
     """(entries, state) stored for family at lam, with entries 0..n or more;
-    a miss stores extend(entries, state, max(n, GROW_MIN_N), lam), the
-    entries 0..that bound and the state they end with.  An empty table has
-    state None."""
+    a miss stores _EXTENDS[family](entries, state, max(n, GROW_MIN_N), lam),
+    the entries 0..that bound and the state they end with.  An empty table
+    has state None."""
     if n < 0:
         # a negative n would index the stored table from its end
         raise ValueError(f"n must be >= 0, got {n}")
     entries, state = _STORE.get((family, lam), ((), None))
     if n < len(entries):
         return entries, state
-    return _put((family, lam), extend(entries, state, max(n, GROW_MIN_N), lam))
+    return _put((family, lam), _EXTENDS[family](entries, state, max(n, GROW_MIN_N), lam))
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ class StirlingTriangle:
 def s2_triangle(nmax: int, lam) -> StirlingTriangle:
     """Second-kind triangle from the recurrence
     S(n+1,k) = S(n,k-1) + (k - n*lam) * S(n,k), S(0,0) = 1."""
-    return _triangle("second", int(nmax), Fraction(lam))
+    return StirlingTriangle(_grown("second", int(nmax), Fraction(lam))[0])
 
 
 def s1_triangle(nmax: int, lam) -> StirlingTriangle:
@@ -112,7 +113,7 @@ def s1_triangle(nmax: int, lam) -> StirlingTriangle:
     x*(x)_{k,lam} = (x)_{k+1,lam} + k*lam*(x)_{k,lam}; the test suite
     cross-checks it entrywise against the generating-function extraction.
     """
-    return _triangle("first", int(nmax), Fraction(lam))
+    return StirlingTriangle(_grown("first", int(nmax), Fraction(lam))[0])
 
 
 def _row_extend(weight):
@@ -139,17 +140,6 @@ def _row_extend(weight):
         return tuple(rows), tuple(ints)
 
     return extend
-
-
-# row m from row m-1 with lam = p/q: the weights k - n*lam and k*lam - n, times q
-_ROW_EXTENDS = {
-    "second": _row_extend(lambda n, k, p, q: k * q - n * p),
-    "first": _row_extend(lambda n, k, p, q: k * p - n * q),
-}
-
-
-def _triangle(kind: str, nmax: int, lam: Fraction) -> StirlingTriangle:
-    return StirlingTriangle(_grown(kind, nmax, lam, _ROW_EXTENDS[kind])[0])
 
 
 def stirling_series_oracle(kind: str, n: int, k: int, lam, order: int) -> Fraction:
@@ -192,7 +182,7 @@ def dharmonic(n: int, lam) -> Fraction:
     The summand is the singularity-free rewriting of (1/lam) binom(lam, k)
     (-1)**(k-1), so lam == 0 is legal and yields the classical 1 + 1/2 + ... + 1/n.
     """
-    return _grown("harmonic", n, Fraction(lam), _harmonic_extend)[0][n]
+    return _grown("harmonic", n, Fraction(lam))[0][n]
 
 
 def _hyperharmonic_numerators(n: int, r: int, lam) -> tuple[list[int], int]:
@@ -202,7 +192,7 @@ def _hyperharmonic_numerators(n: int, r: int, lam) -> tuple[list[int], int]:
     the r-1 cumulative sums run on the integer numerators."""
     if r < 1:
         raise ValueError("hyperharmonic order r must be >= 1")
-    sums, d = _over_lcm(_grown("harmonic", n, Fraction(lam), _harmonic_extend)[0][: n + 1])
+    sums, d = _over_lcm(_grown("harmonic", n, Fraction(lam))[0][: n + 1])
     for _ in range(r - 1):
         sums = list(accumulate(sums))
     return sums, d
@@ -260,9 +250,9 @@ def _constants_extend(weight):
     return extend
 
 
-def _appell_extend(constants, constants_extend):
+def _appell_extend(constants):
     """Extend for the P_n(x) generated by e_lam^x(t) / W(t), whose constant
-    terms c_n are the stored family constants, built by constants_extend.
+    terms c_n are the stored family constants.
 
     P_n(x) = sum_m C(n,m) c_{n-m} (x)_{m,lam} is summed by Horner's scheme in
     the falling-factorial basis: from acc = c_0, for m = n-1 down to 0,
@@ -275,7 +265,7 @@ def _appell_extend(constants, constants_extend):
 
     def extend(polys, state, upto, lam):
         p, q = lam.numerator, lam.denominator
-        cs, d = _grown(constants, upto, lam, constants_extend)[1][:2]
+        cs, d = _grown(constants, upto, lam)[1][:2]
         polys = list(polys)
         for n in range(len(polys), upto + 1):
             acc, scale = [cs[0]], 1
@@ -291,7 +281,7 @@ def _appell_extend(constants, constants_extend):
     return extend
 
 
-def _appell_value(constants, constants_extend, n: int, lam, x0) -> Fraction:
+def _appell_value(constants, n: int, lam, x0) -> Fraction:
     """P_n(x0) = sum_m C(n,m) c_{n-m} (x0)_{m,lam} for the Appell family whose
     stored constants are constants, as one integer sum over one denominator.
 
@@ -299,7 +289,7 @@ def _appell_value(constants, constants_extend, n: int, lam, x0) -> Fraction:
     over d*(b*q)**(n-m), so that each pass multiplies by a*q - m*p*b, and the
     value is normalised once.  It builds no polynomial."""
     lam, x0 = Fraction(lam), Fraction(x0)
-    cs, d = _grown(constants, n, lam, constants_extend)[1][:2]
+    cs, d = _grown(constants, n, lam)[1][:2]
     p, q, a, b = lam.numerator, lam.denominator, x0.numerator, x0.denominator
     acc, scale, binom = cs[0], 1, 1
     for m in range(n - 1, -1, -1):
@@ -309,21 +299,28 @@ def _appell_value(constants, constants_extend, n: int, lam, x0) -> Fraction:
     return Fraction(acc, d * scale)
 
 
-# W = (e_lam(t) - 1)/t and W = (e_lam(t) + 1)/2
-_BERNOULLI_CONSTANTS = _constants_extend(lambda j, ones, q: Fraction(ones[j + 1], (j + 1) * q ** (j + 1)))
-_EULER_CONSTANTS = _constants_extend(lambda j, ones, q: Fraction(ones[j], 2 * q**j))
-_BERNOULLI_EXTEND = _appell_extend("bernoulli constants", _BERNOULLI_CONSTANTS)
-_EULER_EXTEND = _appell_extend("euler constants", _EULER_CONSTANTS)
+# stored family -> its extend, which _grown calls on a miss
+_EXTENDS = {
+    # row m from row m-1 with lam = p/q: the weights k*lam - n and k - n*lam, times q
+    "first": _row_extend(lambda n, k, p, q: k * p - n * q),
+    "second": _row_extend(lambda n, k, p, q: k * q - n * p),
+    "harmonic": _harmonic_extend,
+    # W = (e_lam(t) - 1)/t and W = (e_lam(t) + 1)/2
+    "bernoulli constants": _constants_extend(lambda j, ones, q: Fraction(ones[j + 1], (j + 1) * q ** (j + 1))),
+    "euler constants": _constants_extend(lambda j, ones, q: Fraction(ones[j], 2 * q**j)),
+    "bernoulli": _appell_extend("bernoulli constants"),
+    "euler": _appell_extend("euler constants"),
+}
 
 
 def dbernoulli_poly(n: int, lam) -> Poly:
     """Degenerate Bernoulli polynomial, the t**n/n! coefficient of t/(e_lam(t)-1) * e_lam^x(t)."""
-    return _grown("bernoulli", n, Fraction(lam), _BERNOULLI_EXTEND)[0][n]
+    return _grown("bernoulli", n, Fraction(lam))[0][n]
 
 
 def dbernoulli_value(n: int, lam, x0) -> Fraction:
     """dbernoulli_poly(n, lam) at x0, summed from the stored constants in O(n)."""
-    return _appell_value("bernoulli constants", _BERNOULLI_CONSTANTS, n, lam, x0)
+    return _appell_value("bernoulli constants", n, lam, x0)
 
 
 def dbernoulli_poly_stirling(n: int, lam) -> Poly:
@@ -337,12 +334,12 @@ def dbernoulli_poly_stirling(n: int, lam) -> Poly:
 
 def deuler_poly(n: int, lam) -> Poly:
     """Degenerate Euler polynomial, the t**n/n! coefficient of 2/(e_lam(t)+1) * e_lam^x(t)."""
-    return _grown("euler", n, Fraction(lam), _EULER_EXTEND)[0][n]
+    return _grown("euler", n, Fraction(lam))[0][n]
 
 
 def deuler_value(n: int, lam, x0) -> Fraction:
     """deuler_poly(n, lam) at x0, summed from the stored constants in O(n)."""
-    return _appell_value("euler constants", _EULER_CONSTANTS, n, lam, x0)
+    return _appell_value("euler constants", n, lam, x0)
 
 
 def bell_from_triangle(tri: StirlingTriangle, n: int) -> Poly:

@@ -50,11 +50,6 @@ class Series:
         self.coeffs = tuple(cs)
         self.order = order
 
-    def coeff(self, n: int):
-        if not 0 <= n <= self.order:
-            raise IndexError(f"coefficient {n} outside truncation order {self.order}")
-        return self.coeffs[n]
-
     def truncate(self, order: int) -> "Series":
         if order > self.order:
             raise ValueError("cannot extend a series beyond its truncation order")

@@ -1,6 +1,7 @@
 """Command line surface: formats, exit codes, determinism."""
 
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import io
@@ -18,10 +19,9 @@ from degenmath.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
     EXIT_USAGE,
+    FAMILIES,
     MAX_SIZE,
     POLY_FAMILIES,
-    SCALAR_FAMILIES,
-    TRIANGLE_FAMILIES,
     build_parser,
     grid_from_args,
     main,
@@ -59,7 +59,7 @@ JSON_ARGVS = [
             ["table", family, "--nmax", nmax, "--lambda=-3/7"] + (["--r", "3"] if family == "hyperharmonic" else []),
             id=f"table-{family}-{nmax}",
         )
-        for family in TRIANGLE_FAMILIES + SCALAR_FAMILIES + POLY_FAMILIES
+        for family in FAMILIES
         for nmax in ("0", "5")
     ),
     pytest.param(["series", "dexp", "--order", "6", "--lambda=-3/7", "--x=5/2"], id="series-dexp"),
@@ -244,6 +244,10 @@ class TestEval:
     def test_scalar_family_is_usage_error(self, capsys):
         assert main(["eval", "harmonic", "--n", "2", "--lambda", "0", "--x", "1"]) == EXIT_USAGE
 
+    def test_csv(self, capsys):
+        code, out = run_cli(capsys, "eval", "bell", "--n", "2", "--lambda", "0", "--x=-1/2", "--format", "csv")
+        assert code == EXIT_OK and out == "n,x,value\n2,-1/2,-1/4\n"
+
 
 class TestSeries:
     def test_dlog(self, capsys):
@@ -271,6 +275,19 @@ class TestSeries:
     def test_invalid_selector(self, capsys):
         assert main(["series", "nope", "--order", "3"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["series", "dlog", "--order=-1"], "error: --order must be >= 0\n"),
+            (["series", "hypergf", "--order", "3", "--r", "0"], "error: --r must be >= 1\n"),
+        ],
+    )
+    def test_bad_size_is_domain_error(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_DOMAIN and captured.out == ""
+        assert captured.err == message
+
 
 class TestCheck:
     SMALL = ["--nmax", "3", "--rmax", "2", "--pmax", "1", "--lambdas", "0,1/2", "--order", "8"]
@@ -287,6 +304,30 @@ class TestCheck:
 
     def test_unknown_id(self, capsys):
         assert main(["check", "--id", "NOPE"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("ident", ["NOPE", "T15"])
+    def test_all_with_id_is_usage_error(self, capsys, monkeypatch, ident):
+        # --all and --id exclude each other, so neither is silently dropped
+        calls = counting_checkers(monkeypatch)
+        code = main(["check", "--all", "--id", ident])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert "not allowed with argument" in captured.err
+        assert calls == []
+
+    def test_plain_report_of_a_failure(self, capsys, monkeypatch):
+        spec = REGISTRY["T15"]
+        monkeypatch.setitem(REGISTRY, "T15", dataclasses.replace(spec, checker=lambda tables, *values: (1, 2, "why")))
+        code, out = run_cli(capsys, "check", "--id", "T15", "--nmax", "2", "--lambdas", "1/2")
+        assert code == EXIT_CHECK_FAILED
+        assert out.splitlines() == [
+            "T15: pass 0 fail 1",
+            "  FAIL T15 at n=2, lambda=1/2",
+            "    lhs = 1",
+            "    rhs = 2",
+            "    note: why",
+            "FAILURES detected",
+        ]
 
     def test_json_schema_and_determinism(self, capsys):
         code, first = run_cli(capsys, "check", *self.SMALL, "--format", "json")
@@ -497,7 +538,7 @@ FLAG_VALUES = {
 }
 # command -> (positionals, required flags, other flags)
 COMMANDS = {
-    "table": (TRIANGLE_FAMILIES + SCALAR_FAMILIES + POLY_FAMILIES, ("--nmax",), ("--lambda", "--r", "--format")),
+    "table": (tuple(FAMILIES), ("--nmax",), ("--lambda", "--r", "--format")),
     "eval": (POLY_FAMILIES, ("--n", "--x"), ("--lambda", "--format")),
     "series": (("dexp", "dlog", "dpolylog", "hypergf"), ("--order",), ("--lambda", "--k", "--r", "--x", "--format")),
     "check": ((), (), ("--id", "--nmax", "--rmax", "--pmax", "--lambdas", "--order", "--tolerance", "--format")),
@@ -542,6 +583,16 @@ class TestAnyArgv:
 
 
 class TestList:
+    def test_csv_rows_are_id_and_description(self, capsys):
+        # a description with a comma is quoted, so every row parses into two fields
+        code, out = run_cli(capsys, "list", "--format", "csv")
+        assert code == EXIT_OK
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == ["id", "description"]
+        assert [row[0] for row in rows] == list(REGISTRY)
+        for row in rows:
+            assert len(row) == 2 and row[1] == REGISTRY[row[0]].description
+
     def test_plain_lists_all(self, capsys):
         code, out = run_cli(capsys, "list")
         assert code == EXIT_OK

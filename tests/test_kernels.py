@@ -531,13 +531,13 @@ class TestTriangleStep:
 # family -> (a call that grows it, its extend); the constants are grown
 # through the value at 0, which is the constant itself
 STORED_FAMILIES = {
-    "first": (s1_triangle, sequences._ROW_EXTENDS["first"]),
-    "second": (s2_triangle, sequences._ROW_EXTENDS["second"]),
-    "bernoulli": (dbernoulli_poly, sequences._BERNOULLI_EXTEND),
-    "euler": (deuler_poly, sequences._EULER_EXTEND),
-    "harmonic": (dharmonic, sequences._harmonic_extend),
-    "bernoulli constants": (lambda n, lam: dbernoulli_value(n, lam, 0), sequences._BERNOULLI_CONSTANTS),
-    "euler constants": (lambda n, lam: deuler_value(n, lam, 0), sequences._EULER_CONSTANTS),
+    "first": (s1_triangle, sequences._EXTENDS["first"]),
+    "second": (s2_triangle, sequences._EXTENDS["second"]),
+    "bernoulli": (dbernoulli_poly, sequences._EXTENDS["bernoulli"]),
+    "euler": (deuler_poly, sequences._EXTENDS["euler"]),
+    "harmonic": (dharmonic, sequences._EXTENDS["harmonic"]),
+    "bernoulli constants": (lambda n, lam: dbernoulli_value(n, lam, 0), sequences._EXTENDS["bernoulli constants"]),
+    "euler constants": (lambda n, lam: deuler_value(n, lam, 0), sequences._EXTENDS["euler constants"]),
 }
 
 
@@ -578,7 +578,7 @@ class TestGrowth:
         assert all(x is y for x, y in zip(grown[0], prefix[0]))
 
     @pytest.mark.parametrize("family", list(COUNTED_WEIGHTS))
-    def test_a_miss_past_the_floor_starts_from_the_stored_state(self, family):
+    def test_a_miss_past_the_floor_starts_from_the_stored_state(self, monkeypatch, family):
         # each weight runs once, for the entry it makes, and never again for
         # a stored one: the misses at 17, 18 and 20 start from the state
         make, weight = COUNTED_WEIGHTS[family]
@@ -589,8 +589,9 @@ class TestGrowth:
             return weight(i, *args)
 
         lam, name = Fraction(-43, 10**6 - 29), f"counted {family}"
+        monkeypatch.setitem(sequences._EXTENDS, name, make(counted))
         for n in (0, 16, 17, 18, 5, 20):
-            sequences._grown(name, n, lam, make(counted))
+            sequences._grown(name, n, lam)
         # weight(m-1, k, ...) for k = 0..m makes triangle row m; weight(j, ...) is w_j
         rows = make is sequences._row_extend
         assert calls == ([m - 1 for m in range(1, 21) for _ in range(m + 1)] if rows else list(range(1, 21)))

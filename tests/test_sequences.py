@@ -420,18 +420,14 @@ class TestStore:
         lam = Fraction(17, 10**6 - 7)
         key = (family, lam)
         computed = []
-        grown = sequences._grown
+        extend = sequences._EXTENDS[family]
 
-        def counting(name, n, at, extend):
-            def counted(entries, state, upto, at):
-                # one extend call builds the entries len(entries)..upto
-                if name == family:
-                    computed.extend(range(len(entries), upto + 1))
-                return extend(entries, state, upto, at)
+        def counted(entries, state, upto, at):
+            # one extend call builds the entries len(entries)..upto
+            computed.extend(range(len(entries), upto + 1))
+            return extend(entries, state, upto, at)
 
-            return grown(name, n, at, counted)
-
-        monkeypatch.setattr(sequences, "_grown", counting)
+        monkeypatch.setitem(sequences._EXTENDS, family, counted)
         fn(0, lam)
         first = sequences._STORE[key][0]
         assert len(first) == sequences.GROW_MIN_N + 1 == 17
@@ -459,9 +455,9 @@ class TestStore:
         reads = []
         grown = sequences._grown
 
-        def counting(name, n, at, extend):
+        def counting(name, n, at):
             reads.append((name, n))
-            return grown(name, n, at, extend)
+            return grown(name, n, at)
 
         monkeypatch.setattr(sequences, "_grown", counting)
         row = dhyperharmonic_row(40, 3, lam)
