@@ -59,9 +59,8 @@ class Poly:
     empty tuple, and its degree is None rather than -1 so that degree
     arithmetic can never be silently wrong.
 
-    Scalars (int, Fraction) coerce in arithmetic and comparisons, which is
-    what lets generic "Rational-or-Poly" code run unchanged over either
-    coefficient ring.
+    Scalars (int, Fraction) coerce in arithmetic and comparisons, so a
+    polynomial and a rational mix in one expression, as in X - k*lam.
     """
 
     __slots__ = ("coeffs",)

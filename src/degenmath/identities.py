@@ -108,6 +108,9 @@ class Param:
             if value < self.min:
                 raise BindingError(f"{ident}: {name} = {value} outside schema ({self.describe()})")
             return value
+        # a float is already rounded, and a bool is not a number
+        if isinstance(value, (float, bool)):
+            raise BindingError(f"{ident}: {name} must be rational, not {type(value).__name__}")
         try:
             value = Fraction(value)
         except (TypeError, ValueError) as exc:
@@ -152,8 +155,8 @@ class IdentitySpec:
     def bindings(self, grid: Grid) -> Iterator[dict]:
         """Every binding of this identity on grid, in sweep order.
 
-        Each axis value is validated here, when this is called, so a bad
-        grid value raises BindingError before any binding is produced.
+        Each axis value is validated here, when this is called, so a bad or
+        repeated grid value raises BindingError before any binding is produced.
         """
         declared = [name for name, param in self.params.items() if param.axis]
         swept = sorted(declared, key=_NESTING.index)
@@ -161,6 +164,13 @@ class IdentitySpec:
             [self.params[name].validate(self.id, name, v) for v in self.params[name].axis(grid)]
             for name in swept
         ]
+        # a repeated value would check, and count, each of its bindings twice
+        for name, values in zip(swept, axes):
+            seen = set()
+            for value in values:
+                if value in seen:
+                    raise BindingError(f"{self.id}: {name} = {value} appears more than once on the grid")
+                seen.add(value)
 
         def expand():
             for values in product(*axes):
@@ -684,14 +694,7 @@ def _value_json(value):
     if isinstance(value, Poly):
         return {"kind": "poly", "coeffs": [str(c) for c in value.coeffs]}
     if isinstance(value, Series):
-        return {
-            "kind": "series",
-            "order": value.order,
-            "coeffs": [
-                [str(c) for c in v.coeffs] if isinstance(v, Poly) else str(v)
-                for v in value.coeffs
-            ],
-        }
+        return {"kind": "series", "order": value.order, "coeffs": [str(c) for c in value.coeffs]}
     return {"kind": "rational", "value": str(Fraction(value))}
 
 

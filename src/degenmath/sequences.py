@@ -48,7 +48,7 @@ from math import comb, factorial, lcm, prod
 from operator import mul
 
 from .algebra import Poly, X, binom_poly, dfact, poly_combination, rational_dot
-from .series import Series, dexp, dlog, ser_reciprocal
+from .series import Series, dexp, dlog
 
 STORE_CAPACITY = 128
 GROW_MIN_N = 16
@@ -399,10 +399,19 @@ def dfubini_poly(n: int, lam) -> Poly:
 
 
 def dfubini_series_oracle(n: int, lam) -> Poly:
-    """Independent route: n! * [t**n] of 1/(1 - x*(e_lam(t)-1)) over Poly coefficients."""
-    inner = (dexp(Fraction(1), Fraction(lam), n) - 1) * X
-    gen = ser_reciprocal(1 - inner)
-    return gen.coeffs[n] * factorial(n)
+    """Independent route: n! * [t**n] of 1/(1 - x*(e_lam(t)-1)), by its reciprocal recurrence.
+
+    G_m = x * sum_{j=1..m} C(m,j) (1)_{j,lam} G_{m-j} with G_0 = 1, where
+    (1)_{j,lam} is j! times coefficient j of dexp(1, lam, n).
+    """
+    e = dexp(1, lam, n).coeffs
+    g = [Poly.constant(1)]
+    for m in range(1, n + 1):
+        acc = Poly()
+        for j in range(1, m + 1):
+            acc = acc + g[m - j] * (comb(m, j) * factorial(j) * e[j])
+        g.append(acc * X)
+    return g[n]
 
 
 def power_sum(p: int, n: int, lam) -> Fraction:

@@ -1,17 +1,15 @@
-"""Truncated formal power series in t over an exact coefficient ring.
+"""Truncated formal power series in t over Fraction.
 
-Coefficients are Fraction or Poly (polynomials in x); the two rings mix
-through ordinary arithmetic coercion, so a series over rationals can be
-multiplied into a series over polynomials without ceremony.  Every series
-carries its truncation order explicitly, and binary operations re-truncate
-to the smaller order, so an equality between two Series always states the
-exact order to which it was verified.
+A coefficient that Fraction() does not take, a Poly included, raises
+TypeError.  Every series carries its truncation order explicitly, and
+binary operations re-truncate to the smaller order, so an equality between
+two Series always states the exact order to which it was verified.
 
-Over Fraction coefficients the kernels work on integer numerators: a product
-or a reciprocal scales to one common denominator and normalises each output
-coefficient once, and composing with a Mobius inner series a*t/(1 - b*t)
-replaces each Horner step's Cauchy product with an O(order) recurrence.
-Series with Poly coefficients take the generic loops.
+The kernels work on integer numerators, one path each: a product or a
+reciprocal scales to one common denominator and normalises each output
+coefficient once.  Composition picks its path by the shape of the inner
+series: a Mobius inner a*t/(1 - b*t) replaces each Horner step's Cauchy
+product with an O(order) recurrence.
 """
 
 from __future__ import annotations
@@ -21,13 +19,9 @@ from math import factorial
 from operator import mul
 from typing import Iterable
 
-from .algebra import Poly, _cauchy_product, _integer_numerators
+from .algebra import _cauchy_product, _integer_numerators
 
-_SCALARS = (int, Fraction, Poly)
-
-
-def _all_fractions(cs) -> bool:
-    return not any(isinstance(c, Poly) for c in cs)
+_SCALARS = (int, Fraction)
 
 
 class Series:
@@ -36,7 +30,7 @@ class Series:
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs: Iterable, order: int | None = None) -> None:
-        cs = [c if isinstance(c, (Fraction, Poly)) else Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         if order is None:
             if not cs:
                 raise ValueError("an empty coefficient list needs an explicit order")
@@ -90,13 +84,7 @@ class Series:
     def __mul__(self, other):
         if isinstance(other, Series):
             n = min(self.order, other.order)
-            a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
-            if _all_fractions(a + b):
-                return Series(_cauchy_product(a, b, n), n)
-            out = []
-            for m in range(n + 1):
-                out.append(sum(a[i] * b[m - i] for i in range(m + 1)))
-            return Series(out, n)
+            return Series(_cauchy_product(self.coeffs[: n + 1], other.coeffs[: n + 1], n), n)
         if isinstance(other, _SCALARS):
             return Series(tuple(c * other for c in self.coeffs), self.order)
         return NotImplemented
@@ -127,46 +115,29 @@ class Series:
     __repr__ = __str__
 
 
-def _unit_inverse(c):
-    if isinstance(c, Poly):
-        if c.degree == 0:
-            return Poly.constant(1 / c.coeff(0))
-        raise ValueError("unit required: constant term is not invertible")
-    c = Fraction(c)
-    if c == 0:
-        raise ValueError("unit required: constant term is not invertible")
-    return 1 / c
-
-
 def ser_reciprocal(a: Series) -> Series:
     """Multiplicative inverse: b with a*b == 1 to order a.order.
 
-    The constant term must be a unit of the coefficient ring (a nonzero
-    rational, or a nonzero constant polynomial).  Over Fraction, with a
-    scaled to integers A over D, C_n = A_0**(n+1) [t**n](1/A) is an integer
-    with C_0 = 1 and C_n = -sum_{j=1..n} A_j A_0**(j-1) C_{n-j}, and the
-    result is D*C_n / A_0**(n+1).
+    The constant term must be nonzero.  With a scaled to integers A over
+    D, C_n = A_0**(n+1) [t**n](1/A) is an integer with C_0 = 1 and
+    C_n = -sum_{j=1..n} A_j A_0**(j-1) C_{n-j}, and the result is
+    D*C_n / A_0**(n+1).
     """
-    inv0 = _unit_inverse(a.coeffs[0])
-    if _all_fractions(a.coeffs):
-        ia, den = _integer_numerators(a.coeffs)
-        w = [ia[j] * ia[0] ** (j - 1) for j in range(1, a.order + 1)]
-        cs = [1]
-        for n in range(1, a.order + 1):
-            # w[j-1] pairs with cs[n-j] for j = 1..n
-            cs.append(-sum(map(mul, w[:n], reversed(cs))))
-        return Series([Fraction(den * c, ia[0] ** (n + 1)) for n, c in enumerate(cs)], a.order)
-    out = [inv0]
+    if a.coeffs[0] == 0:
+        raise ValueError("unit required: constant term is not invertible")
+    ia, den = _integer_numerators(a.coeffs)
+    w = [ia[j] * ia[0] ** (j - 1) for j in range(1, a.order + 1)]
+    cs = [1]
     for n in range(1, a.order + 1):
-        acc = sum(a.coeffs[j] * out[n - j] for j in range(1, n + 1))
-        out.append(-(inv0 * acc))
-    return Series(out, a.order)
+        # w[j-1] pairs with cs[n-j] for j = 1..n
+        cs.append(-sum(map(mul, w[:n], reversed(cs))))
+    return Series([Fraction(den * c, ia[0] ** (n + 1)) for n, c in enumerate(cs)], a.order)
 
 
 def _mobius(inner: Series):
-    """(a, b) when inner is exactly a*t/(1 - b*t) to its order over Fraction, else None."""
+    """(a, b) when inner is exactly a*t/(1 - b*t) to its order, else None."""
     cs = inner.coeffs
-    if len(cs) < 2 or not _all_fractions(cs) or cs[1] == 0:
+    if len(cs) < 2 or cs[1] == 0:
         return None
     a = cs[1]
     b = cs[2] / a if len(cs) > 2 else Fraction(0)
@@ -183,11 +154,10 @@ def ser_compose(outer: Series, inner: Series) -> Series:
     the two truncations determine: min(inner.order, v*(outer.order+1) - 1)
     where v is inner's valuation, which reduces to min(orders) for v == 1.
 
-    When inner is a Mobius series a*t/(1 - b*t) and both series hold only
-    Fraction coefficients, multiplying by inner is a shift and a one-term
-    recurrence, p_m = a*acc_{m-1} + b*p_{m-1}, so each Horner step is
-    O(order) instead of a Cauchy product.  With L the lcm of the
-    denominators of a and b, the Horner loop runs over integers on
+    When inner is a Mobius series a*t/(1 - b*t), multiplying by inner is a
+    shift and a one-term recurrence, p_m = a*acc_{m-1} + b*p_{m-1}, so each
+    Horner step is O(order) instead of a Cauchy product.  With L the lcm of
+    the denominators of a and b, the Horner loop runs over integers on
     R(t) = D*outer(inner(L*t)), where D scales outer to integers, and
     coefficient m of the result is R_m / (D * L**m).
     """
@@ -199,7 +169,7 @@ def ser_compose(outer: Series, inner: Series) -> Series:
     order = min(inner.order, v * (outer.order + 1) - 1)
     inner = inner.truncate(order)
     mobius = _mobius(inner)
-    if mobius is None or not _all_fractions(outer.coeffs):
+    if mobius is None:
         acc = Series((outer.coeffs[outer.order],), order)
         for k in range(outer.order - 1, -1, -1):
             acc = acc * inner + outer.coeffs[k]
@@ -221,11 +191,10 @@ def ser_compose(outer: Series, inner: Series) -> Series:
 def dexp(x0, lam, order: int) -> Series:
     """Degenerate exponential: coefficient of t**k is (x0)_{k,lam} / k!.
 
-    x0 may be a rational or a Poly (for the symbolic-exponent series).
-    At lam == 0 this is the classical exp(x0*t).
+    x0 is a rational.  At lam == 0 this is the classical exp(x0*t).
     """
-    lam = Fraction(lam)
-    acc = Poly.constant(1) if isinstance(x0, Poly) else Fraction(1)
+    x0, lam = Fraction(x0), Fraction(lam)
+    acc = Fraction(1)
     out = []
     for k in range(order + 1):
         out.append(acc * Fraction(1, factorial(k)))

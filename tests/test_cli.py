@@ -366,6 +366,15 @@ class TestCheck:
         assert captured.err.startswith("error: ")
         assert calls == []
 
+    @pytest.mark.parametrize("lambdas", ["1/2,1/2,2/4", "1/2,2/4"])
+    def test_repeated_lambda_is_domain_error(self, capsys, monkeypatch, lambdas):
+        calls = counting_checkers(monkeypatch)
+        code = main(["check", "--id", "T15", "--nmax", "3", "--lambdas", lambdas])
+        captured = capsys.readouterr()
+        assert code == EXIT_DOMAIN and captured.out == ""
+        assert captured.err == "error: T15: lambda = 1/2 appears more than once on the grid\n"
+        assert calls == []
+
     def test_named_id_with_no_bindings_is_domain_error(self, capsys):
         code = main(["check", "--id", "T15", "--nmax", "1"])
         captured = capsys.readouterr()

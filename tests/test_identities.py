@@ -63,6 +63,19 @@ class TestRegistry:
         with pytest.raises(BindingError):
             run_identity("T2", {"n": "2", "r": 1, "lambda": HALF})
 
+    @pytest.mark.parametrize(
+        "ident, binding",
+        [
+            ("T15", {"n": 3, "lambda": 0.1}),
+            ("T15", {"n": 3, "lambda": True}),
+            ("E67", {"n": 3, "lambda": HALF, "tol": 1e-30}),
+        ],
+    )
+    def test_float_or_bool_rational_is_rejected(self, ident, binding):
+        # a float would be checked at its binary value, not the one written
+        with pytest.raises(BindingError, match="must be rational, not"):
+            run_identity(ident, binding)
+
     def test_checker_with_swapped_parameters_is_rejected(self, monkeypatch):
         monkeypatch.setattr(identities, "REGISTRY", {})
         declare = identity("T2", REGISTRY["T2"].params, "swapped")
@@ -206,6 +219,21 @@ class TestSuite:
         executed = sum(r.pass_count + r.fail_count for r in report.results if r.id != "C15")
         assert executed == 0
         assert report.all_pass
+
+    @pytest.mark.parametrize(
+        "lambdas, error",
+        [
+            ((0.5,), "T1: lambda must be rational, not float"),
+            ((HALF, Fraction(1, 3), "2/4"), "T1: lambda = 1/2 appears more than once on the grid"),
+        ],
+    )
+    def test_float_or_repeated_lambda_is_rejected_before_any_check(self, monkeypatch, lambdas, error):
+        def untouchable(*args):
+            raise AssertionError("a checker ran")
+
+        monkeypatch.setattr(identities.IdentitySpec, "check", untouchable)
+        with pytest.raises(BindingError, match=error):
+            run_suite(Grid(lambdas=lambdas))
 
     def test_id_filter_and_unknown(self):
         grid = Grid(nmax=3, lambdas=(HALF,))

@@ -12,7 +12,7 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from degenmath import sequences, series
+from degenmath import sequences
 from degenmath.algebra import (
     Poly,
     X,
@@ -230,19 +230,6 @@ class TestSeriesMul:
         sa, sb = Series((a, b), order), Series((c, d), order)
         assert sa * sb == ref_series_mul(sa, sb)
 
-    @settings(max_examples=50)
-    @given(
-        a=st.lists(st.one_of(rationals, polys), min_size=1, max_size=6),
-        b=st.lists(polys, min_size=1, max_size=6),
-    )
-    def test_poly_coefficients_take_the_generic_sum(self, a, b):
-        sa, sb = series_of(a), series_of(b)
-        want = ref_series_mul(sa, sb)
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(series, "_cauchy_product", None)  # any use would raise
-            assert sa * sb == want
-            assert sb * sa == want
-
 
 class TestPolyMul:
     @settings(max_examples=100)
@@ -351,10 +338,6 @@ class TestReciprocal:
     def test_matches_fraction_loop(self, coeffs):
         s = series_of(coeffs)
         assert ser_reciprocal(s) == ref_reciprocal(s)
-
-    def test_poly_coefficients_take_the_generic_loop(self):
-        s = Series((Poly((2,)), Poly((1, 1)), Poly((0, Fraction(1, 3)))), 2)
-        assert ser_reciprocal(s) * s == Series((1,), 2)
 
 
 class TestGfactFalling:
