@@ -6,29 +6,17 @@ Exit codes: 0 all requested checks pass, 1 an identity check failed,
 2 usage error (including an --output path that cannot be written, found
 before the command does its work), 3 domain
 error (structurally valid flags that cannot be satisfied, e.g. an r bound
-for a family that does not take one, a binding outside an identity's
-schema, a check grid that leaves nothing to check, or a size flag above
-MAX_SIZE).  On exit 2 or 3 an existing --output file keeps its bytes, and
+for a family that does not take one, a size flag above MAX_SIZE, or a
+check grid value outside its domain).  Every check grid value is checked
+when the Grid is built, whatever ids are selected, and an id named with
+--id that has no binding on the grid is refused before any identity is
+checked.  On exit 2 or 3 an existing --output file keeps its bytes, and
 a file that the command created is removed.
 
 MAX_SIZE bounds table --nmax, eval --n, series --order, check --nmax,
 check --order, table and series --r, check --rmax and --pmax, and the
-absolute value of series --k, and is checked before any work.  It is
-sized by the largest table: `table s2 --lambda=57/89 --format json` takes
-0.30-0.32 s and 27 MiB at nmax 160 (perfbench's largest size), 0.71-0.86 s
-and 51 MiB at 240, and 1.15-1.26 s and 85 MiB at 300 (Python 3.11, 2-vCPU
-host, peak RSS).  The triangle's entries grow as n**2 and their digits as
-n, so the memory grows about as n**3.  Other commands are slower
-at the bound without taking more memory: `eval bernoulli --n 300` and
-`eval euler --n 300` take 0.4-0.8 s and 18 MiB (the value is summed from
-the stored constants, building no polynomial), `series hypergf --order 300
---r 300` 0.3 s, `check --id T1 --rmax 300` 1.4 s, and a check sweep with
---nmax or --pmax at the bound far longer: `check --id E59 --pmax 300
---lambdas=57/89` takes 6-10 s (E59 reads two Bernoulli values of degree
-p + 1 for each of its 3,612 bindings), and `check --all --lambdas=57/89
---format json` takes 1.2-1.8 s at --nmax 40, 8-11 s at --nmax 80 and 30 s
-at --nmax 120, growing about as nmax**3, in 20-31 MiB (wall time and peak
-RSS of one CLI process).
+absolute value of series --k, and is checked before any work.  README
+gives the time and memory each command takes at the bound.
 """
 
 from __future__ import annotations
@@ -194,24 +182,23 @@ def _csv_text(header: tuple, rows) -> str:
     return text.getvalue()
 
 
-class DomainError(Exception):
-    pass
+class CliError(Exception):
+    """A command that cannot run: main prints `error: <message>` and exits with code."""
 
-
-def _error(code: int, message: str) -> tuple[int, None]:
-    print(f"error: {message}", file=sys.stderr)
-    return code, None
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 def _table_rows(args) -> list:
     family, nmax, lam, r = args.family, args.nmax, args.lam, args.r
     if nmax < 0:
-        raise DomainError("--nmax must be >= 0")
+        raise CliError(EXIT_DOMAIN, "--nmax must be >= 0")
     if family == "hyperharmonic":
         if r is None or r < 1:
-            raise DomainError("hyperharmonic needs --r >= 1")
+            raise CliError(EXIT_DOMAIN, "hyperharmonic needs --r >= 1")
     elif r is not None:
-        raise DomainError(f"--r does not apply to family {family!r}")
+        raise CliError(EXIT_DOMAIN, f"--r does not apply to family {family!r}")
     kind, function, _ = FAMILIES[family]
     fn = getattr(sequences, function)
     if kind == "triangle":
@@ -228,11 +215,8 @@ def _table_rows(args) -> list:
     return rows
 
 
-def _cmd_table(args) -> tuple[int, str | None]:
-    try:
-        rows = _table_rows(args)
-    except DomainError as exc:
-        return _error(EXIT_DOMAIN, str(exc))
+def _cmd_table(args) -> tuple[int, str]:
+    rows = _table_rows(args)
     if args.format == "json":
         doc = {"family": args.family, "lambda": str(args.lam), "nmax": args.nmax, "values": rows}
         if args.family == "hyperharmonic":
@@ -255,9 +239,9 @@ def _cmd_table(args) -> tuple[int, str | None]:
     return EXIT_OK, text
 
 
-def _cmd_eval(args) -> tuple[int, str | None]:
+def _cmd_eval(args) -> tuple[int, str]:
     if args.n < 0:
-        return _error(EXIT_DOMAIN, "--n must be >= 0")
+        raise CliError(EXIT_DOMAIN, "--n must be >= 0")
     _, function, value_function = FAMILIES[args.family]
     if value_function is not None:
         value = getattr(sequences, value_function)(args.n, args.lam, args.x)
@@ -272,11 +256,11 @@ def _cmd_eval(args) -> tuple[int, str | None]:
     return EXIT_OK, text
 
 
-def _cmd_series(args) -> tuple[int, str | None]:
+def _cmd_series(args) -> tuple[int, str]:
     if args.order < 0:
-        return _error(EXIT_DOMAIN, "--order must be >= 0")
+        raise CliError(EXIT_DOMAIN, "--order must be >= 0")
     if args.selector == "hypergf" and args.r < 1:
-        return _error(EXIT_DOMAIN, "--r must be >= 1")
+        raise CliError(EXIT_DOMAIN, "--r must be >= 1")
     series = SERIES[args.selector](args)
     if args.format == "json":
         return EXIT_OK, _rational_json({"coeffs": series.coeffs, "order": series.order})
@@ -294,19 +278,13 @@ def grid_from_args(args) -> Grid:
     return Grid(**{name: value for name, value in given.items() if value is not None})
 
 
-def _cmd_check(args) -> tuple[int, str | None]:
+def _cmd_check(args) -> tuple[int, str]:
     try:
         report = identities.run_suite(grid_from_args(args), ids=args.ids)
     except UnknownIdentityError as exc:
-        return _error(EXIT_USAGE, f"unknown identity id {exc.args[0]!r}")
+        raise CliError(EXIT_USAGE, f"unknown identity id {exc.args[0]!r}") from None
     except BindingError as exc:
-        return _error(EXIT_DOMAIN, str(exc))
-    # a check of zero bindings passes vacuously, so it is not reported as a
-    # pass; under --all E44 always has bindings, so only named ids can be empty
-    checked = {r.id: r.pass_count + r.fail_count for r in report.results}
-    empty = [ident for ident in (args.ids or ()) if not checked[ident]]
-    if empty:
-        return _error(EXIT_DOMAIN, f"no bindings checked for {', '.join(empty)}; widen the grid")
+        raise CliError(EXIT_DOMAIN, str(exc)) from None
     if args.format == "json":
         text = _json_text(identities.suite_report_json(report))
     elif args.format == "csv":
@@ -333,7 +311,7 @@ def _plain_binding(binding: dict) -> str:
     return ", ".join(f"{k}={v}" for k, v in binding.items())
 
 
-def _cmd_list(args) -> tuple[int, str | None]:
+def _cmd_list(args) -> tuple[int, str]:
     specs = identities.list_identities()
     if args.format == "json":
         text = _json_text(
@@ -369,17 +347,6 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("'--' is not a flag value")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    # --nmax (table, check), --n (eval), --order (series, check), --r (table,
-    # series), --rmax and --pmax (check) and --k (series)
-    for dest in ("nmax", "n", "order", "r", "rmax", "pmax", "k"):
-        size = getattr(args, dest, None)
-        if size is None:
-            continue
-        # --k, the polylogarithm weight, may be negative: its absolute value is bounded
-        if (abs(size) if dest == "k" else size) > MAX_SIZE:
-            qualifier = " in absolute value" if dest == "k" else ""
-            print(f"error: --{dest} must be <= {MAX_SIZE}{qualifier}, got {size}", file=sys.stderr)
-            return EXIT_DOMAIN
     handler = {
         "table": _cmd_table,
         "eval": _cmd_eval,
@@ -387,25 +354,36 @@ def main(argv: list[str] | None = None) -> int:
         "check": _cmd_check,
         "list": _cmd_list,
     }[args.command]
+    created = False
     try:
+        # --nmax (table, check), --n (eval), --order (series, check), --r (table,
+        # series), --rmax and --pmax (check) and --k (series)
+        for dest in ("nmax", "n", "order", "r", "rmax", "pmax", "k"):
+            size = getattr(args, dest, None)
+            # --k, the polylogarithm weight, may be negative: its absolute value is bounded
+            if size is not None and (abs(size) if dest == "k" else size) > MAX_SIZE:
+                qualifier = " in absolute value" if dest == "k" else ""
+                raise CliError(EXIT_DOMAIN, f"--{dest} must be <= {MAX_SIZE}{qualifier}, got {size}")
         # opened for appending before the command runs, so a path that cannot
         # be written fails before any work is done, and an existing file keeps
         # its bytes until there is output to replace them with
         if args.output is None:
-            out, created = contextlib.nullcontext(sys.stdout), False
+            out = contextlib.nullcontext(sys.stdout)
         else:
             created = not os.path.lexists(args.output)
             out = open(args.output, "a", encoding="utf-8")
         with out as stream:
             code, text = handler(args)
-            if text is not None:
-                # only a regular file can be truncated (not /dev/null or a pipe)
-                if args.output is not None and stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
-                    stream.truncate(0)
-                _emit(text, stream)
-        if text is None and created:
-            os.remove(args.output)
+            # only a regular file can be truncated (not /dev/null or a pipe)
+            if args.output is not None and stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
+                stream.truncate(0)
+            _emit(text, stream)
         return code
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if created:
+            os.remove(args.output)
+        return exc.code
     except OSError as exc:
         # only the output stream does I/O; 2 is the exit code argparse gives
         # a path it cannot open

@@ -49,7 +49,14 @@ DEFAULT_LAMBDAS = tuple(
 
 @dataclass(frozen=True)
 class Grid:
-    """Parameter sweep for run_suite; the defaults are the acceptance grid."""
+    """Parameter sweep for run_suite; the defaults are the acceptance grid.
+
+    Each field is checked when the Grid is built, whatever identities it is
+    swept for, so a Grid that exists is valid: a bound must reach the least
+    value any identity takes on its axis, the lambdas must be distinct exact
+    rationals, and the E67 tolerance a positive rational.  BindingError names
+    the field.  The lambdas and the tolerance are stored as Fractions.
+    """
 
     nmax: int = 12
     rmax: int = 4
@@ -58,8 +65,19 @@ class Grid:
     order: int = 24
     e67_tol: Fraction = Fraction(1, 10**30)
 
-
-DEFAULT_GRID = Grid()
+    def __post_init__(self):
+        for name, param in (("nmax", N0), ("rmax", R1), ("pmax", P0), ("order", ORDER)):
+            param.validate(name, getattr(self, name))
+        # a str is an iterable of one-character lambdas
+        if isinstance(self.lambdas, str):
+            raise BindingError("lambdas must be a sequence of rationals, not a str")
+        lambdas = tuple(LAM.validate("lambdas", lam) for lam in self.lambdas)
+        # a repeated value would check, and count, each of its bindings twice
+        for i, lam in enumerate(lambdas):
+            if lam in lambdas[:i]:
+                raise BindingError(f"lambdas: {lam} appears more than once")
+        object.__setattr__(self, "lambdas", lambdas)
+        object.__setattr__(self, "e67_tol", TOL.validate("e67_tol", self.e67_tol))
 
 
 class UnknownIdentityError(KeyError):
@@ -100,23 +118,24 @@ class Param:
             return "rational > 0" if self.positive else "rational"
         return "symbolic"
 
-    def validate(self, ident: str, name: str, value):
-        """The value as the checker receives it; BindingError if outside the domain."""
+    def validate(self, label: str, value):
+        """The value as the checker receives it; BindingError, naming label,
+        if outside the domain."""
         if self.kind == "int":
             if not isinstance(value, int) or isinstance(value, bool):
-                raise BindingError(f"{ident}: {name} must be an integer")
+                raise BindingError(f"{label} must be an integer")
             if value < self.min:
-                raise BindingError(f"{ident}: {name} = {value} outside schema ({self.describe()})")
+                raise BindingError(f"{label} = {value} outside schema ({self.describe()})")
             return value
         # a float is already rounded, and a bool is not a number
         if isinstance(value, (float, bool)):
-            raise BindingError(f"{ident}: {name} must be rational, not {type(value).__name__}")
+            raise BindingError(f"{label} must be rational, not {type(value).__name__}")
         try:
             value = Fraction(value)
         except (TypeError, ValueError) as exc:
-            raise BindingError(f"{ident}: {name} must be rational") from exc
+            raise BindingError(f"{label} must be rational") from exc
         if self.positive and value <= 0:
-            raise BindingError(f"{ident}: {name} must be positive")
+            raise BindingError(f"{label} must be positive")
         return value
 
 
@@ -134,6 +153,8 @@ ORDERS = Param("int", 1, axis=lambda g: (g.order, g.order + 5))
 ORDER = Param("int", 1, axis=lambda g: (g.order,))
 TOL = Param("rational", positive=True, axis=lambda g: (g.e67_tol,))
 SYM = Param("symbolic")
+
+DEFAULT_GRID = Grid()
 
 # axes nest in this order, outermost first, whatever order the params are
 # declared in; a binding's keys keep the declared order
@@ -153,31 +174,12 @@ class IdentitySpec:
         return {name: param.describe() for name, param in self.params.items()}
 
     def bindings(self, grid: Grid) -> Iterator[dict]:
-        """Every binding of this identity on grid, in sweep order.
-
-        Each axis value is validated here, when this is called, so a bad or
-        repeated grid value raises BindingError before any binding is produced.
-        """
+        """Every binding of this identity on grid, in sweep order."""
         declared = [name for name, param in self.params.items() if param.axis]
         swept = sorted(declared, key=_NESTING.index)
-        axes = [
-            [self.params[name].validate(self.id, name, v) for v in self.params[name].axis(grid)]
-            for name in swept
-        ]
-        # a repeated value would check, and count, each of its bindings twice
-        for name, values in zip(swept, axes):
-            seen = set()
-            for value in values:
-                if value in seen:
-                    raise BindingError(f"{self.id}: {name} = {value} appears more than once on the grid")
-                seen.add(value)
-
-        def expand():
-            for values in product(*axes):
-                point = dict(zip(swept, values))
-                yield {name: point[name] for name in declared}
-
-        return expand()
+        for values in product(*(self.params[name].axis(grid) for name in swept)):
+            point = dict(zip(swept, values))
+            yield {name: point[name] for name in declared}
 
     def check(self, binding: dict, tables: Tables) -> CheckResult:
         """The checker's result at binding: the one place a CheckResult is built."""
@@ -607,7 +609,7 @@ def _validated(spec: IdentitySpec, binding: dict) -> dict:
     for name in known:
         if name not in binding:
             raise BindingError(f"{spec.id}: missing parameter {name!r}")
-        out[name] = spec.params[name].validate(spec.id, name, binding[name])
+        out[name] = spec.params[name].validate(f"{spec.id}: {name}", binding[name])
     return out
 
 
@@ -652,30 +654,31 @@ def run_suite(
     a counterexample can be inspected without re-running.  Results are
     reported in registry order with bindings in enumeration order, so the
     report content is deterministic.
+
+    An id named in ids whose sweep is empty raises BindingError before any
+    checker runs: its check would pass vacuously.
     """
     if ids is None:
         selected = list(REGISTRY)
     else:
+        # a str is an iterable of one-letter ids
+        if isinstance(ids, str):
+            raise TypeError(f"ids must be an iterable of identity ids, not the str {ids!r}")
         wanted = list(ids)
         for ident in wanted:
             if ident not in REGISTRY:
                 raise UnknownIdentityError(ident)
+        empty = [ident for ident in wanted if next(REGISTRY[ident].bindings(grid), None) is None]
+        if empty:
+            raise BindingError(f"no bindings checked for {', '.join(empty)}; widen the grid")
         selected = [ident for ident in REGISTRY if ident in set(wanted)]
     tables = tables if tables is not None else _DEFAULT_TABLES
-    # a bound below every domain on its axis would pass on the other identities
-    for bound, param in (("nmax", N0), ("rmax", R1), ("pmax", P0)):
-        value = getattr(grid, bound)
-        if value < param.min:
-            raise BindingError(f"{bound} = {value} is below {param.min}, the least value any identity takes")
-    # bindings() validates every axis value, so a bad grid value is reported
-    # before any checker runs
-    sweeps = [(ident, REGISTRY[ident].bindings(grid)) for ident in selected]
     results = []
-    for ident, bindings in sweeps:
+    for ident in selected:
         spec = REGISTRY[ident]
         passes = 0
         failures = []
-        for binding in bindings:
+        for binding in spec.bindings(grid):
             res = spec.check(binding, tables)
             if res.passed:
                 passes += 1

@@ -107,6 +107,12 @@ class TestTable:
     def test_decimal_lambda_rejected(self, capsys):
         assert main(["table", "s2", "--nmax", "3", "--lambda", "0.5"]) == EXIT_USAGE
 
+    def test_dashes_as_a_flag_value_is_usage_error(self, capsys):
+        # argparse would store an empty list for the value
+        assert main(["table", "s2", "--nmax=--"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "'--' is not a flag value" in captured.err
+
     @pytest.mark.parametrize("argv", JSON_ARGVS)
     def test_json_roundtrip_bytes(self, capsys, argv):
         # laid out exactly as json.dumps(..., indent=2) lays out the parsed document
@@ -280,6 +286,7 @@ class TestSeries:
         [
             (["series", "dlog", "--order=-1"], "error: --order must be >= 0\n"),
             (["series", "hypergf", "--order", "3", "--r", "0"], "error: --r must be >= 1\n"),
+            (["table", "s2", "--nmax=-3"], "error: --nmax must be >= 0\n"),
         ],
     )
     def test_bad_size_is_domain_error(self, capsys, argv, message):
@@ -347,13 +354,13 @@ class TestCheck:
         code = main(["check", "--id", "E67", "--nmax", "2", "--tolerance=-1"])
         captured = capsys.readouterr()
         assert code == EXIT_DOMAIN and captured.out == ""
-        assert captured.err == "error: E67: tol must be positive\n"
+        assert captured.err == "error: e67_tol must be positive\n"
 
     def test_order_zero_is_domain_error(self, capsys):
         code = main(["check", "--id", "T1", "--order", "0"])
         err = capsys.readouterr().err
         assert code == EXIT_DOMAIN
-        assert err.startswith("error: T1: order = 0")
+        assert err.startswith("error: order = 0")
 
     @pytest.mark.parametrize(
         "flag", ["--tolerance=-1", "--order=0", "--nmax=-3", "--rmax=0", "--pmax=-1"]
@@ -372,7 +379,17 @@ class TestCheck:
         code = main(["check", "--id", "T15", "--nmax", "3", "--lambdas", lambdas])
         captured = capsys.readouterr()
         assert code == EXIT_DOMAIN and captured.out == ""
-        assert captured.err == "error: T15: lambda = 1/2 appears more than once on the grid\n"
+        assert captured.err == "error: lambdas: 1/2 appears more than once\n"
+        assert calls == []
+
+    @pytest.mark.parametrize("flag", ["--order=0", "--tolerance=-1"])
+    def test_grid_value_not_swept_by_the_id_is_still_checked(self, capsys, monkeypatch, flag):
+        # T15 sweeps neither the order nor the tolerance, but the grid is checked whole
+        calls = counting_checkers(monkeypatch)
+        code = main(["check", "--id", "T15", flag])
+        captured = capsys.readouterr()
+        assert code == EXIT_DOMAIN and captured.out == ""
+        assert captured.err.startswith("error: ")
         assert calls == []
 
     def test_named_id_with_no_bindings_is_domain_error(self, capsys):
@@ -386,6 +403,14 @@ class TestCheck:
         code = main(["check", "--id", "C15", "--id", "T15", "--nmax", "1"])
         assert code == EXIT_DOMAIN
         assert "no bindings checked for C15, T15" in capsys.readouterr().err
+
+    def test_empty_id_is_refused_before_the_others_are_checked(self, capsys, monkeypatch):
+        calls = counting_checkers(monkeypatch)
+        code = main(["check", "--id", "T1", "--id", "C15", "--nmax", "1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_DOMAIN and captured.out == ""
+        assert captured.err == "error: no bindings checked for C15; widen the grid\n"
+        assert calls == []
 
     def test_sweep_with_no_bindings_is_domain_error(self, capsys):
         assert main(["check", "--id", "C15", "--nmax=-3"]) == EXIT_DOMAIN
@@ -434,9 +459,10 @@ class TestOutput:
             (["eval", "bell", "--n=-1", "--x", "1"], EXIT_DOMAIN),
             (["check", "--id", "NOPE"], EXIT_USAGE),
             (["check", "--id", "C15", "--nmax", "1"], EXIT_DOMAIN),
+            (["table", "s2", "--nmax=-3"], EXIT_DOMAIN),
         ],
         ids=["table-without-r", "table-r-not-taken", "eval-negative-n", "check-unknown-id",
-             "check-no-bindings"],
+             "check-no-bindings", "table-negative-nmax"],
     )
 
     @FAILED_COMMANDS

@@ -223,8 +223,8 @@ class TestSuite:
     @pytest.mark.parametrize(
         "lambdas, error",
         [
-            ((0.5,), "T1: lambda must be rational, not float"),
-            ((HALF, Fraction(1, 3), "2/4"), "T1: lambda = 1/2 appears more than once on the grid"),
+            ((0.5,), "lambdas must be rational, not float"),
+            ((HALF, Fraction(1, 3), "2/4"), "lambdas: 1/2 appears more than once"),
         ],
     )
     def test_float_or_repeated_lambda_is_rejected_before_any_check(self, monkeypatch, lambdas, error):
@@ -234,6 +234,50 @@ class TestSuite:
         monkeypatch.setattr(identities.IdentitySpec, "check", untouchable)
         with pytest.raises(BindingError, match=error):
             run_suite(Grid(lambdas=lambdas))
+
+    @pytest.mark.parametrize(
+        "fields, error",
+        [
+            ({"nmax": True}, "nmax must be an integer"),
+            ({"nmax": 3.0}, "nmax must be an integer"),
+            ({"nmax": -1}, "nmax = -1 outside schema"),
+            ({"rmax": 0}, "rmax = 0 outside schema"),
+            ({"pmax": -1}, "pmax = -1 outside schema"),
+            ({"order": 0}, "order = 0 outside schema"),
+            ({"e67_tol": -1}, "e67_tol must be positive"),
+            ({"e67_tol": 1e-30}, "e67_tol must be rational, not float"),
+            ({"lambdas": (True,)}, "lambdas must be rational, not bool"),
+            ({"lambdas": ("x",)}, "lambdas must be rational"),
+            ({"lambdas": "12"}, "lambdas must be a sequence of rationals, not a str"),
+        ],
+    )
+    def test_bad_grid_field_is_rejected_when_the_grid_is_built(self, fields, error):
+        with pytest.raises(BindingError, match=error):
+            Grid(**fields)
+
+    def test_grid_and_its_report_hold_normalised_fractions(self):
+        grid = Grid(lambdas=["2/4", 3], e67_tol="2/200")
+        assert grid.lambdas == (HALF, Fraction(3)) and type(grid.lambdas) is tuple
+        assert grid.e67_tol == Fraction(1, 100) and isinstance(grid.e67_tol, Fraction)
+        report = run_suite(Grid(nmax=3, lambdas=("2/4",)), ids=["T15"])
+        assert suite_report_json(report)["grid"]["lambdas"] == ["1/2"]
+
+    @pytest.mark.parametrize("ids, empty", [(["T15"], "T15"), (["E59", "T15", "C15"], "T15, C15")])
+    def test_named_id_with_no_bindings_is_refused_before_any_check(self, monkeypatch, ids, empty):
+        def untouchable(*args):
+            raise AssertionError("a checker ran")
+
+        monkeypatch.setattr(identities.IdentitySpec, "check", untouchable)
+        with pytest.raises(BindingError, match=f"no bindings checked for {empty}; widen the grid"):
+            run_suite(Grid(nmax=1), ids=ids)
+
+    def test_bare_str_ids_is_a_type_error(self, monkeypatch):
+        def untouchable(*args):
+            raise AssertionError("a checker ran")
+
+        monkeypatch.setattr(identities.IdentitySpec, "check", untouchable)
+        with pytest.raises(TypeError, match="not the str 'T15'"):
+            run_suite(Grid(nmax=3), ids="T15")
 
     def test_id_filter_and_unknown(self):
         grid = Grid(nmax=3, lambdas=(HALF,))
