@@ -20,7 +20,6 @@ from .algebra import (
     poly_int_over_t,
 )
 from .identities import (
-    ALL_IDENTITY_IDS,
     BindingError,
     CheckResult,
     DEFAULT_GRID,

@@ -597,9 +597,6 @@ def _check_e67(tab, n, lam, tol):
     return exact, partial, note, abs(partial - exact) <= tol
 
 
-ALL_IDENTITY_IDS = tuple(REGISTRY)
-
-
 def _validated(spec: IdentitySpec, binding: dict) -> dict:
     known = [name for name, param in spec.params.items() if param.kind != "symbolic"]
     extra = set(binding) - set(known)
@@ -656,7 +653,8 @@ def run_suite(
     report content is deterministic.
 
     An id named in ids whose sweep is empty raises BindingError before any
-    checker runs: its check would pass vacuously.
+    checker runs: its check would pass vacuously.  So does a selection in
+    which no identity has a binding, ids=None included.
     """
     if ids is None:
         selected = list(REGISTRY)
@@ -672,6 +670,8 @@ def run_suite(
         if empty:
             raise BindingError(f"no bindings checked for {', '.join(empty)}; widen the grid")
         selected = [ident for ident in REGISTRY if ident in set(wanted)]
+    if all(next(REGISTRY[ident].bindings(grid), None) is None for ident in selected):
+        raise BindingError("no bindings checked for any selected identity; widen the grid")
     tables = tables if tables is not None else _DEFAULT_TABLES
     results = []
     for ident in selected:

@@ -1,9 +1,9 @@
 """Truncated formal power series in t over Fraction.
 
 A coefficient that Fraction() does not take, a Poly included, raises
-TypeError.  Every series carries its truncation order explicitly, and
-binary operations re-truncate to the smaller order, so an equality between
-two Series always states the exact order to which it was verified.
+TypeError.  Every series carries its truncation order explicitly, and a
+product of two series re-truncates to the smaller order, so an equality
+between two Series always states the exact order to which it was verified.
 
 The kernels work on integer numerators, one path each: a product or a
 reciprocal scales to one common denominator and normalises each output
@@ -57,11 +57,6 @@ class Series:
         return None
 
     def __add__(self, other):
-        if isinstance(other, Series):
-            n = min(self.order, other.order)
-            return Series(
-                tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), n
-            )
         if isinstance(other, _SCALARS):
             return Series((self.coeffs[0] + other,) + self.coeffs[1:], self.order)
         return NotImplemented
@@ -72,7 +67,7 @@ class Series:
         return Series(tuple(-c for c in self.coeffs), self.order)
 
     def __sub__(self, other):
-        if isinstance(other, (Series, *_SCALARS)):
+        if isinstance(other, _SCALARS):
             return self + (-other)
         return NotImplemented
 

@@ -70,6 +70,8 @@ class TestGeneralizedFactorials:
     def test_falling_empty_product(self):
         assert gfact_falling(X, 0, Fraction(1, 2)) == Poly((1,))
         assert gfact_falling(Fraction(7), 0, Fraction(1, 2)) == 1
+        with pytest.raises(ValueError, match="must be >= 0"):
+            gfact_falling(X, -1, Fraction(1, 2))
 
     def test_falling_symbolic_two_steps(self):
         lam = Fraction(2, 3)

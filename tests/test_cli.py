@@ -135,100 +135,18 @@ class TestTable:
         assert target.read_text().startswith("n,k,value")
 
 
-class TestJsonOutputsGolden:
-    # JSON tables and series, recorded with (from the repo root):
-    #   for F in bell fubini harmonic; do
-    #     degenmath table $F --nmax 60 --lambda=-61/89 --format json --output table_$F.json
-    #   done
-    #   degenmath series dexp --order 40 --lambda=-61/89 --format json --output series_dexp.json
-    #   degenmath series dlog --order 40 --lambda=-61/89 --format json --output series_dlog.json
-    #   degenmath series dpolylog --k 2 --order 40 --lambda=-61/89 --format json --output series_dpolylog.json
-    #   degenmath series hypergf --r 3 --order 40 --lambda=-61/89 --format json --output series_hypergf.json
-    #   sha256sum table_bell.json table_fubini.json table_harmonic.json series_dexp.json \
-    #     series_dlog.json series_dpolylog.json series_hypergf.json > tests/data/json_outputs.sha256
-    ARGV = {
-        "table_bell.json": ["table", "bell", "--nmax", "60"],
-        "table_fubini.json": ["table", "fubini", "--nmax", "60"],
-        "table_harmonic.json": ["table", "harmonic", "--nmax", "60"],
-        "series_dexp.json": ["series", "dexp", "--order", "40"],
-        "series_dlog.json": ["series", "dlog", "--order", "40"],
-        "series_dpolylog.json": ["series", "dpolylog", "--k", "2", "--order", "40"],
-        "series_hypergf.json": ["series", "hypergf", "--r", "3", "--order", "40"],
-    }
-
-    @pytest.mark.parametrize("name", list(ARGV))
-    def test_matches_recorded_digest(self, capsys, name):
-        lines = (DATA / "json_outputs.sha256").read_text().splitlines()
-        digests = {file: digest for digest, file in map(str.split, lines)}
-        code, out = run_cli(capsys, *self.ARGV[name], "--lambda=-61/89", "--format", "json")
-        assert code == EXIT_OK
-        assert hashlib.sha256(out.encode()).hexdigest() == digests[name]
+# Each line of cli_outputs.sha256 is the sha256 of a command's stdout, then
+# the command's argv; CI's installed entry point checks the same lines.  Pin
+# a new output by appending one line, from the repo root:
+#   echo "$(degenmath ARGV | sha256sum | cut -d' ' -f1)  ARGV" >> tests/data/cli_outputs.sha256
+RECORDED = [line.split(maxsplit=1) for line in (DATA / "cli_outputs.sha256").read_text().splitlines()]
 
 
-class TestAppellTablesGolden:
-    # deep Bernoulli and Euler tables, recorded with (from the repo root):
-    #   degenmath table bernoulli --nmax 30 --lambda=-61/89 --format json --output appell_bernoulli.json
-    #   degenmath table euler --nmax 30 --lambda=-61/89 --format json --output appell_euler.json
-    #   sha256sum appell_bernoulli.json appell_euler.json > tests/data/appell_tables.sha256
-    @pytest.mark.parametrize("family", ["bernoulli", "euler"])
-    def test_matches_recorded_digest(self, capsys, family):
-        lines = (DATA / "appell_tables.sha256").read_text().splitlines()
-        digests = {name: digest for digest, name in map(str.split, lines)}
-        code, out = run_cli(capsys, "table", family, "--nmax", "30", "--lambda=-61/89", "--format", "json")
-        assert code == EXIT_OK
-        assert hashlib.sha256(out.encode()).hexdigest() == digests[f"appell_{family}.json"]
-
-
-class TestStirlingTablesGolden:
-    # deep triangle and hyperharmonic tables, recorded with (from the repo root):
-    #   degenmath table s1 --nmax 60 --lambda=-61/89 --format json --output stirling_s1.json
-    #   degenmath table s2 --nmax 60 --lambda=-61/89 --format json --output stirling_s2.json
-    #   degenmath table hyperharmonic --nmax 60 --r 3 --lambda=-61/89 --format json --output stirling_hyperharmonic.json
-    #   sha256sum stirling_s1.json stirling_s2.json stirling_hyperharmonic.json > tests/data/stirling_tables.sha256
-    @pytest.mark.parametrize("family, extra", [("s1", ()), ("s2", ()), ("hyperharmonic", ("--r", "3"))])
-    def test_matches_recorded_digest(self, capsys, family, extra):
-        lines = (DATA / "stirling_tables.sha256").read_text().splitlines()
-        digests = {name: digest for digest, name in map(str.split, lines)}
-        argv = ("table", family, "--nmax", "60", *extra, "--lambda=-61/89", "--format", "json")
-        code, out = run_cli(capsys, *argv)
-        assert code == EXIT_OK
-        assert hashlib.sha256(out.encode()).hexdigest() == digests[f"stirling_{family}.json"]
-
-
-class TestEvalGolden:
-    # eval prints only through poly_eval, so its values are recorded apart
-    # from the check report, which holds pass counts.  Recorded with (from
-    # the repo root), for F in bernoulli euler bell fubini:
-    #   degenmath eval F --n 40 --lambda=-61/89 --x=-7/3 --format json --output eval_F.json
-    #   sha256sum eval_bernoulli.json eval_euler.json eval_bell.json eval_fubini.json > tests/data/eval_values.sha256
-    @staticmethod
-    def recorded(name):
-        lines = (DATA / "eval_values.sha256").read_text().splitlines()
-        return {file: digest for digest, file in map(str.split, lines)}[name]
-
-    @pytest.mark.parametrize("family", POLY_FAMILIES)
-    def test_matches_recorded_digest(self, capsys, family):
-        code, out = run_cli(capsys, "eval", family, "--n", "40", "--lambda=-61/89", "--x=-7/3", "--format", "json")
-        assert code == EXIT_OK
-        assert hashlib.sha256(out.encode()).hexdigest() == self.recorded(f"eval_{family}.json")
-
-    # and, for F in bernoulli euler, where the Appell step's integers are large:
-    #   degenmath eval F --n 160 --lambda=57/89 --x=1/3 --format json --output eval_F_160.json
-    #   sha256sum eval_bernoulli_160.json eval_euler_160.json >> tests/data/eval_values.sha256
-    @pytest.mark.parametrize("family", ["bernoulli", "euler"])
-    def test_appell_value_at_n_160_matches_recorded_digest(self, capsys, family):
-        code, out = run_cli(capsys, "eval", family, "--n", "160", "--lambda=57/89", "--x=1/3", "--format", "json")
-        assert code == EXIT_OK
-        assert hashlib.sha256(out.encode()).hexdigest() == self.recorded(f"eval_{family}_160.json")
-
-    # and at the size bound, where the value is summed from the stored constants:
-    #   degenmath eval F --n 300 --lambda=57/89 --x=1/3 --format json --output eval_F_300.json
-    #   sha256sum eval_bernoulli_300.json eval_euler_300.json >> tests/data/eval_values.sha256
-    @pytest.mark.parametrize("family", ["bernoulli", "euler"])
-    def test_appell_value_at_the_size_bound_matches_recorded_digest(self, capsys, family):
-        code, out = run_cli(capsys, "eval", family, "--n", "300", "--lambda=57/89", "--x=1/3", "--format", "json")
-        assert code == EXIT_OK
-        assert hashlib.sha256(out.encode()).hexdigest() == self.recorded(f"eval_{family}_300.json")
+@pytest.mark.parametrize("digest, argv", RECORDED, ids=[argv for _, argv in RECORDED])
+def test_cli_output(capsys, digest, argv):
+    code, out = run_cli(capsys, *argv.split())
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestEval:

@@ -10,7 +10,6 @@ import pytest
 from degenmath import identities
 from degenmath.algebra import Poly
 from degenmath.identities import (
-    ALL_IDENTITY_IDS,
     BindingError,
     CheckResult,
     DEFAULT_GRID,
@@ -39,7 +38,7 @@ POLY_IDENTITIES = ("T4a", "T4b", "T5", "T6", "T7", "T11a", "T11b", "T12", "E61",
 
 class TestRegistry:
     def test_stable_enumeration(self):
-        assert ALL_IDENTITY_IDS == ENUMERATED_IDS
+        assert tuple(REGISTRY) == ENUMERATED_IDS
         assert [s.id for s in list_identities()] == list(ENUMERATED_IDS)
 
     def test_schemas(self):
@@ -169,6 +168,14 @@ class TestSingleChecks:
         assert res.passed
         assert "integral" in res.note
 
+    def test_t13_fails_when_the_integral_restatement_differs(self, monkeypatch):
+        # the (k-1)!-weighted rows still agree, so only the restatement fails
+        monkeypatch.setattr(identities, "poly_int_over_t", lambda p: Poly())
+        res = run_identity("T13", {"n": 4, "lambda": Fraction(-1, 2)})
+        assert not res.passed
+        assert res.lhs == res.rhs
+        assert res.note.startswith("integral restatement differs")
+
     def test_e67_partial_sums_monotone(self):
         from degenmath.algebra import gfact_falling, poly_eval
         from degenmath.sequences import dfubini_poly
@@ -270,6 +277,15 @@ class TestSuite:
         monkeypatch.setattr(identities.IdentitySpec, "check", untouchable)
         with pytest.raises(BindingError, match=f"no bindings checked for {empty}; widen the grid"):
             run_suite(Grid(nmax=1), ids=ids)
+
+    @pytest.mark.parametrize("ids", [None, []], ids=["registry", "no-ids"])
+    def test_sweep_with_no_binding_at_all_is_refused_before_any_check(self, monkeypatch, ids):
+        def untouchable(*args):
+            raise AssertionError("a checker ran")
+
+        monkeypatch.setattr(identities.IdentitySpec, "check", untouchable)
+        with pytest.raises(BindingError, match="no bindings checked for any selected identity; widen the grid"):
+            run_suite(Grid(nmax=1, lambdas=()), ids=ids)
 
     def test_bare_str_ids_is_a_type_error(self, monkeypatch):
         def untouchable(*args):

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,11 +28,16 @@ class TestConstruction:
         s = Series((1, 2), 4)
         assert s.coeffs == (1, 2, 0, 0, 0)
         assert Series((1, 2, 3, 4), 1).coeffs == (1, 2)
+        assert Series((1, 2, 3), 2).truncate(1) == Series((1, 2), 1)
+        with pytest.raises(ValueError, match="cannot extend"):
+            Series((1, 2, 3), 2).truncate(3)
 
     def test_order_recorded(self):
         assert Series((1,), 7).order == 7
         with pytest.raises(ValueError):
             Series((), None)
+        with pytest.raises(ValueError, match="truncation order must be >= 0"):
+            Series((1,), -1)
 
     def test_equality_needs_matching_order(self):
         assert Series((1, 2), 3) != Series((1, 2), 2)
@@ -57,6 +62,13 @@ class TestMul:
 
     def test_min_order(self):
         assert (Series((1,), 5) * Series((1,), 3)).order == 3
+
+    def test_power(self):
+        # (1 - t)**3 has coefficients (-1)**k C(3, k), which vanish past t**3
+        assert Series((1, -1), 6) ** 3 == Series([(-1) ** k * comb(3, k) for k in range(7)], 6)
+        assert Series((1, -1), 6) ** 0 == Series((1,), 6)
+        with pytest.raises(ValueError, match="nonnegative integer exponent"):
+            Series((1, -1), 6) ** -1
 
 
 class TestReciprocal:
