@@ -17,14 +17,16 @@ lcm of its denominators, and one Fraction.  poly_eval is integer Horner,
 with one Fraction per call.  Every generalized falling factorial, the
 rising one and dfact included, is a call into gfact_falling, which makes
 a scalar one integer product over one denominator.  binom(x, k) is
-memoised in a tuple of its own.
+memoised in a tuple of its own.  _over_power reduces an integer over a
+power of a small base with gcds against the base alone, for the callers
+whose denominators are such powers.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Union
 
@@ -184,6 +186,35 @@ def _integer_numerators(cs) -> tuple[list[int], int]:
     # per-size tuple free lists (about 1 MiB after check --all)
     d = lcm(*[c.denominator for c in cs])
     return [c.numerator * (d // c.denominator) for c in cs], d
+
+
+def _over_power(t: int, s: int, base: int) -> Fraction:
+    """t/s in lowest terms, for s > 0 a power of base.
+
+    Every prime that divides s divides base, so t and s share a factor
+    exactly when t, s and base do.  If t is 0 the value is 0/1; if s is 1
+    it is t/1.  Otherwise s = base**e with e >= 1, so gcd(s, base) = base
+    and the first g = gcd(t, base) is gcd(t, s, base).  Each pass divides t
+    and s by g > 1, a common divisor of both, so t/s keeps its value, s
+    stays a positive divisor of base**e and strictly falls, and the next g
+    is again gcd(t, s, base).  The loop therefore ends, and it ends when t
+    and s are coprime.  Every gcd has base or a divisor of it as one operand,
+    so none pairs two large integers, and a t coprime to base costs one gcd.
+    The Fraction is built from its two slots directly, as
+    Fraction._from_coprime_ints does, so it is not reduced a second time;
+    s > 0 keeps the sign on the numerator.
+    """
+    if not t:
+        s = 1
+    elif s > 1:
+        g = gcd(t, base)
+        while g > 1:
+            t //= g
+            s //= g
+            g = gcd(t, gcd(s, base))
+    out = object.__new__(Fraction)
+    out._numerator, out._denominator = t, s
+    return out
 
 
 def _cauchy_product(a, b, n: int) -> list[Fraction]:

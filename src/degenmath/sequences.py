@@ -25,14 +25,15 @@ cumulative sums of its entries, taken on the integer numerators over one
 common denominator.  The triangle, Bernoulli and Euler extends work on
 integers.  For lam = p/q the triangle rows are stored as Fractions, but
 q**(n-k) S(n,k) is an integer: the state is the last row's integers,
-which the extend carries from row to row, normalising each new entry
-once.  The Bernoulli and Euler constants c_n are stored families of their
-own, with the constants and the weights they are solved from as integers
-over one denominator each as state.  The polynomial extends read them and
-sum in the basis of the falling factorials (x)_{m,lam} by Horner's scheme
-on integers, so no falling factorial is stored, and each coefficient is
-normalised once; dbernoulli_value and deuler_value run the same sum on a
-scalar x0, building no polynomial.
+which the extend carries from row to row, reducing each new entry over
+its power of q with gcds against q alone.  The Bernoulli and Euler
+constants c_n are stored families of their own, with the constants and
+the weights they are solved from as integers over one denominator each as
+state.  The polynomial extends read them and sum in the basis of the
+falling factorials (x)_{m,lam} by Horner's scheme on integers, so no
+falling factorial is stored, and each coefficient is normalised once;
+dbernoulli_value and deuler_value run the same sum on a scalar x0,
+building no polynomial.
 The oracles keep their own memo, bounded at STORE_CAPACITY entries, apart
 from the code they check.
 """
@@ -47,7 +48,7 @@ from itertools import accumulate, repeat
 from math import comb, factorial, lcm, prod
 from operator import mul
 
-from .algebra import Poly, X, binom_poly, dfact, poly_combination, rational_dot
+from .algebra import Poly, X, _over_power, binom_poly, dfact, poly_combination, rational_dot
 from .series import Series, dexp, dlog
 
 STORE_CAPACITY = 128
@@ -124,8 +125,10 @@ def _row_extend(weight):
     T(m,k) = T(m-1,k-1) + weight(m-1, k, p, q) * T(m-1,k), where the weight
     is the old one times q.  The state is the last row's integers, so a miss
     carries the integer rows on from the last stored row, and each entry of a
-    new row m is normalised once, over q**(m-k).  That scale, not q**m, keeps
-    the integers small; a reduced output needs its one gcd either way."""
+    new row m goes over q**(m-k).  That scale, not q**m, keeps the integers
+    small.  Every prime of q**(m-k) divides q, so _over_power reduces the
+    entry with gcds against q, never against q**(m-k): an entry coprime to q
+    costs one small gcd, and the zero T(m,0) none."""
 
     def extend(rows, ints, upto, lam):
         p, q = lam.numerator, lam.denominator
@@ -136,7 +139,7 @@ def _row_extend(weight):
             # the zero past the end of row m-1 is also read as T(m-1, -1)
             ints.append(0)
             ints = [ints[k - 1] + weight(m - 1, k, p, q) * ints[k] for k in range(m + 1)]
-            rows.append(tuple(Fraction(t, scale[m - k]) for k, t in enumerate(ints)))
+            rows.append(tuple(_over_power(t, scale[m - k], q) for k, t in enumerate(ints)))
         return tuple(rows), tuple(ints)
 
     return extend

@@ -7,7 +7,7 @@ kernels must return exactly the same values.
 
 from fractions import Fraction
 from itertools import accumulate
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,6 +16,7 @@ from degenmath import sequences
 from degenmath.algebra import (
     Poly,
     X,
+    _over_power,
     dfact,
     gfact_falling,
     gfact_rising,
@@ -201,8 +202,9 @@ def ref_hyperharmonic_row(n: int, r: int, lam) -> tuple[Fraction, ...]:
     return sums
 
 
-# 57/89 is the lambda of perfbench's deep tables
-triangle_lambdas = appell_lambdas + [Fraction(57, 89)]
+# 57/89 is the lambda of perfbench's deep tables; 36 and 30 have several
+# primes, so an entry can need more than one gcd pass to reduce
+triangle_lambdas = appell_lambdas + [Fraction(57, 89), Fraction(-35, 36), Fraction(77, 30)]
 
 
 def series_of(coeffs: list) -> Series:
@@ -338,6 +340,29 @@ class TestReciprocal:
     def test_matches_fraction_loop(self, coeffs):
         s = series_of(coeffs)
         assert ser_reciprocal(s) == ref_reciprocal(s)
+
+
+class TestOverPower:
+    # prime, unit and composite bases; the composite ones reach the loop's
+    # later passes, where gcd(s, base) is a proper divisor of base
+    @settings(max_examples=200)
+    @given(
+        base=st.sampled_from([1, 2, 89, 97, 4, 36, 6, 30, 210]),
+        e=st.integers(min_value=0, max_value=60),
+        c=st.integers(min_value=-10**12, max_value=10**12),
+        j=st.integers(min_value=0, max_value=70),
+    )
+    @example(base=89, e=300, c=0, j=0)
+    @example(base=36, e=5, c=-35, j=7)
+    @example(base=210, e=60, c=1, j=60)
+    @example(base=2, e=0, c=6, j=3)
+    def test_matches_fraction(self, base, e, c, j):
+        # t = c * base**j runs from 0 through units to high powers of base
+        t, s = c * base**j, base**e
+        got, want = _over_power(t, s, base), Fraction(t, s)
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert got == want and hash(got) == hash(want) and str(got) == str(want)
+        assert type(got) is Fraction
 
 
 class TestGfactFalling:
@@ -483,6 +508,7 @@ class TestTriangleStep:
         rows = build(n, lam).rows[: n + 1]
         assert list(rows) == ref_triangle(weight, n, lam)
         assert all(type(c) is Fraction for row in rows for c in row)
+        assert all(gcd(c.numerator, c.denominator) == 1 for row in rows for c in row)
 
     @pytest.mark.parametrize("kind", ["second", "first"])
     @settings(max_examples=25, deadline=None)
