@@ -6,20 +6,27 @@ fractions.Fraction; polynomials are immutable dense coefficient tuples over
 Fraction.  There is no floating point anywhere in the computational core.
 
 The hot kernels keep Fraction at their boundary only: a polynomial product
-scales each factor to integers over one common denominator and normalises
+scales each factor to integers over one common denominator and builds
 each output coefficient once.  poly_combination sums c * P over many
 (scalar, Poly) pairs the same way: each P goes over the lcm of its
 denominators, the integer numerators are summed over one common
-denominator, and each output coefficient is normalised once.
+denominator, and each output coefficient is built once.
 rational_dot is its scalar twin: the sum of x * y over paired scalars is
 one integer dot product of the two sides' numerators, each side over the
 lcm of its denominators, and one Fraction.  poly_eval is integer Horner,
 with one Fraction per call.  Every generalized falling factorial, the
 rising one and dfact included, is a call into gfact_falling, which makes
 a scalar one integer product over one denominator.  binom(x, k) is
-memoised in a tuple of its own.  _over_power reduces an integer over a
-power of a small base with gcds against the base alone, for the callers
-whose denominators are such powers.
+memoised in a tuple of its own.
+
+Where a kernel of this module, series or sequences has an integer
+numerator and denominator, _frac builds the Fraction from them: one gcd,
+and the two slots written by _coprime, the one function that writes them,
+without the type dispatch of Fraction(n, d).  _over_power does the same
+for an integer over a power of a small base, reducing it with gcds against
+the base alone.  A scalar input goes through _rat, which returns a
+Fraction as it is, since a Fraction is immutable and already in lowest
+terms, and refuses a float (already rounded) or a bool.
 """
 
 from __future__ import annotations
@@ -33,6 +40,46 @@ from typing import Iterable, Union
 Scalar = Union[int, Fraction]
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
+
+#: the one zero the kernels pad with; a Fraction is immutable, so it is shared
+_ZERO = Fraction(0)
+
+
+def _coprime(n: int, d: int) -> Fraction:
+    """n/d for coprime ints n and d > 0, not checked and not reduced again.
+
+    The one place that writes Fraction's two slots, as
+    Fraction._from_coprime_ints does on 3.12+; CPython 3.10 to 3.13 all have
+    exactly the slots _numerator and _denominator."""
+    out = object.__new__(Fraction)
+    out._numerator, out._denominator = n, d
+    return out
+
+
+def _frac(n: int, d: int) -> Fraction:
+    """n/d in lowest terms for ints n and d, equal to Fraction(n, d) in value and form.
+
+    The sign moves to the numerator and one gcd reduces the pair; d == 0
+    raises ZeroDivisionError, as Fraction does."""
+    if d < 0:
+        n, d = -n, -d
+    elif not d:
+        raise ZeroDivisionError(f"Fraction({n}, 0)")
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return _coprime(n, d)
+
+
+def _rat(x) -> Fraction:
+    """x as a Fraction: a Fraction is returned itself, anything else goes
+    through Fraction(x); a float, already rounded, and a bool raise TypeError."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, (float, bool)):
+        raise TypeError(f"an exact rational is needed, not {type(x).__name__} {x!r}")
+    return Fraction(x)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -68,7 +115,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else _rat(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -84,7 +131,7 @@ class Poly:
 
     def coeff(self, i: int) -> Fraction:
         """Coefficient of x**i (zero outside the stored range)."""
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else _ZERO
 
     def _coerce(self, other):
         if isinstance(other, Poly):
@@ -142,7 +189,7 @@ class Poly:
     def __hash__(self):
         # constants hash like the scalar they equal
         if len(self.coeffs) <= 1:
-            return hash(self.coeffs[0] if self.coeffs else Fraction(0))
+            return hash(self.coeffs[0] if self.coeffs else _ZERO)
         return hash(self.coeffs)
 
     def __str__(self):
@@ -200,8 +247,7 @@ def _over_power(t: int, s: int, base: int) -> Fraction:
     is again gcd(t, s, base).  The loop therefore ends, and it ends when t
     and s are coprime.  Every gcd has base or a divisor of it as one operand,
     so none pairs two large integers, and a t coprime to base costs one gcd.
-    The Fraction is built from its two slots directly, as
-    Fraction._from_coprime_ints does, so it is not reduced a second time;
+    The Fraction is built by _coprime, so it is not reduced a second time;
     s > 0 keeps the sign on the numerator.
     """
     if not t:
@@ -212,16 +258,14 @@ def _over_power(t: int, s: int, base: int) -> Fraction:
             t //= g
             s //= g
             g = gcd(t, gcd(s, base))
-    out = object.__new__(Fraction)
-    out._numerator, out._denominator = t, s
-    return out
+    return _coprime(t, s)
 
 
 def _cauchy_product(a, b, n: int) -> list[Fraction]:
     """c_m = sum over i + j == m of a_i * b_j, for m = 0..n, over Fraction a and b.
 
     Each factor is scaled to integers over the lcm of its denominators, the
-    integers are convolved, and each c_m is normalised once, in the spirit of
+    integers are convolved, and each c_m is built once, in the spirit of
     fraction-free elimination (Bareiss, Math. Comp. 22, 1968).
     """
     ia, da = _integer_numerators(a)
@@ -233,7 +277,7 @@ def _cauchy_product(a, b, n: int) -> list[Fraction]:
         lo = max(0, m - lb + 1)
         # rb[lb-1-j] is b_j, so the second slice runs b_{m-lo} down to b_0;
         # map stops at the end of the shorter slice
-        out.append(Fraction(sum(map(mul, ia[lo : m + 1], rb[lb - 1 - m + lo :])), den))
+        out.append(_frac(sum(map(mul, ia[lo : m + 1], rb[lb - 1 - m + lo :])), den))
     return out
 
 
@@ -245,12 +289,12 @@ def gfact_falling(x0, n: int, lam) -> "Fraction | Poly":
     """
     if n < 0:
         raise ValueError("length of the falling-factorial product must be >= 0")
-    lam = Fraction(lam)
+    lam = _rat(lam)
     if not isinstance(x0, Poly):
         # x0 = a/b, lam = p/q: the product is prod_j (a*q - j*p*b) / (b*q)**n
-        x0 = Fraction(x0)
+        x0 = _rat(x0)
         a, b, p, q = x0.numerator, x0.denominator, lam.numerator, lam.denominator
-        return Fraction(prod(a * q - j * p * b for j in range(n)), (b * q) ** n)
+        return _frac(prod(a * q - j * p * b for j in range(n)), (b * q) ** n)
     acc = Poly.constant(1)
     for j in range(n):
         acc = acc * (x0 - j * lam)
@@ -259,7 +303,7 @@ def gfact_falling(x0, n: int, lam) -> "Fraction | Poly":
 
 def gfact_rising(x0, n: int, lam) -> "Fraction | Poly":
     """Rising analogue x0*(x0+lam)*...*(x0+(n-1)*lam); 1 when n == 0."""
-    return gfact_falling(x0, n, -Fraction(lam))
+    return gfact_falling(x0, n, -_rat(lam))
 
 
 # binom(x, k) for k = 0..len-1; grown by rebinding a longer tuple, never in
@@ -292,7 +336,7 @@ def dfact(k: int, lam) -> Fraction:
     dfact(k-1, lam) == lam**(k-1) * (1)_{k, 1/lam}, and at lam == 0 it
     degenerates continuously to (-1)**k * k!.
     """
-    return gfact_falling(Fraction(lam) - 1, k, 1)
+    return gfact_falling(_rat(lam) - 1, k, 1)
 
 
 def poly_derivative(p: Poly) -> Poly:
@@ -308,7 +352,7 @@ def poly_int_over_t(p: Poly) -> Poly:
     """
     if p.coeff(0) != 0:
         raise ValueError("logarithmic divergence: nonzero constant term")
-    return Poly((Fraction(0),) + tuple(c / k for k, c in enumerate(p.coeffs) if k >= 1))
+    return Poly((_ZERO,) + tuple(c / k for k, c in enumerate(p.coeffs) if k >= 1))
 
 
 def poly_combination(terms) -> Poly:
@@ -317,7 +361,7 @@ def poly_combination(terms) -> Poly:
     Each P goes over the lcm d of its denominators, so c * P is the integer
     numerators of P times c.numerator, over c.denominator * d.  The terms
     are summed on integers over the lcm of those denominators and each
-    output coefficient is normalised once.
+    output coefficient is built once.
     """
     scaled = []
     for c, p in terms:
@@ -332,7 +376,7 @@ def poly_combination(terms) -> Poly:
         a *= den // d
         for i, v in enumerate(nums):
             acc[i] += a * v
-    return Poly([Fraction(v, den) for v in acc])
+    return Poly([_frac(v, den) for v in acc])
 
 
 def rational_dot(xs, ys) -> Fraction:
@@ -341,28 +385,28 @@ def rational_dot(xs, ys) -> Fraction:
     The sides pair like zip: the longer one's tail is ignored, and an empty
     side gives 0.  Each side goes over the lcm of its denominators, the
     integer numerators are multiplied pairwise and summed, and the sum is
-    normalised once.
+    built once.
     """
     xs, ys = list(xs), list(ys)
     n = min(len(xs), len(ys))
     ix, dx = _integer_numerators(xs[:n])
     iy, dy = _integer_numerators(ys[:n])
-    return Fraction(sum(map(mul, ix, iy)), dx * dy)
+    return _frac(sum(map(mul, ix, iy)), dx * dy)
 
 
 def poly_eval(p: Poly, x0) -> Fraction:
     """Exact evaluation by integer Horner.
 
     With x0 = a/b and the coefficients c_i as integers over d, the value is
-    sum_i c_i a**i b**(deg-i) over d b**deg, normalised once.
+    sum_i c_i a**i b**(deg-i) over d b**deg, built once.
     """
-    x0 = Fraction(x0)
+    x0 = _rat(x0)
     if not p.coeffs:
-        return Fraction(0)
+        return _ZERO
     a, b = x0.numerator, x0.denominator
     nums, d = _integer_numerators(p.coeffs)
     acc, bpow = 0, 1
     for c in reversed(nums):
         acc = acc * a + c * bpow
         bpow *= b
-    return Fraction(acc, d * b ** (len(nums) - 1))
+    return _frac(acc, d * b ** (len(nums) - 1))

@@ -31,7 +31,8 @@ constants c_n are stored families of their own, with the constants and
 the weights they are solved from as integers over one denominator each as
 state.  The polynomial extends read them and sum in the basis of the
 falling factorials (x)_{m,lam} by Horner's scheme on integers, so no
-falling factorial is stored, and each coefficient is normalised once;
+falling factorial is stored, and each coefficient is built once from
+its integer numerator and denominator by algebra._frac;
 dbernoulli_value and deuler_value run the same sum on a scalar x0,
 building no polynomial.
 The oracles keep their own memo, bounded at STORE_CAPACITY entries, apart
@@ -48,7 +49,18 @@ from itertools import accumulate, repeat
 from math import comb, factorial, lcm, prod
 from operator import mul
 
-from .algebra import Poly, X, _over_power, binom_poly, dfact, poly_combination, rational_dot
+from .algebra import (
+    Poly,
+    X,
+    _ZERO,
+    _frac,
+    _over_power,
+    _rat,
+    binom_poly,
+    dfact,
+    poly_combination,
+    rational_dot,
+)
 from .series import Series, dexp, dlog
 
 STORE_CAPACITY = 128
@@ -94,7 +106,7 @@ class StirlingTriangle:
         """Table value; zero outside 0 <= k <= n < len(rows)."""
         if 0 <= k <= n < len(self.rows):
             return self.rows[n][k]
-        return Fraction(0)
+        return _ZERO
 
     def row(self, n: int) -> tuple[Fraction, ...]:
         return self.rows[n]
@@ -103,7 +115,7 @@ class StirlingTriangle:
 def s2_triangle(nmax: int, lam) -> StirlingTriangle:
     """Second-kind triangle from the recurrence
     S(n+1,k) = S(n,k-1) + (k - n*lam) * S(n,k), S(0,0) = 1."""
-    return StirlingTriangle(_grown("second", int(nmax), Fraction(lam))[0])
+    return StirlingTriangle(_grown("second", int(nmax), _rat(lam))[0])
 
 
 def s1_triangle(nmax: int, lam) -> StirlingTriangle:
@@ -114,7 +126,7 @@ def s1_triangle(nmax: int, lam) -> StirlingTriangle:
     x*(x)_{k,lam} = (x)_{k+1,lam} + k*lam*(x)_{k,lam}; the test suite
     cross-checks it entrywise against the generating-function extraction.
     """
-    return StirlingTriangle(_grown("first", int(nmax), Fraction(lam))[0])
+    return StirlingTriangle(_grown("first", int(nmax), _rat(lam))[0])
 
 
 def _row_extend(weight):
@@ -158,7 +170,7 @@ def stirling_series_oracle(kind: str, n: int, k: int, lam, order: int) -> Fracti
         raise ValueError("need 0 <= k <= n")
     if order < n:
         raise ValueError("truncation too small")
-    power = _gf_power(kind, Fraction(lam), k, order)
+    power = _gf_power(kind, _rat(lam), k, order)
     return power.coeffs[n] * factorial(n) / factorial(k)
 
 
@@ -185,7 +197,7 @@ def dharmonic(n: int, lam) -> Fraction:
     The summand is the singularity-free rewriting of (1/lam) binom(lam, k)
     (-1)**(k-1), so lam == 0 is legal and yields the classical 1 + 1/2 + ... + 1/n.
     """
-    return _grown("harmonic", n, Fraction(lam))[0][n]
+    return _grown("harmonic", n, _rat(lam))[0][n]
 
 
 def _hyperharmonic_numerators(n: int, r: int, lam) -> tuple[list[int], int]:
@@ -195,7 +207,7 @@ def _hyperharmonic_numerators(n: int, r: int, lam) -> tuple[list[int], int]:
     the r-1 cumulative sums run on the integer numerators."""
     if r < 1:
         raise ValueError("hyperharmonic order r must be >= 1")
-    sums, d = _over_lcm(_grown("harmonic", n, Fraction(lam))[0][: n + 1])
+    sums, d = _over_lcm(_grown("harmonic", n, _rat(lam))[0][: n + 1])
     for _ in range(r - 1):
         sums = list(accumulate(sums))
     return sums, d
@@ -204,13 +216,13 @@ def _hyperharmonic_numerators(n: int, r: int, lam) -> tuple[list[int], int]:
 def dhyperharmonic_row(n: int, r: int, lam) -> tuple[Fraction, ...]:
     """Degenerate hyperharmonic numbers 0..n: r-1 cumulative summations of dharmonic."""
     sums, d = _hyperharmonic_numerators(n, r, lam)
-    return tuple(Fraction(a, d) for a in sums)
+    return tuple([_frac(a, d) for a in sums])
 
 
 def dhyperharmonic(n: int, r: int, lam) -> Fraction:
     """Degenerate hyperharmonic number, entry n of dhyperharmonic_row."""
     sums, d = _hyperharmonic_numerators(n, r, lam)
-    return Fraction(sums[n], d)
+    return _frac(sums[n], d)
 
 
 def _over_lcm(fracs, nums=(), d=1) -> tuple[list[int], int]:
@@ -246,7 +258,7 @@ def _constants_extend(weight):
         consts, cs = list(consts), list(cs)
         for n in range(len(consts), upto + 1):
             dot = sum(comb(n, j) * ws[j - 1] * cs[n - j] for j in range(1, n + 1))
-            consts.append(Fraction(int(n == 0) * dw * d - dot, dw * d))
+            consts.append(_frac(int(n == 0) * dw * d - dot, dw * d))
             cs, d = _over_lcm(consts[n:], cs, d)
         return tuple(consts), (tuple(cs), d, tuple(ws), dw, tuple(ones))
 
@@ -262,7 +274,7 @@ def _appell_extend(constants):
     acc <- (x - m lam) acc + C(n,m) c_{n-m}.  The sum runs on the stored
     constants' integers over their one denominator d, with acc kept over
     d*q**(n-m) for lam = p/q, so that each pass multiplies by q*x - m*p, and
-    each output coefficient is normalised once.  The extend scales by itself,
+    each output coefficient is built once.  The extend scales by itself,
     apart from the Poly kernels that its oracle dbernoulli_poly_stirling runs
     on, and needs no state of its own."""
 
@@ -278,7 +290,7 @@ def _appell_extend(constants):
                 acc = [q * a - r * b for a, b in zip([0] + acc, acc + [0])]
                 acc[0] += comb(n, m) * cs[n - m] * scale
             den = d * scale
-            polys.append(Poly([Fraction(a, den) for a in acc]))
+            polys.append(Poly([_frac(a, den) for a in acc]))
         return tuple(polys), None
 
     return extend
@@ -290,8 +302,8 @@ def _appell_value(constants, n: int, lam, x0) -> Fraction:
 
     The same Horner pass as _appell_extend on the scalar x0 = a/b: acc is kept
     over d*(b*q)**(n-m), so that each pass multiplies by a*q - m*p*b, and the
-    value is normalised once.  It builds no polynomial."""
-    lam, x0 = Fraction(lam), Fraction(x0)
+    value is built once.  It builds no polynomial."""
+    lam, x0 = _rat(lam), _rat(x0)
     cs, d = _grown(constants, n, lam)[1][:2]
     p, q, a, b = lam.numerator, lam.denominator, x0.numerator, x0.denominator
     acc, scale, binom = cs[0], 1, 1
@@ -299,7 +311,7 @@ def _appell_value(constants, n: int, lam, x0) -> Fraction:
         scale *= b * q
         binom = binom * (m + 1) // (n - m)  # C(n, m) from C(n, m+1)
         acc = (a * q - m * p * b) * acc + binom * cs[n - m] * scale
-    return Fraction(acc, d * scale)
+    return _frac(acc, d * scale)
 
 
 # stored family -> its extend, which _grown calls on a miss
@@ -318,7 +330,7 @@ _EXTENDS = {
 
 def dbernoulli_poly(n: int, lam) -> Poly:
     """Degenerate Bernoulli polynomial, the t**n/n! coefficient of t/(e_lam(t)-1) * e_lam^x(t)."""
-    return _grown("bernoulli", n, Fraction(lam))[0][n]
+    return _grown("bernoulli", n, _rat(lam))[0][n]
 
 
 def dbernoulli_value(n: int, lam, x0) -> Fraction:
@@ -337,7 +349,7 @@ def dbernoulli_poly_stirling(n: int, lam) -> Poly:
 
 def deuler_poly(n: int, lam) -> Poly:
     """Degenerate Euler polynomial, the t**n/n! coefficient of 2/(e_lam(t)+1) * e_lam^x(t)."""
-    return _grown("euler", n, Fraction(lam))[0][n]
+    return _grown("euler", n, _rat(lam))[0][n]
 
 
 def deuler_value(n: int, lam, x0) -> Fraction:
@@ -425,6 +437,6 @@ def power_sum(p: int, n: int, lam) -> Fraction:
     """
     if p < 0:
         raise ValueError("power-sum exponent must be >= 0")
-    lam = Fraction(lam)
+    lam = _rat(lam)
     a, q = lam.numerator, lam.denominator
-    return Fraction(sum(prod(k * q - (j + 1) * a for j in range(p)) for k in range(1, n + 1)), q**p)
+    return _frac(sum(prod(k * q - (j + 1) * a for j in range(p)) for k in range(1, n + 1)), q**p)

@@ -1,15 +1,16 @@
 """Truncated formal power series in t over Fraction.
 
-A coefficient that Fraction() does not take, a Poly included, raises
-TypeError.  Every series carries its truncation order explicitly, and a
-product of two series re-truncates to the smaller order, so an equality
-between two Series always states the exact order to which it was verified.
+A coefficient is an int or a Fraction (or another value Fraction() reads
+exactly); a float, a bool or a Poly raises TypeError.  Every series carries
+its truncation order explicitly, and a product of two series re-truncates
+to the smaller order, so an equality between two Series always states the
+exact order to which it was verified.
 
 The kernels work on integer numerators, one path each: a product or a
-reciprocal scales to one common denominator and normalises each output
-coefficient once.  Composition picks its path by the shape of the inner
-series: a Mobius inner a*t/(1 - b*t) replaces each Horner step's Cauchy
-product with an O(order) recurrence.
+reciprocal scales to one common denominator and builds each output
+coefficient once, with algebra._frac.  Composition picks its path by the
+shape of the inner series: a Mobius inner a*t/(1 - b*t) replaces each
+Horner step's Cauchy product with an O(order) recurrence.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from math import factorial
 from operator import mul
 from typing import Iterable
 
-from .algebra import _cauchy_product, _integer_numerators
+from .algebra import _ZERO, _cauchy_product, _frac, _integer_numerators, _rat
 
 _SCALARS = (int, Fraction)
 
@@ -30,7 +31,7 @@ class Series:
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs: Iterable, order: int | None = None) -> None:
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else _rat(c) for c in coeffs]
         if order is None:
             if not cs:
                 raise ValueError("an empty coefficient list needs an explicit order")
@@ -38,7 +39,7 @@ class Series:
         if order < 0:
             raise ValueError("truncation order must be >= 0")
         if len(cs) < order + 1:
-            cs.extend(Fraction(0) for _ in range(order + 1 - len(cs)))
+            cs.extend([_ZERO] * (order + 1 - len(cs)))
         else:
             del cs[order + 1 :]
         self.coeffs = tuple(cs)
@@ -126,7 +127,8 @@ def ser_reciprocal(a: Series) -> Series:
     for n in range(1, a.order + 1):
         # w[j-1] pairs with cs[n-j] for j = 1..n
         cs.append(-sum(map(mul, w[:n], reversed(cs))))
-    return Series([Fraction(den * c, ia[0] ** (n + 1)) for n, c in enumerate(cs)], a.order)
+    # A_0 may be negative, so the denominator A_0**(n+1) may be too
+    return Series([_frac(den * c, ia[0] ** (n + 1)) for n, c in enumerate(cs)], a.order)
 
 
 def _mobius(inner: Series):
@@ -135,7 +137,7 @@ def _mobius(inner: Series):
     if len(cs) < 2 or cs[1] == 0:
         return None
     a = cs[1]
-    b = cs[2] / a if len(cs) > 2 else Fraction(0)
+    b = cs[2] / a if len(cs) > 2 else _ZERO
     for m in range(2, len(cs)):
         if cs[m] != cs[m - 1] * b:
             return None
@@ -180,7 +182,7 @@ def ser_compose(outer: Series, inner: Series) -> Series:
             p = ai * acc[m - 1] + bi * p
             step.append(p)
         acc = step
-    return Series([Fraction(r, den * scale**m) for m, r in enumerate(acc)], order)
+    return Series([_frac(r, den * scale**m) for m, r in enumerate(acc)], order)
 
 
 def dexp(x0, lam, order: int) -> Series:
@@ -188,7 +190,7 @@ def dexp(x0, lam, order: int) -> Series:
 
     x0 is a rational.  At lam == 0 this is the classical exp(x0*t).
     """
-    x0, lam = Fraction(x0), Fraction(lam)
+    x0, lam = _rat(x0), _rat(lam)
     acc = Fraction(1)
     out = []
     for k in range(order + 1):
@@ -202,8 +204,8 @@ def dlog(lam, order: int) -> Series:
 
     Coefficient of t**k is dfact(k-1, lam) / k!; lam == 0 gives log(1+t).
     """
-    lam = Fraction(lam)
-    out = [Fraction(0)]
+    lam = _rat(lam)
+    out = [_ZERO]
     acc = Fraction(1)
     for k in range(1, order + 1):
         out.append(acc / factorial(k))
@@ -217,8 +219,8 @@ def dpolylog(k: int, lam, order: int) -> Series:
     Coefficient of t**n (n >= 1) is (-1)**(n-1) * dfact(n-1,lam) / ((n-1)! n**k);
     weight 1 is -log_lam(1-t), and lam == 0, k == 2 is the classical dilogarithm.
     """
-    lam = Fraction(lam)
-    out = [Fraction(0)]
+    lam = _rat(lam)
+    out = [_ZERO]
     acc = Fraction(1)
     sign = 1
     for n in range(1, order + 1):

@@ -7,7 +7,7 @@ kernels must return exactly the same values.
 
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,7 +16,9 @@ from degenmath import sequences
 from degenmath.algebra import (
     Poly,
     X,
+    _frac,
     _over_power,
+    _rat,
     dfact,
     gfact_falling,
     gfact_rising,
@@ -37,7 +39,7 @@ from degenmath.sequences import (
     s1_triangle,
     s2_triangle,
 )
-from degenmath.series import Series, ser_reciprocal
+from degenmath.series import Series, dexp, dlog, dpolylog, ser_reciprocal
 
 # signed rationals with a good share of zeros
 rationals = st.one_of(
@@ -215,6 +217,12 @@ def exact_types(s: Series) -> list[type]:
     return [type(c) for c in s.coeffs]
 
 
+def same_fraction(got, want):
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert got == want and hash(got) == hash(want) and str(got) == str(want)
+    assert type(got) is Fraction
+
+
 class TestSeriesMul:
     @settings(max_examples=100)
     @given(a=st.lists(rationals, min_size=1, max_size=12), b=st.lists(rationals, min_size=1, max_size=12))
@@ -341,6 +349,21 @@ class TestReciprocal:
         s = series_of(coeffs)
         assert ser_reciprocal(s) == ref_reciprocal(s)
 
+    def test_negative_constant_term(self):
+        # the denominator A_0**(n+1) is negative for odd n + 1; each
+        # coefficient must equal the Fraction the same integers give
+        a = Series((Fraction(-3, 2), Fraction(5, 7), 0, Fraction(-1, 3), 2, Fraction(9, 4)), 5)
+        got = ser_reciprocal(a)
+        den = lcm(*[c.denominator for c in a.coeffs])
+        ia = [c.numerator * (den // c.denominator) for c in a.coeffs]
+        cs = [1]
+        for n in range(1, 6):
+            cs.append(-sum(ia[j] * ia[0] ** (j - 1) * cs[n - j] for j in range(1, n + 1)))
+        old = [Fraction(den * c, ia[0] ** (n + 1)) for n, c in enumerate(cs)]
+        for g, w in zip(got.coeffs, old):
+            same_fraction(g, w)
+        assert got == ref_reciprocal(a)
+
 
 class TestOverPower:
     # prime, unit and composite bases; the composite ones reach the loop's
@@ -363,6 +386,85 @@ class TestOverPower:
         assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
         assert got == want and hash(got) == hash(want) and str(got) == str(want)
         assert type(got) is Fraction
+
+
+def test_fraction_has_the_two_slots_the_kernels_write():
+    # _coprime writes these two slots; a Python that renames them must fail here
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+
+
+class TestFrac:
+    # n and d share g**min(i, j) and any common factor of c and e
+    @settings(max_examples=300)
+    @given(
+        c=st.integers(min_value=-10**12, max_value=10**12),
+        e=st.integers(min_value=1, max_value=10**12),
+        sign=st.sampled_from([1, -1]),
+        g=st.sampled_from([1, 2, 3, 89, 6, 36, 210]),
+        i=st.integers(min_value=0, max_value=80),
+        j=st.integers(min_value=0, max_value=80),
+    )
+    @example(c=0, e=1, sign=-1, g=1, i=0, j=0)
+    @example(c=0, e=7, sign=1, g=89, i=0, j=40)
+    @example(c=-5, e=10, sign=-1, g=2, i=60, j=60)
+    @example(c=1, e=1, sign=-1, g=210, i=0, j=80)
+    def test_matches_fraction(self, c, e, sign, g, i, j):
+        n, d = c * g**i, sign * e * g**j
+        same_fraction(_frac(n, d), Fraction(n, d))
+
+    @pytest.mark.parametrize("n", [0, 5, -3, 10**40])
+    def test_zero_denominator_raises(self, n):
+        with pytest.raises(ZeroDivisionError):
+            _frac(n, 0)
+
+
+class TestRat:
+    def test_fraction_passes_through(self):
+        f = Fraction(-61, 89)
+        assert _rat(f) is f
+
+    @pytest.mark.parametrize("x", [0, 7, -3, 10**30])
+    def test_int_becomes_fraction(self, x):
+        same_fraction(_rat(x), Fraction(x))
+
+    @pytest.mark.parametrize("x", [0.5, 0.0, 1.0, True, False])
+    def test_float_and_bool_refused(self, x):
+        with pytest.raises(TypeError):
+            _rat(x)
+
+    def test_poly_coefficient_still_refused(self):
+        with pytest.raises(TypeError):
+            Series([Poly((1, 2))])
+
+    @pytest.mark.parametrize("bad", [0.1, True])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda v: s2_triangle(5, v),
+            lambda v: s1_triangle(5, v),
+            lambda v: dharmonic(3, v),
+            lambda v: dhyperharmonic(3, 2, v),
+            lambda v: dbernoulli_poly(3, v),
+            lambda v: deuler_poly(3, v),
+            lambda v: dbernoulli_value(3, Fraction(1, 2), v),
+            lambda v: deuler_value(3, v, Fraction(1, 3)),
+            lambda v: power_sum(2, 3, v),
+            lambda v: gfact_falling(v, 3, Fraction(1, 2)),
+            lambda v: gfact_rising(Fraction(1, 3), 3, v),
+            lambda v: dfact(3, v),
+            lambda v: poly_eval(Poly((1, 2)), v),
+            lambda v: dexp(v, Fraction(1, 2), 4),
+            lambda v: dlog(v, 4),
+            lambda v: dpolylog(2, v, 4),
+            lambda v: Series((1, v)),
+            lambda v: Poly((1, v)),
+        ],
+    )
+    def test_library_refuses_float_and_bool(self, call, bad):
+        # a float is already rounded: s2_triangle(5, 0.1) would run at
+        # lambda = 3602879701896397/36028797018963968
+        with pytest.raises(TypeError):
+            call(bad)
 
 
 class TestGfactFalling:
