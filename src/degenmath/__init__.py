@@ -25,7 +25,6 @@ from .identities import (
     DEFAULT_GRID,
     Grid,
     SuiteReport,
-    Tables,
     UnknownIdentityError,
     list_identities,
     run_identity,

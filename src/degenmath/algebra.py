@@ -82,6 +82,11 @@ def _rat(x) -> Fraction:
     return Fraction(x)
 
 
+def _is_scalar(x) -> bool:
+    """Whether Poly and Series arithmetic takes x as a scalar: an int or a Fraction, not a bool."""
+    return isinstance(x, (int, Fraction)) and type(x) is not bool
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" with an optional leading sign.
 
@@ -108,8 +113,9 @@ class Poly:
     empty tuple, and its degree is None rather than -1 so that degree
     arithmetic can never be silently wrong.
 
-    Scalars (int, Fraction) coerce in arithmetic and comparisons, so a
-    polynomial and a rational mix in one expression, as in X - k*lam.
+    Scalars (int, Fraction, not bool) coerce in arithmetic, so a polynomial
+    and a rational mix in one expression, as in X - k*lam.  Equality is by
+    value: a constant equals the int or Fraction it holds.
     """
 
     __slots__ = ("coeffs",)
@@ -136,7 +142,7 @@ class Poly:
     def _coerce(self, other):
         if isinstance(other, Poly):
             return other
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             return Poly((other,))
         return None
 
@@ -164,7 +170,7 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             if other == 0:
                 return Poly()
             return Poly(tuple(c * other for c in self.coeffs))

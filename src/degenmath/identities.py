@@ -213,12 +213,10 @@ def identity(ident: str, params: dict[str, Param], description: str):
 
 
 class Tables:
-    """Stirling-triangle source for a run of checks.
+    """Stirling-triangle source for a run of checks, passed to every checker.
 
-    The builders are injectable so tests can verify the checks really
-    depend on the recurrences (mutation sensitivity); the default builders
-    are the honest ones from the sequences module, whose store caches the
-    triangles; Tables itself holds no state.
+    It reads the triangles from the sequences module, whose store caches
+    them; Tables itself holds no state.
     """
 
     def __init__(self, s1_builder=sequences.s1_triangle, s2_builder=sequences.s2_triangle):
@@ -610,12 +608,12 @@ def _validated(spec: IdentitySpec, binding: dict) -> dict:
     return out
 
 
-def run_identity(identity_id: str, binding: dict, tables: Tables | None = None) -> CheckResult:
+def run_identity(identity_id: str, binding: dict) -> CheckResult:
     """Check one identity at one binding; pure for a fixed binding."""
     spec = REGISTRY.get(identity_id)
     if spec is None:
         raise UnknownIdentityError(identity_id)
-    return spec.check(_validated(spec, binding), tables if tables is not None else _DEFAULT_TABLES)
+    return spec.check(_validated(spec, binding), _DEFAULT_TABLES)
 
 
 def list_identities() -> list[IdentitySpec]:
@@ -640,11 +638,7 @@ class SuiteReport:
     all_pass: bool
 
 
-def run_suite(
-    grid: Grid = DEFAULT_GRID,
-    ids: Iterable[str] | None = None,
-    tables: Tables | None = None,
-) -> SuiteReport:
+def run_suite(grid: Grid = DEFAULT_GRID, ids: Iterable[str] | None = None) -> SuiteReport:
     """Sweep every selected identity over its applicable sub-grid.
 
     Failures are data, not errors: each one is kept as a full CheckResult so
@@ -672,14 +666,13 @@ def run_suite(
         selected = [ident for ident in REGISTRY if ident in set(wanted)]
     if all(next(REGISTRY[ident].bindings(grid), None) is None for ident in selected):
         raise BindingError("no bindings checked for any selected identity; widen the grid")
-    tables = tables if tables is not None else _DEFAULT_TABLES
     results = []
     for ident in selected:
         spec = REGISTRY[ident]
         passes = 0
         failures = []
         for binding in spec.bindings(grid):
-            res = spec.check(binding, tables)
+            res = spec.check(binding, _DEFAULT_TABLES)
             if res.passed:
                 passes += 1
             else:

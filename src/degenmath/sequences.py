@@ -87,6 +87,9 @@ def _grown(family: str, n: int, lam: Fraction) -> tuple[tuple, object]:
     a miss stores _EXTENDS[family](entries, state, max(n, GROW_MIN_N), lam),
     the entries 0..that bound and the state they end with.  An empty table
     has state None."""
+    # a bool would be read as 0 or 1, and a float truncated or used as an index
+    if type(n) is not int:
+        raise TypeError(f"n must be an int, not {type(n).__name__} {n!r}")
     if n < 0:
         # a negative n would index the stored table from its end
         raise ValueError(f"n must be >= 0, got {n}")
@@ -115,7 +118,7 @@ class StirlingTriangle:
 def s2_triangle(nmax: int, lam) -> StirlingTriangle:
     """Second-kind triangle from the recurrence
     S(n+1,k) = S(n,k-1) + (k - n*lam) * S(n,k), S(0,0) = 1."""
-    return StirlingTriangle(_grown("second", int(nmax), _rat(lam))[0])
+    return StirlingTriangle(_grown("second", nmax, _rat(lam))[0])
 
 
 def s1_triangle(nmax: int, lam) -> StirlingTriangle:
@@ -126,7 +129,7 @@ def s1_triangle(nmax: int, lam) -> StirlingTriangle:
     x*(x)_{k,lam} = (x)_{k+1,lam} + k*lam*(x)_{k,lam}; the test suite
     cross-checks it entrywise against the generating-function extraction.
     """
-    return StirlingTriangle(_grown("first", int(nmax), _rat(lam))[0])
+    return StirlingTriangle(_grown("first", nmax, _rat(lam))[0])
 
 
 def _row_extend(weight):

@@ -1,7 +1,8 @@
 """Truncated formal power series in t over Fraction.
 
 A coefficient is an int or a Fraction (or another value Fraction() reads
-exactly); a float, a bool or a Poly raises TypeError.  Every series carries
+exactly); a float, a bool or a Poly raises TypeError, as a coefficient or
+as a scalar in arithmetic.  Every series carries
 its truncation order explicitly, and a product of two series re-truncates
 to the smaller order, so an equality between two Series always states the
 exact order to which it was verified.
@@ -20,9 +21,7 @@ from math import factorial
 from operator import mul
 from typing import Iterable
 
-from .algebra import _ZERO, _cauchy_product, _frac, _integer_numerators, _rat
-
-_SCALARS = (int, Fraction)
+from .algebra import _ZERO, _cauchy_product, _frac, _integer_numerators, _is_scalar, _rat
 
 
 class Series:
@@ -58,7 +57,7 @@ class Series:
         return None
 
     def __add__(self, other):
-        if isinstance(other, _SCALARS):
+        if _is_scalar(other):
             return Series((self.coeffs[0] + other,) + self.coeffs[1:], self.order)
         return NotImplemented
 
@@ -68,12 +67,12 @@ class Series:
         return Series(tuple(-c for c in self.coeffs), self.order)
 
     def __sub__(self, other):
-        if isinstance(other, _SCALARS):
+        if _is_scalar(other):
             return self + (-other)
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, _SCALARS):
+        if _is_scalar(other):
             return (-self) + other
         return NotImplemented
 
@@ -81,7 +80,7 @@ class Series:
         if isinstance(other, Series):
             n = min(self.order, other.order)
             return Series(_cauchy_product(self.coeffs[: n + 1], other.coeffs[: n + 1], n), n)
-        if isinstance(other, _SCALARS):
+        if _is_scalar(other):
             return Series(tuple(c * other for c in self.coeffs), self.order)
         return NotImplemented
 

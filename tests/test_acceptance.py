@@ -11,6 +11,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import classical_oracles as oracles
 from degenmath import classical, sequences
 from degenmath.algebra import poly_eval
@@ -19,7 +21,6 @@ from degenmath.identities import (
     DEFAULT_GRID,
     REGISTRY,
     Grid,
-    Tables,
     _binding_json,
     _validated,
     run_identity,
@@ -39,6 +40,7 @@ from degenmath.sequences import (
     stirling_series_oracle,
 )
 from degenmath.series import Series, dexp, dlog, ser_compose
+from mutants import at_entry_3, mutated
 
 GRID_LAMBDAS = DEFAULT_GRID.lambdas
 
@@ -72,23 +74,14 @@ def _bindings_text(grid) -> str:
     return json.dumps(doc, indent=1) + "\n"
 
 
-def mutant_s2(nmax, lam):
-    """The second-kind recurrence with the sign of the lambda term flipped."""
-    lam = Fraction(lam)
-    rows = [(Fraction(1),)]
-    for n in range(nmax):
-        prev = rows[-1]
-        row = []
-        for k in range(n + 2):
-            left = prev[k - 1] if 1 <= k <= n + 1 else Fraction(0)
-            up = prev[k] if k <= n else Fraction(0)
-            row.append(left + (k + n * lam) * up)
-        rows.append(tuple(row))
-    return sequences.StirlingTriangle(tuple(rows))
+# the second-kind extend with the sign of the lambda term flipped,
+# S(n+1,k) = S(n,k-1) + (k + n*lam) * S(n,k)
+mutant_s2 = sequences._row_extend(lambda n, k, p, q: k * q + n * p)
 
 
 def _mutant_report():
-    return run_suite(MUTANT_GRID, ids=("T2", "T4b", "T15", "E66"), tables=Tables(s2_builder=mutant_s2))
+    with mutated("second", mutant_s2):
+        return run_suite(MUTANT_GRID, ids=("T2", "T4b", "T15", "E66"))
 
 
 def _report(criterion: str, detail: str = "") -> None:
@@ -200,7 +193,8 @@ def test_criterion_8_mutation_sensitivity():
     """Flipping the lambda sign in the second-kind recurrence breaks T15, T2, T9."""
 
     grid = Grid(nmax=4, rmax=2, pmax=1, lambdas=(Fraction(1, 2),), order=10)
-    report = run_suite(grid, ids=("T2", "T9", "T15"), tables=Tables(s2_builder=mutant_s2))
+    with mutated("second", mutant_s2):
+        report = run_suite(grid, ids=("T2", "T9", "T15"))
     assert not report.all_pass
     for res in report.results:
         assert res.fail_count >= 1, f"{res.id} did not notice the corrupted recurrence"
@@ -209,6 +203,69 @@ def test_criterion_8_mutation_sensitivity():
         for failure in small:
             assert failure.lhs != failure.rhs  # counterexample payload present
     _report("8 (mutation sensitivity)", "T2, T9, T15 all fail with counterexamples")
+
+
+def _row_past_k0_plus_one(row):
+    return row[:1] + tuple(c + 1 for c in row[1:])
+
+
+def _plus_one(entry):
+    return entry + 1
+
+
+def _cs3_plus_one(state):
+    # the integer constants over d are what the Appell extends and values
+    # read; the Fraction entries alone have no reader
+    cs, d, *rest = state
+    return (cs[:3] + (cs[3] + d,) + cs[4:], d, *rest)
+
+
+MATRIX_GRID = Grid(
+    nmax=8, rmax=3, pmax=4, lambdas=(Fraction(1, 2), Fraction(-3, 7), Fraction(2)), order=12
+)
+
+# stored family -> (its corruption at entry 3, the identities that must fail).
+# C15 is in no row: it is lambda-free and compares classical numbers, so no
+# stored family reaches it.
+MUTATION_MATRIX = {
+    "first": (at_entry_3("first", _row_past_k0_plus_one), "T3 T4a T6 T8 T10"),
+    "second": (
+        at_entry_3("second", _row_past_k0_plus_one),
+        "T2 T4b E32 T5 T7 T9 T11a T11b T12 E61 T13 T13r T14 T15 E66 E67",
+    ),
+    "harmonic": (at_entry_3("harmonic", _plus_one), "T1 T2 T3 T8 T9 E44"),
+    "bernoulli constants": (
+        at_entry_3("bernoulli constants", _plus_one, _cs3_plus_one),
+        "T5 T6 T7 T8 T9 T10 T12 E61 E59",
+    ),
+    "euler constants": (at_entry_3("euler constants", _plus_one, _cs3_plus_one), "T4a T4b E32"),
+    "bernoulli": (at_entry_3("bernoulli", _plus_one), "T5 T6 T7"),
+    "euler": (at_entry_3("euler", _plus_one), "T4a T4b"),
+}
+
+
+def test_mutation_matrix_names_every_stored_family():
+    assert set(MUTATION_MATRIX) == set(sequences._EXTENDS)
+
+
+@pytest.mark.parametrize("family", MUTATION_MATRIX)
+def test_mutation_matrix(family):
+    """Corrupting entry 3 of one stored family fails exactly the identities that read it."""
+    extend, expected = MUTATION_MATRIX[family]
+    with mutated(family, extend):
+        report = run_suite(MATRIX_GRID)
+    assert [r.id for r in report.results if r.fail_count] == expected.split()
+
+
+def test_mutated_restores_the_extend_and_the_store():
+    extend, store = sequences._EXTENDS["second"], sequences._STORE
+    with pytest.raises(ZeroDivisionError):
+        with mutated("second", mutant_s2):
+            assert sequences._STORE == {}
+            assert s2_triangle(3, Fraction(1, 2)).entry(3, 2) == 3 + 3 * Fraction(1, 2)
+            raise ZeroDivisionError
+    assert sequences._EXTENDS["second"] is extend and sequences._STORE is store
+    assert s2_triangle(3, Fraction(1, 2)).entry(3, 2) == 3 - 3 * Fraction(1, 2)
 
 
 def test_mutant_failure_payloads_match_golden():

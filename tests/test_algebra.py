@@ -1,5 +1,6 @@
 """Exact scalar and polynomial layer."""
 
+import operator
 import random
 import sys
 import threading
@@ -203,6 +204,18 @@ class TestPoly:
         assert Poly((3,)) == 3
         assert Poly() == 0
         assert Poly((0, 1)) != 1
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    def test_bool_scalar_is_refused(self, op):
+        with pytest.raises(TypeError):
+            op(X, True)
+        with pytest.raises(TypeError):
+            op(False, X)
+
+    def test_equality_with_a_bool_is_by_value(self):
+        # as Fraction(1) == True
+        assert Poly.constant(1) == True  # noqa: E712
+        assert Poly() == False  # noqa: E712
 
     def test_str(self):
         assert str(Poly((Fraction(1, 8), Fraction(1, 2), 1))) == "1/8 + 1/2*x + x^2"

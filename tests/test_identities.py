@@ -24,6 +24,7 @@ from degenmath.identities import (
     suite_report_json,
 )
 from degenmath.series import Series
+from mutants import at_entry_3, mutated
 
 HALF = Fraction(1, 2)
 
@@ -312,16 +313,10 @@ class TestSuite:
         json.dumps(doc)  # must be serializable
 
     def test_failure_counterexample_payload(self):
-        from degenmath import sequences
-        from degenmath.identities import Tables
-
-        def broken_s2(nmax, lam):
-            tri = sequences.s2_triangle(nmax, lam)
-            rows = [list(r) for r in tri.rows]
-            rows[3][2] += 1
-            return sequences.StirlingTriangle(tuple(tuple(r) for r in rows))
-
-        res = run_identity("T15", {"n": 3, "lambda": HALF}, tables=Tables(s2_builder=broken_s2))
+        # the real second-kind extend, with S(3,2) bumped by one
+        broken_s2 = at_entry_3("second", lambda row: row[:2] + (row[2] + 1,) + row[3:])
+        with mutated("second", broken_s2):
+            res = run_identity("T15", {"n": 3, "lambda": HALF})
         assert not res.passed
         assert res.lhs != res.rhs
         payload = check_result_json(res)

@@ -18,7 +18,9 @@ from degenmath.sequences import (
     dbell_poly,
     dbernoulli_poly,
     dbernoulli_poly_stirling,
+    dbernoulli_value,
     deuler_poly,
+    deuler_value,
     dfubini_poly,
     dfubini_series_oracle,
     dharmonic,
@@ -368,6 +370,21 @@ class TestFamilyTypes:
         # a negative n must not index a stored table from its end
         with pytest.raises(ValueError, match="n must be >= 0"):
             family(-1, Fraction(0))
+
+    @pytest.mark.parametrize("n", [5.9, True, Fraction(3)], ids=lambda n: type(n).__name__)
+    @pytest.mark.parametrize(
+        "family",
+        [s1_triangle, s2_triangle, dharmonic, dbernoulli_poly, deuler_poly, dbell_poly, dfubini_poly,
+         dbernoulli_poly_stirling,
+         pytest.param(lambda n, lam: dhyperharmonic(n, 2, lam), id="dhyperharmonic"),
+         pytest.param(lambda n, lam: dhyperharmonic_row(n, 2, lam), id="dhyperharmonic_row"),
+         pytest.param(lambda n, lam: dbernoulli_value(n, lam, 1), id="dbernoulli_value"),
+         pytest.param(lambda n, lam: deuler_value(n, lam, 1), id="deuler_value")],
+    )
+    def test_families_refuse_a_non_int_n(self, family, n):
+        # a float n would be truncated or fail as an index, and True would read as n = 1
+        with pytest.raises(TypeError, match="n must be an int"):
+            family(n, Fraction(0))
 
     def test_scalar_families_carry_rationals(self):
         assert isinstance(dharmonic(3, 0), Fraction)

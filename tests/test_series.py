@@ -1,5 +1,6 @@
 """Truncated power series engine."""
 
+import operator
 import random
 from fractions import Fraction
 from math import comb, factorial
@@ -48,6 +49,13 @@ class TestConstruction:
             Series((1, X))
         with pytest.raises(TypeError):
             Series((Poly((2,)),), 0)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    def test_bool_scalar_is_refused(self, op):
+        with pytest.raises(TypeError):
+            op(Series((1, 2)), True)
+        with pytest.raises(TypeError):
+            op(False, Series((1, 2)))
 
 
 class TestMul:
