@@ -33,8 +33,6 @@ from .identities import (
 )
 from .sequences import (
     StirlingTriangle,
-    bell_from_triangle,
-    bernoulli_from_triangle,
     dbell_poly,
     dbernoulli_poly,
     dbernoulli_poly_stirling,
@@ -46,8 +44,6 @@ from .sequences import (
     dharmonic,
     dhyperharmonic,
     dhyperharmonic_row,
-    euler_from_triangle,
-    fubini_from_triangle,
     power_sum,
     s1_triangle,
     s2_triangle,

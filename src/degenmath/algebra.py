@@ -82,6 +82,13 @@ def _rat(x) -> Fraction:
     return Fraction(x)
 
 
+def _need_int(name: str, value) -> None:
+    """TypeError, naming name, unless value's type is int: a bool would be
+    read as 0 or 1, and a float truncated or used as an index."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, not {type(value).__name__} {value!r}")
+
+
 def _is_scalar(x) -> bool:
     """Whether Poly and Series arithmetic takes x as a scalar: an int or a Fraction, not a bool."""
     return isinstance(x, (int, Fraction)) and type(x) is not bool
@@ -293,6 +300,7 @@ def gfact_falling(x0, n: int, lam) -> "Fraction | Poly":
     The empty product (n == 0) is the multiplicative identity of the ring
     x0 lives in.  x0 may be a scalar or a Poly; at lam == 0 this is x0**n.
     """
+    _need_int("n", n)
     if n < 0:
         raise ValueError("length of the falling-factorial product must be >= 0")
     lam = _rat(lam)
@@ -323,6 +331,7 @@ def binom_poly(k: int) -> Poly:
     Entry k is C(x, k-1) * (x - k + 1) / k.
     """
     global _BINOMS
+    _need_int("k", k)
     if k < 0:
         raise ValueError("binomial index must be >= 0")
     binoms = _BINOMS
@@ -342,6 +351,7 @@ def dfact(k: int, lam) -> Fraction:
     dfact(k-1, lam) == lam**(k-1) * (1)_{k, 1/lam}, and at lam == 0 it
     degenerates continuously to (-1)**k * k!.
     """
+    _need_int("k", k)
     return gfact_falling(_rat(lam) - 1, k, 1)
 
 

@@ -7,7 +7,9 @@ of its axes, so no identity has a hand-written enumerator.
 
 A checker takes the Tables, then its bound values positionally in declared
 order (lambda spelled lam, symbolic params omitted), as in
-`_check_t2(tab, n, r, lam)`.  It returns `(lhs, rhs)`, or `(lhs, rhs,
+`_check_t2(tab, n, r, lam)`.  The Tables serves the two Stirling triangles
+only; a checker reads every other family, Bell and Fubini included, by
+(n, lam) from sequences.  It returns `(lhs, rhs)`, or `(lhs, rhs,
 note)`, or `(lhs, rhs, note, passed)` when the verdict is not lhs == rhs.
 IdentitySpec.check builds every CheckResult, stamping the id and binding.
 
@@ -215,8 +217,10 @@ def identity(ident: str, params: dict[str, Param], description: str):
 class Tables:
     """Stirling-triangle source for a run of checks, passed to every checker.
 
-    It reads the triangles from the sequences module, whose store caches
-    them; Tables itself holds no state.
+    It reads the two triangles from the sequences module, whose store caches
+    them; Tables itself holds no state, and serves no other family.  It
+    stays, with its default builders, because the benchmark's span tracer
+    rebinds those defaults and its smoke test checks that it does.
     """
 
     def __init__(self, s1_builder=sequences.s1_triangle, s2_builder=sequences.s2_triangle):
@@ -227,12 +231,6 @@ class Tables:
 
     def s2(self, nmax: int, lam) -> sequences.StirlingTriangle:
         return self._builders["second"](nmax, lam)
-
-    def bell(self, n: int, lam) -> Poly:
-        return sequences.bell_from_triangle(self.s2(n, lam), n)
-
-    def fubini(self, n: int, lam) -> Poly:
-        return sequences.fubini_from_triangle(self.s2(n, lam), n)
 
 
 _DEFAULT_TABLES = Tables()
@@ -282,7 +280,7 @@ def _check_t3(tab, n, r, lam):
 def _check_t4a(tab, n, lam):
     tri = tab.s1(n, lam)
     lhs = poly_combination((tri.entry(n, k), sequences.deuler_poly(k, lam)) for k in range(n + 1))
-    # the k = n term alone of euler_from_triangle: a unit row
+    # the k = n term alone of T4b's right-hand side: a unit row
     rhs = sequences.binomial_sum((0,) * n + (1,), sequences.euler_weights(n))
     return lhs, rhs
 
@@ -292,7 +290,7 @@ def _check_t4a(tab, n, lam):
 def _check_t4b(tab, n, lam):
     tri = tab.s2(n, lam)
     lhs = sequences.deuler_poly(n, lam)
-    rhs = sequences.euler_from_triangle(tri, n)
+    rhs = sequences.binomial_sum(tri.row(n), sequences.euler_weights(n))
     return lhs, rhs
 
 
@@ -329,7 +327,7 @@ def _check_t5(tab, n, lam):
 def _check_t6(tab, n, lam):
     tri = tab.s1(n, lam)
     lhs = poly_combination((tri.entry(n, k), sequences.dbernoulli_poly(k, lam)) for k in range(n + 1))
-    # the k = n term alone of bernoulli_from_triangle: a unit row
+    # the k = n term alone of T7's right-hand side: a unit row
     rhs = sequences.binomial_sum((0,) * n + (1,), sequences.bernoulli_weights(n, lam))
     return lhs, rhs
 
@@ -339,7 +337,7 @@ def _check_t6(tab, n, lam):
 def _check_t7(tab, n, lam):
     tri = tab.s2(n, lam)
     lhs = sequences.dbernoulli_poly(n, lam)
-    rhs = sequences.bernoulli_from_triangle(tri, n, lam)
+    rhs = sequences.dbernoulli_poly_stirling(n, lam)
     # the x = 0 instance in its own right: the constant terms against the
     # single sum of k! S2(n,k) dfact(k)/(k+1)!, with k! cancelled
     const_lhs = poly_eval(lhs, 0)
@@ -383,8 +381,8 @@ def _check_t10(tab, n, lam):
 @identity("T11a", {"n": N1, "lambda": LAM, "x": SYM},
           "Bell-family recurrence phi_{n+1} = x phi_n + (x d/dx - n lam) phi_n")
 def _check_t11a(tab, n, lam):
-    phi_n = tab.bell(n, lam)
-    lhs = tab.bell(n + 1, lam)
+    phi_n = sequences.dbell_poly(n, lam)
+    lhs = sequences.dbell_poly(n + 1, lam)
     rhs = X * phi_n + (X * poly_derivative(phi_n) - phi_n * (n * lam))
     return lhs, rhs
 
@@ -392,9 +390,10 @@ def _check_t11a(tab, n, lam):
 @identity("T11b", {"n": N1, "lambda": LAM, "x": SYM},
           "Bell-family recurrence as x times a binomial convolution with (1-lam)_{k,lam}")
 def _check_t11b(tab, n, lam):
-    lhs = tab.bell(n + 1, lam)
+    lhs = sequences.dbell_poly(n + 1, lam)
     conv = poly_combination(
-        (comb(n, k) * gfact_falling(1 - lam, n - k, lam), tab.bell(k, lam)) for k in range(n + 1)
+        (comb(n, k) * gfact_falling(1 - lam, n - k, lam), sequences.dbell_poly(k, lam))
+        for k in range(n + 1)
     )
     rhs = X * conv
     return lhs, rhs
@@ -408,7 +407,7 @@ def _check_t12(tab, n, lam):
         [Fraction(0)] + [tri.entry(n, k) / k for k in range(1, n + 1)]
     )
     conv = poly_combination(
-        (comb(n, j) * sequences.dbernoulli_value(j, lam, 1 - lam), tab.bell(n - j, lam))
+        (comb(n, j) * sequences.dbernoulli_value(j, lam, 1 - lam), sequences.dbell_poly(n - j, lam))
         for j in range(n)
     )
     rhs = conv * Fraction(1, n)
@@ -442,7 +441,7 @@ def _check_e61(tab, n, lam):
                 [Fraction(comb(n, j) * comb(n - j, m), n * (n - j)) * beta[j] for j in range(n - m + 1)],
                 beta[n - m :: -1],
             ),
-            tab.bell(m, lam),
+            sequences.dbell_poly(m, lam),
         )
         for m in range(1, n + 1)
     )
@@ -460,10 +459,10 @@ def _weighted_row_poly(tri, n: int) -> Poly:
           "(1+x) F_n against (k-1)!-weighted second-kind rows, plus its integral restatement")
 def _check_t13(tab, n, lam):
     tri = tab.s2(n + 1, lam)
-    f_n = sequences.fubini_from_triangle(tri, n)
+    f_n = sequences.dfubini_poly(n, lam)
     lhs = (X + 1) * f_n
     rhs = _weighted_row_poly(tri, n + 1) + _weighted_row_poly(tri, n) * (n * lam)
-    f_n1 = sequences.fubini_from_triangle(tri, n + 1)
+    f_n1 = sequences.dfubini_poly(n + 1, lam)
     integral_rhs = poly_int_over_t(f_n1) + poly_int_over_t(f_n) * (n * lam)
     if lhs != integral_rhs:
         return lhs, rhs, f"integral restatement differs: {integral_rhs}", False
@@ -479,7 +478,7 @@ def _check_t13r(tab, n, lam):
     lhs = rational_dot(tri.row(n + 1)[1:], factorials)
     lhs += n * lam * rational_dot(tri.row(n)[1:], factorials)
     if n >= 1:
-        rhs = 2 * poly_eval(sequences.fubini_from_triangle(tri, n), 1)
+        rhs = 2 * poly_eval(sequences.dfubini_poly(n, lam), 1)
     else:
         rhs = Fraction(1)
     return lhs, rhs
@@ -488,9 +487,8 @@ def _check_t13r(tab, n, lam):
 @identity("T14", {"n": N1, "lambda": LAM, "x": SYM},
           "Fubini-family recurrence F_{n+1} = (x - n lam) F_n + (x + x^2) F_n'")
 def _check_t14(tab, n, lam):
-    tri = tab.s2(n + 1, lam)
-    lhs = sequences.fubini_from_triangle(tri, n + 1)
-    f_n = sequences.fubini_from_triangle(tri, n)
+    lhs = sequences.dfubini_poly(n + 1, lam)
+    f_n = sequences.dfubini_poly(n, lam)
     rhs = (X - n * lam) * f_n + (X + X * X) * poly_derivative(f_n)
     return lhs, rhs
 
@@ -538,7 +536,7 @@ def _check_e59(tab, p, n, lam):
 @identity("E66", {"n": N0, "lambda": LAM, "order": ORDER},
           "geometric transform of the Fubini-family polynomial generates (k)_{n,lam}")
 def _check_e66(tab, n, lam, order):
-    f_n = tab.fubini(n, lam)
+    f_n = sequences.dfubini_poly(n, lam)
     outer = Series(f_n.coeffs or (Fraction(0),), order)
     inner = Series([Fraction(0)] + [Fraction(1)] * order, order)  # x/(1-x)
     lhs = ser_compose(outer, inner) * ser_reciprocal(Series((1, -1), order))
@@ -588,7 +586,7 @@ def _e67_partial(n: int, lam: Fraction, cutoff: int) -> Fraction:
 @identity("E67", {"n": N0, "lambda": LAM, "tol": TOL},
           "F_n(1) as a tail-bounded exact-rational binary sum")
 def _check_e67(tab, n, lam, tol):
-    exact = poly_eval(tab.fubini(n, lam), 1)
+    exact = poly_eval(sequences.dfubini_poly(n, lam), 1)
     cutoff, bound = _e67_cutoff(n, lam, tol)
     partial = _e67_partial(n, lam, cutoff)
     note = f"partial sum over k < {cutoff}; certified tail bound {float(bound):.3e}"

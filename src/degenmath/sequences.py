@@ -54,6 +54,7 @@ from .algebra import (
     X,
     _ZERO,
     _frac,
+    _need_int,
     _over_power,
     _rat,
     binom_poly,
@@ -87,9 +88,7 @@ def _grown(family: str, n: int, lam: Fraction) -> tuple[tuple, object]:
     a miss stores _EXTENDS[family](entries, state, max(n, GROW_MIN_N), lam),
     the entries 0..that bound and the state they end with.  An empty table
     has state None."""
-    # a bool would be read as 0 or 1, and a float truncated or used as an index
-    if type(n) is not int:
-        raise TypeError(f"n must be an int, not {type(n).__name__} {n!r}")
+    _need_int("n", n)
     if n < 0:
         # a negative n would index the stored table from its end
         raise ValueError(f"n must be >= 0, got {n}")
@@ -106,12 +105,16 @@ class StirlingTriangle:
     rows: tuple[tuple[Fraction, ...], ...]
 
     def entry(self, n: int, k: int) -> Fraction:
-        """Table value; zero outside 0 <= k <= n < len(rows)."""
-        if 0 <= k <= n < len(self.rows):
-            return self.rows[n][k]
-        return _ZERO
+        """Table value; zero for k outside 0..n, IndexError for a row n that row(n) refuses."""
+        row = self.row(n)
+        return row[k] if 0 <= k <= n else _ZERO
 
     def row(self, n: int) -> tuple[Fraction, ...]:
+        """Row n; IndexError for n outside 0 <= n < len(rows).  How many rows
+        are stored depends on how far the store has grown, so a row past them
+        is unknown, not zero, and a negative n would index from the end."""
+        if not 0 <= n < len(self.rows):
+            raise IndexError(f"row {n} is not in a table of {len(self.rows)} rows")
         return self.rows[n]
 
 
@@ -208,6 +211,7 @@ def _hyperharmonic_numerators(n: int, r: int, lam) -> tuple[list[int], int]:
 
     The harmonic entries 0..n go over the lcm d of their denominators, and
     the r-1 cumulative sums run on the integer numerators."""
+    _need_int("r", r)
     if r < 1:
         raise ValueError("hyperharmonic order r must be >= 1")
     sums, d = _over_lcm(_grown("harmonic", n, _rat(lam))[0][: n + 1])
@@ -342,12 +346,13 @@ def dbernoulli_value(n: int, lam, x0) -> Fraction:
 
 
 def dbernoulli_poly_stirling(n: int, lam) -> Poly:
-    """Alternate route to the same polynomial: bernoulli_from_triangle on S2.
+    """Alternate route to the same polynomial:
+    sum_k k! S2(n,k) sum_{j<=k} binom(x,j) dfact(k-j,lam)/(k-j+1)!.
 
     Kept as an independent code path; the acceptance suite requires it to
     agree with dbernoulli_poly exactly.
     """
-    return bernoulli_from_triangle(s2_triangle(n, lam), n, lam)
+    return binomial_sum(s2_triangle(n, lam).row(n), bernoulli_weights(n, lam))
 
 
 def deuler_poly(n: int, lam) -> Poly:
@@ -358,16 +363,6 @@ def deuler_poly(n: int, lam) -> Poly:
 def deuler_value(n: int, lam, x0) -> Fraction:
     """deuler_poly(n, lam) at x0, summed from the stored constants in O(n)."""
     return _appell_value("euler constants", n, lam, x0)
-
-
-def bell_from_triangle(tri: StirlingTriangle, n: int) -> Poly:
-    """Row n of a second-kind triangle read as a polynomial in x."""
-    return Poly(tri.row(n))
-
-
-def fubini_from_triangle(tri: StirlingTriangle, n: int) -> Poly:
-    """Row n of a second-kind triangle with k! weights, as a polynomial in x."""
-    return Poly(tuple(c * factorial(k) for k, c in enumerate(tri.row(n))))
 
 
 def binomial_sum(row, weights) -> Poly:
@@ -396,24 +391,14 @@ def euler_weights(n: int) -> list[Fraction]:
     return [Fraction(-1, 2) ** i for i in range(n + 1)]
 
 
-def bernoulli_from_triangle(tri: StirlingTriangle, n: int, lam) -> Poly:
-    """sum_k k! S2(n,k) sum_{j<=k} binom(x,j) dfact(k-j,lam)/(k-j+1)! over row n of tri."""
-    return binomial_sum(tri.row(n), bernoulli_weights(n, lam))
-
-
-def euler_from_triangle(tri: StirlingTriangle, n: int) -> Poly:
-    """sum_k k! S2(n,k) sum_{j<=k} binom(x,j) (-1/2)**(k-j) over row n of tri."""
-    return binomial_sum(tri.row(n), euler_weights(n))
-
-
 def dbell_poly(n: int, lam) -> Poly:
     """Degenerate Bell polynomial: sum of S2 row entries times x**k."""
-    return bell_from_triangle(s2_triangle(n, lam), n)
+    return Poly(s2_triangle(n, lam).row(n))
 
 
 def dfubini_poly(n: int, lam) -> Poly:
     """Degenerate Fubini polynomial: S2 row entries times k! x**k."""
-    return fubini_from_triangle(s2_triangle(n, lam), n)
+    return Poly([c * factorial(k) for k, c in enumerate(s2_triangle(n, lam).row(n))])
 
 
 def dfubini_series_oracle(n: int, lam) -> Poly:
@@ -438,6 +423,8 @@ def power_sum(p: int, n: int, lam) -> Fraction:
     With lam = a/q, q**p (k - lam)_{p,lam} is the integer
     prod_j (k*q - (j+1)*a), so the sum is one integer sum over q**p.
     """
+    _need_int("p", p)
+    _need_int("n", n)
     if p < 0:
         raise ValueError("power-sum exponent must be >= 0")
     lam = _rat(lam)

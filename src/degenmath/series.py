@@ -21,7 +21,7 @@ from math import factorial
 from operator import mul
 from typing import Iterable
 
-from .algebra import _ZERO, _cauchy_product, _frac, _integer_numerators, _is_scalar, _rat
+from .algebra import _ZERO, _cauchy_product, _frac, _integer_numerators, _is_scalar, _need_int, _rat
 
 
 class Series:
@@ -35,6 +35,7 @@ class Series:
             if not cs:
                 raise ValueError("an empty coefficient list needs an explicit order")
             order = len(cs) - 1
+        _need_int("order", order)
         if order < 0:
             raise ValueError("truncation order must be >= 0")
         if len(cs) < order + 1:
@@ -97,9 +98,7 @@ class Series:
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        return self.order == other.order and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
+        return self.order == other.order and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.order, self.coeffs))
@@ -218,6 +217,7 @@ def dpolylog(k: int, lam, order: int) -> Series:
     Coefficient of t**n (n >= 1) is (-1)**(n-1) * dfact(n-1,lam) / ((n-1)! n**k);
     weight 1 is -log_lam(1-t), and lam == 0, k == 2 is the classical dilogarithm.
     """
+    _need_int("k", k)
     lam = _rat(lam)
     out = [_ZERO]
     acc = Fraction(1)

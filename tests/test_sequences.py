@@ -14,7 +14,6 @@ from degenmath.algebra import Poly, X, binom_poly, dfact, gfact_falling, poly_ev
 from degenmath.identities import hyperharmonic_gf, run_identity
 from degenmath.sequences import (
     StirlingTriangle,
-    bernoulli_from_triangle,
     dbell_poly,
     dbernoulli_poly,
     dbernoulli_poly_stirling,
@@ -26,7 +25,6 @@ from degenmath.sequences import (
     dharmonic,
     dhyperharmonic,
     dhyperharmonic_row,
-    euler_from_triangle,
     power_sum,
     s1_triangle,
     s2_triangle,
@@ -54,6 +52,20 @@ class TestTriangles:
                 assert tri.entry(n, n) == 1
             assert tri.entry(3, 5) == 0
             assert tri.entry(3, -1) == 0
+
+    def test_rows_past_the_store_are_refused_not_zero(self):
+        # how many rows a triangle holds depends on how far the store grew,
+        # so a row it does not hold is unknown, and entry says so as row does
+        tri = s2_triangle(3, 0)
+        last = len(tri.rows) - 1
+        assert tri.entry(last, 1) == 1
+        assert tri.entry(last, last + 1) == 0 and tri.entry(last, -1) == 0
+        for n in (last + 1, -1):
+            with pytest.raises(IndexError, match=f"row {n} is not in a table"):
+                tri.entry(n, 1)
+            with pytest.raises(IndexError, match=f"row {n} is not in a table"):
+                tri.row(n)
+        assert s2_triangle(last + 1, 0).entry(last + 1, 1) == 1
 
     def test_second_kind_small_entries(self):
         lam = Fraction(4, 9)
@@ -213,8 +225,10 @@ class TestTriangleSums:
         tri = StirlingTriangle(rows)
         lam = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
         for n in range(11):
-            assert bernoulli_from_triangle(tri, n, lam) == nested_bernoulli_sum(tri, n, lam)
-            assert euler_from_triangle(tri, n) == nested_euler_sum(tri, n)
+            bernoulli = sequences.bernoulli_weights(n, lam)
+            assert sequences.binomial_sum(tri.row(n), bernoulli) == nested_bernoulli_sum(tri, n, lam)
+            euler = sequences.euler_weights(n)
+            assert sequences.binomial_sum(tri.row(n), euler) == nested_euler_sum(tri, n)
 
 
 class TestBernoulli:
@@ -355,6 +369,12 @@ class TestPowerSum:
             power_sum(-1, 3, 0)
 
 
+def sized(name, call, ident):
+    """A test param for call(value, lam), which passes value as the size argument name."""
+    call.size_arg = name
+    return pytest.param(call, id=ident)
+
+
 class TestFamilyTypes:
     def test_poly_families_carry_polys(self):
         for family in (dbernoulli_poly, deuler_poly, dbell_poly, dfubini_poly):
@@ -379,11 +399,21 @@ class TestFamilyTypes:
          pytest.param(lambda n, lam: dhyperharmonic(n, 2, lam), id="dhyperharmonic"),
          pytest.param(lambda n, lam: dhyperharmonic_row(n, 2, lam), id="dhyperharmonic_row"),
          pytest.param(lambda n, lam: dbernoulli_value(n, lam, 1), id="dbernoulli_value"),
-         pytest.param(lambda n, lam: deuler_value(n, lam, 1), id="deuler_value")],
+         pytest.param(lambda n, lam: deuler_value(n, lam, 1), id="deuler_value"),
+         # the other size arguments, each taking n in its place
+         sized("order", lambda n, lam: series.Series([1, 2], n), "Series-order"),
+         sized("n", lambda n, lam: gfact_falling(3, n, lam), "gfact_falling-n"),
+         sized("k", lambda n, lam: dfact(n, lam), "dfact-k"),
+         sized("k", lambda n, lam: binom_poly(n), "binom_poly-k"),
+         sized("r", lambda n, lam: dhyperharmonic(3, n, lam), "dhyperharmonic-r"),
+         sized("r", lambda n, lam: dhyperharmonic_row(3, n, lam), "dhyperharmonic_row-r"),
+         sized("p", lambda n, lam: power_sum(n, 3, lam), "power_sum-p"),
+         sized("n", lambda n, lam: power_sum(2, n, lam), "power_sum-n"),
+         sized("k", lambda n, lam: series.dpolylog(n, lam, 3), "dpolylog-k")],
     )
     def test_families_refuse_a_non_int_n(self, family, n):
         # a float n would be truncated or fail as an index, and True would read as n = 1
-        with pytest.raises(TypeError, match="n must be an int"):
+        with pytest.raises(TypeError, match=f"^{getattr(family, 'size_arg', 'n')} must be an int"):
             family(n, Fraction(0))
 
     def test_scalar_families_carry_rationals(self):
