@@ -26,7 +26,8 @@ without the type dispatch of Fraction(n, d).  _over_power does the same
 for an integer over a power of a small base, reducing it with gcds against
 the base alone.  A scalar input goes through _rat, which returns a
 Fraction as it is, since a Fraction is immutable and already in lowest
-terms, and refuses a float (already rounded) or a bool.
+terms, and refuses a float (already rounded) or a bool.  _need_int is the
+one check of a size argument (a length, index, order or exponent).
 """
 
 from __future__ import annotations
@@ -82,11 +83,14 @@ def _rat(x) -> Fraction:
     return Fraction(x)
 
 
-def _need_int(name: str, value) -> None:
-    """TypeError, naming name, unless value's type is int: a bool would be
-    read as 0 or 1, and a float truncated or used as an index."""
+def _need_int(name: str, value, least: int | None = None) -> None:
+    """TypeError, naming name, unless value's type is int (a bool would be read
+    as 0 or 1, a float truncated or used as an index); ValueError, naming
+    name, if value is below least."""
     if type(value) is not int:
         raise TypeError(f"{name} must be an int, not {type(value).__name__} {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def _is_scalar(x) -> bool:
@@ -300,9 +304,7 @@ def gfact_falling(x0, n: int, lam) -> "Fraction | Poly":
     The empty product (n == 0) is the multiplicative identity of the ring
     x0 lives in.  x0 may be a scalar or a Poly; at lam == 0 this is x0**n.
     """
-    _need_int("n", n)
-    if n < 0:
-        raise ValueError("length of the falling-factorial product must be >= 0")
+    _need_int("n", n, 0)
     lam = _rat(lam)
     if not isinstance(x0, Poly):
         # x0 = a/b, lam = p/q: the product is prod_j (a*q - j*p*b) / (b*q)**n
@@ -331,9 +333,7 @@ def binom_poly(k: int) -> Poly:
     Entry k is C(x, k-1) * (x - k + 1) / k.
     """
     global _BINOMS
-    _need_int("k", k)
-    if k < 0:
-        raise ValueError("binomial index must be >= 0")
+    _need_int("k", k, 0)
     binoms = _BINOMS
     if k >= len(binoms):
         grown = list(binoms)
@@ -351,7 +351,7 @@ def dfact(k: int, lam) -> Fraction:
     dfact(k-1, lam) == lam**(k-1) * (1)_{k, 1/lam}, and at lam == 0 it
     degenerates continuously to (-1)**k * k!.
     """
-    _need_int("k", k)
+    _need_int("k", k, 0)
     return gfact_falling(_rat(lam) - 1, k, 1)
 
 

@@ -33,6 +33,7 @@ from . import classical, sequences
 from .algebra import (
     Poly,
     X,
+    _need_int,
     dfact,
     gfact_falling,
     gfact_rising,
@@ -183,9 +184,9 @@ class IdentitySpec:
             point = dict(zip(swept, values))
             yield {name: point[name] for name in declared}
 
-    def check(self, binding: dict, tables: Tables) -> CheckResult:
-        """The checker's result at binding: the one place a CheckResult is built."""
-        lhs, rhs, *rest = self.checker(tables, *binding.values())
+    def check(self, binding: dict) -> CheckResult:
+        """The checker's result at binding, given _DEFAULT_TABLES: the one place a CheckResult is built."""
+        lhs, rhs, *rest = self.checker(_DEFAULT_TABLES, *binding.values())
         note = rest[0] if rest else ""
         passed = rest[1] if len(rest) > 1 else lhs == rhs
         return CheckResult(self.id, dict(binding), lhs, rhs, passed, note)
@@ -242,6 +243,7 @@ _DEFAULT_TABLES = Tables()
 
 def hyperharmonic_gf(lam, r: int, order: int) -> Series:
     """-log_lam(1-t)/(1-t)^r, the generating function of the hyperharmonic numbers."""
+    _need_int("r", r, 1)
     minus_log = -ser_compose(dlog(lam, order), Series((0, -1), order))
     return minus_log * ser_reciprocal(Series([(-1) ** k * comb(r, k) for k in range(r + 1)], order))
 
@@ -611,7 +613,7 @@ def run_identity(identity_id: str, binding: dict) -> CheckResult:
     spec = REGISTRY.get(identity_id)
     if spec is None:
         raise UnknownIdentityError(identity_id)
-    return spec.check(_validated(spec, binding), _DEFAULT_TABLES)
+    return spec.check(_validated(spec, binding))
 
 
 def list_identities() -> list[IdentitySpec]:
@@ -670,7 +672,7 @@ def run_suite(grid: Grid = DEFAULT_GRID, ids: Iterable[str] | None = None) -> Su
         passes = 0
         failures = []
         for binding in spec.bindings(grid):
-            res = spec.check(binding, _DEFAULT_TABLES)
+            res = spec.check(binding)
             if res.passed:
                 passes += 1
             else:
@@ -689,13 +691,13 @@ def _value_json(value):
         return {"kind": "poly", "coeffs": [str(c) for c in value.coeffs]}
     if isinstance(value, Series):
         return {"kind": "series", "order": value.order, "coeffs": [str(c) for c in value.coeffs]}
-    return {"kind": "rational", "value": str(Fraction(value))}
+    return {"kind": "rational", "value": str(value)}
 
 
 def _binding_json(binding: dict) -> dict:
     out = {}
     for key, value in binding.items():
-        out[key] = value if isinstance(value, int) else str(Fraction(value))
+        out[key] = value if isinstance(value, int) else str(value)
     return out
 
 

@@ -88,10 +88,7 @@ def _grown(family: str, n: int, lam: Fraction) -> tuple[tuple, object]:
     a miss stores _EXTENDS[family](entries, state, max(n, GROW_MIN_N), lam),
     the entries 0..that bound and the state they end with.  An empty table
     has state None."""
-    _need_int("n", n)
-    if n < 0:
-        # a negative n would index the stored table from its end
-        raise ValueError(f"n must be >= 0, got {n}")
+    _need_int("n", n, 0)  # a negative n would index the stored table from its end
     entries, state = _STORE.get((family, lam), ((), None))
     if n < len(entries):
         return entries, state
@@ -113,6 +110,7 @@ class StirlingTriangle:
         """Row n; IndexError for n outside 0 <= n < len(rows).  How many rows
         are stored depends on how far the store has grown, so a row past them
         is unknown, not zero, and a negative n would index from the end."""
+        _need_int("n", n)
         if not 0 <= n < len(self.rows):
             raise IndexError(f"row {n} is not in a table of {len(self.rows)} rows")
         return self.rows[n]
@@ -172,10 +170,9 @@ def stirling_series_oracle(kind: str, n: int, k: int, lam, order: int) -> Fracti
     """
     if kind not in ("first", "second"):
         raise ValueError(f"unknown triangle kind: {kind!r}")
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    if order < n:
-        raise ValueError("truncation too small")
+    _need_int("k", k, 0)
+    _need_int("n", n, k)
+    _need_int("order", order, n)
     power = _gf_power(kind, _rat(lam), k, order)
     return power.coeffs[n] * factorial(n) / factorial(k)
 
@@ -211,9 +208,7 @@ def _hyperharmonic_numerators(n: int, r: int, lam) -> tuple[list[int], int]:
 
     The harmonic entries 0..n go over the lcm d of their denominators, and
     the r-1 cumulative sums run on the integer numerators."""
-    _need_int("r", r)
-    if r < 1:
-        raise ValueError("hyperharmonic order r must be >= 1")
+    _need_int("r", r, 1)
     sums, d = _over_lcm(_grown("harmonic", n, _rat(lam))[0][: n + 1])
     for _ in range(r - 1):
         sums = list(accumulate(sums))
@@ -407,6 +402,7 @@ def dfubini_series_oracle(n: int, lam) -> Poly:
     G_m = x * sum_{j=1..m} C(m,j) (1)_{j,lam} G_{m-j} with G_0 = 1, where
     (1)_{j,lam} is j! times coefficient j of dexp(1, lam, n).
     """
+    _need_int("n", n, 0)
     e = dexp(1, lam, n).coeffs
     g = [Poly.constant(1)]
     for m in range(1, n + 1):
@@ -423,10 +419,8 @@ def power_sum(p: int, n: int, lam) -> Fraction:
     With lam = a/q, q**p (k - lam)_{p,lam} is the integer
     prod_j (k*q - (j+1)*a), so the sum is one integer sum over q**p.
     """
-    _need_int("p", p)
+    _need_int("p", p, 0)
     _need_int("n", n)
-    if p < 0:
-        raise ValueError("power-sum exponent must be >= 0")
     lam = _rat(lam)
     a, q = lam.numerator, lam.denominator
     return _frac(sum(prod(k * q - (j + 1) * a for j in range(p)) for k in range(1, n + 1)), q**p)

@@ -35,9 +35,7 @@ class Series:
             if not cs:
                 raise ValueError("an empty coefficient list needs an explicit order")
             order = len(cs) - 1
-        _need_int("order", order)
-        if order < 0:
-            raise ValueError("truncation order must be >= 0")
+        _need_int("order", order, 0)
         if len(cs) < order + 1:
             cs.extend([_ZERO] * (order + 1 - len(cs)))
         else:
@@ -46,6 +44,7 @@ class Series:
         self.order = order
 
     def truncate(self, order: int) -> "Series":
+        _need_int("order", order, 0)
         if order > self.order:
             raise ValueError("cannot extend a series beyond its truncation order")
         return Series(self.coeffs[: order + 1], order)
@@ -87,11 +86,10 @@ class Series:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("series powers take a nonnegative integer exponent")
+    def __pow__(self, exponent: int):
+        _need_int("exponent", exponent, 0)
         out = Series((Fraction(1),), self.order)
-        for _ in range(n):
+        for _ in range(exponent):
             out = out * self
         return out
 
@@ -188,6 +186,7 @@ def dexp(x0, lam, order: int) -> Series:
 
     x0 is a rational.  At lam == 0 this is the classical exp(x0*t).
     """
+    _need_int("order", order, 0)
     x0, lam = _rat(x0), _rat(lam)
     acc = Fraction(1)
     out = []
@@ -202,6 +201,7 @@ def dlog(lam, order: int) -> Series:
 
     Coefficient of t**k is dfact(k-1, lam) / k!; lam == 0 gives log(1+t).
     """
+    _need_int("order", order, 0)
     lam = _rat(lam)
     out = [_ZERO]
     acc = Fraction(1)
@@ -218,6 +218,7 @@ def dpolylog(k: int, lam, order: int) -> Series:
     weight 1 is -log_lam(1-t), and lam == 0, k == 2 is the classical dilogarithm.
     """
     _need_int("k", k)
+    _need_int("order", order, 0)
     lam = _rat(lam)
     out = [_ZERO]
     acc = Fraction(1)

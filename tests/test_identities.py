@@ -98,7 +98,7 @@ class TestRegistry:
         binding = {"n": 3, "lambda": HALF}
 
         def result(*sides):
-            return dataclasses.replace(spec, checker=lambda tab, n, lam: sides).check(binding, None)
+            return dataclasses.replace(spec, checker=lambda tab, n, lam: sides).check(binding)
 
         assert result(1, 1) == CheckResult("T15", binding, 1, 1, True)
         assert result(1, 2, "why") == CheckResult("T15", binding, 1, 2, False, "why")

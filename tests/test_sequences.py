@@ -131,7 +131,7 @@ class TestTriangles:
                 )
 
     def test_oracle_errors(self):
-        with pytest.raises(ValueError, match="truncation too small"):
+        with pytest.raises(ValueError, match="^order must be >= 5, got 4"):
             stirling_series_oracle("first", 5, 2, Fraction(1, 2), 4)
         with pytest.raises(ValueError):
             stirling_series_oracle("third", 2, 1, 0, 8)
@@ -375,6 +375,11 @@ def sized(name, call, ident):
     return pytest.param(call, id=ident)
 
 
+def bounded(name, least, call, ident):
+    """A test param for call(value, lam), whose size argument name must be >= least."""
+    return pytest.param(name, least, call, id=ident)
+
+
 class TestFamilyTypes:
     def test_poly_families_carry_polys(self):
         for family in (dbernoulli_poly, deuler_poly, dbell_poly, dfubini_poly):
@@ -409,12 +414,48 @@ class TestFamilyTypes:
          sized("r", lambda n, lam: dhyperharmonic_row(3, n, lam), "dhyperharmonic_row-r"),
          sized("p", lambda n, lam: power_sum(n, 3, lam), "power_sum-p"),
          sized("n", lambda n, lam: power_sum(2, n, lam), "power_sum-n"),
-         sized("k", lambda n, lam: series.dpolylog(n, lam, 3), "dpolylog-k")],
+         sized("k", lambda n, lam: series.dpolylog(n, lam, 3), "dpolylog-k"),
+         sized("exponent", lambda n, lam: series.Series([1, 2]) ** n, "Series-pow-exponent"),
+         sized("order", lambda n, lam: series.Series([1, 2]).truncate(n), "truncate-order"),
+         sized("order", lambda n, lam: series.dexp(1, lam, n), "dexp-order"),
+         sized("order", lambda n, lam: series.dlog(lam, n), "dlog-order"),
+         sized("order", lambda n, lam: series.dpolylog(2, lam, n), "dpolylog-order"),
+         sized("k", lambda n, lam: stirling_series_oracle("second", 3, n, lam, 4), "stirling_series_oracle-k"),
+         sized("n", lambda n, lam: stirling_series_oracle("second", n, 0, lam, 4), "stirling_series_oracle-n"),
+         sized("order", lambda n, lam: stirling_series_oracle("second", 3, 1, lam, n), "stirling_series_oracle-order"),
+         sized("n", dfubini_series_oracle, "dfubini_series_oracle-n"),
+         sized("n", lambda n, lam: s2_triangle(6, lam).row(n), "row-n"),
+         sized("r", lambda n, lam: hyperharmonic_gf(lam, n, 4), "hyperharmonic_gf-r")],
     )
     def test_families_refuse_a_non_int_n(self, family, n):
         # a float n would be truncated or fail as an index, and True would read as n = 1
         with pytest.raises(TypeError, match=f"^{getattr(family, 'size_arg', 'n')} must be an int"):
             family(n, Fraction(0))
+
+    @pytest.mark.parametrize(
+        "name, least, call",
+        [bounded("n", 0, lambda n, lam: gfact_falling(3, n, lam), "gfact_falling-n"),
+         bounded("k", 0, lambda n, lam: binom_poly(n), "binom_poly-k"),
+         bounded("k", 0, dfact, "dfact-k"),
+         bounded("order", 0, lambda n, lam: series.Series([1, 2], n), "Series-order"),
+         bounded("order", 0, lambda n, lam: series.Series([1, 2]).truncate(n), "truncate-order"),
+         bounded("exponent", 0, lambda n, lam: series.Series([1, 2]) ** n, "Series-pow-exponent"),
+         bounded("order", 0, lambda n, lam: series.dexp(1, lam, n), "dexp-order"),
+         bounded("order", 0, lambda n, lam: series.dlog(lam, n), "dlog-order"),
+         bounded("order", 0, lambda n, lam: series.dpolylog(2, lam, n), "dpolylog-order"),
+         bounded("r", 1, lambda n, lam: dhyperharmonic(3, n, lam), "dhyperharmonic-r"),
+         bounded("r", 1, lambda n, lam: dhyperharmonic_row(3, n, lam), "dhyperharmonic_row-r"),
+         bounded("r", 1, lambda n, lam: hyperharmonic_gf(lam, n, 4), "hyperharmonic_gf-r"),
+         bounded("p", 0, lambda n, lam: power_sum(n, 3, lam), "power_sum-p"),
+         bounded("k", 0, lambda n, lam: stirling_series_oracle("second", 3, n, lam, 4), "stirling_series_oracle-k"),
+         # n is bounded by k, and order by n
+         bounded("n", 2, lambda n, lam: stirling_series_oracle("second", n, 2, lam, 8), "stirling_series_oracle-n"),
+         bounded("order", 3, lambda n, lam: stirling_series_oracle("second", 3, 1, lam, n), "stirling_series_oracle-order"),
+         bounded("n", 0, dfubini_series_oracle, "dfubini_series_oracle-n")],
+    )
+    def test_sizes_refuse_a_value_below_their_least(self, name, least, call):
+        with pytest.raises(ValueError, match=f"^{name} must be >= {least}, got {least - 1}$"):
+            call(least - 1, Fraction(0))
 
     def test_scalar_families_carry_rationals(self):
         assert isinstance(dharmonic(3, 0), Fraction)
