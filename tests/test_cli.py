@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -422,6 +423,16 @@ class TestOutput:
         assert built == [1]
 
 
+def refuse_work(monkeypatch) -> None:
+    """Swap every command handler but list's for one that fails the test if it runs."""
+
+    def no_work(args):
+        raise AssertionError("a command ran outside its size bounds")
+
+    for name in ("_cmd_table", "_cmd_eval", "_cmd_series", "_cmd_check"):
+        monkeypatch.setattr(cli, name, no_work)
+
+
 class TestSizeBound:
     @pytest.mark.parametrize(
         "argv",
@@ -440,15 +451,40 @@ class TestSizeBound:
         ],
     )
     def test_above_bound_is_domain_error_before_any_work(self, capsys, monkeypatch, argv):
-        def no_work(args):
-            raise AssertionError("a command ran above the size bound")
-
-        for name in ("_cmd_table", "_cmd_eval", "_cmd_series", "_cmd_check"):
-            monkeypatch.setattr(cli, name, no_work)
+        refuse_work(monkeypatch)
         code = main(argv)
         captured = capsys.readouterr()
         assert code == EXIT_DOMAIN and captured.out == ""
-        assert captured.err.startswith("error: --") and f"<= {MAX_SIZE}" in captured.err
+        # --k=-301 is below --k's least, -MAX_SIZE, not above a bound on its absolute value
+        bound = f">= {-MAX_SIZE}\n" if argv[-1].startswith("--k=-") else f"<= {MAX_SIZE}, got "
+        assert captured.err.startswith("error: --") and bound in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["table", "s2", "--nmax=-1"], "--nmax must be >= 0"),
+            (["table", "hyperharmonic", "--nmax", "2", "--r", "0"], "--r must be >= 1"),
+            (["table", "s2", "--nmax", "2", "--r", "0"], "--r must be >= 1"),
+            (["eval", "bernoulli", "--n=-1", "--x", "1"], "--n must be >= 0"),
+            (["series", "dlog", "--order=-1"], "--order must be >= 0"),
+            (["series", "hypergf", "--order", "4", "--r", "0"], "--r must be >= 1"),
+            (["series", "dexp", "--order", "4", "--r", "0"], "--r must be >= 1"),
+            (["series", "dpolylog", "--order", "4", f"--k={-(MAX_SIZE + 1)}"], f"--k must be >= {-MAX_SIZE}"),
+            (["check", "--all", "--nmax=-3"], "--nmax must be >= 0"),
+            (["check", "--all", "--rmax", "0"], "--rmax must be >= 1"),
+            (["check", "--all", "--pmax=-1"], "--pmax must be >= 0"),
+        ],
+    )
+    def test_below_least_is_domain_error_before_any_work(self, capsys, monkeypatch, argv, message):
+        refuse_work(monkeypatch)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_DOMAIN and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_least_is_accepted(self, capsys):
+        code, out = run_cli(capsys, "series", "dpolylog", "--order", "2", f"--k={-MAX_SIZE}", "--format", "csv")
+        assert code == EXIT_OK and len(out.splitlines()) == 4
 
     def test_bound_itself_is_accepted(self, capsys, monkeypatch):
         code, out = run_cli(capsys, "series", "dexp", "--order", str(MAX_SIZE), "--format", "csv")
@@ -467,7 +503,7 @@ class TestSizeBound:
 # one lambda first, so that no drawn argv runs a whole sweep.
 small_sizes = st.integers(min_value=-3, max_value=20).map(str)
 oversizes = st.sampled_from([MAX_SIZE + 1, 10**9, 10**40]).map(str)
-# --k is bounded in absolute value
+# --k's least is -MAX_SIZE
 signed_oversizes = st.sampled_from([MAX_SIZE + 1, -(MAX_SIZE + 1), -(10**9), 10**40]).map(str)
 rational_texts = st.sampled_from(["0", "1", "1/2", "-3/7", "2/3", "-61/89", "7/-2"])
 junk = st.sampled_from(["", "x", "1.5", "1e3", "1/0", "0x10", "nan", "--", "-", "-h", "--bogus", "s2", "T1", "=", "2/"])
@@ -522,6 +558,44 @@ def argvs(draw):
     if draw(st.integers(min_value=0, max_value=3)) == 3:
         argv.insert(draw(st.integers(min_value=1, max_value=len(argv))), draw(junk))
     return argv
+
+
+# lambda = 1/7...7 with 1,000 sevens: S(7, k) has more digits than the 4,300
+# that CPython's str(int) takes by default (3.10.7 on)
+TALL_LAMBDA = "1/" + "7" * 1000
+
+
+class TestTallLambda:
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    def test_tall_lambda_renders(self, capsys, fmt):
+        code = main(["table", "s2", "--nmax", "7", f"--lambda={TALL_LAMBDA}", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK and "Traceback" not in captured.err
+        if fmt == "json":
+            values = json.loads(captured.out)["values"]
+            assert len(values) == 8 and max(len(v) for row in values for v in row) > 4300
+        elif fmt == "csv":
+            rows = list(csv.reader(io.StringIO(captured.out)))[1:]
+            assert sorted({int(n) for n, _, _ in rows}) == list(range(8))
+        else:
+            assert len(captured.out.splitlines()) == 8
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["table", "s2", "--nmax", "7", f"--lambda={TALL_LAMBDA}"], EXIT_OK),
+            (["table", "s2", "--nmax", "7", "--r", "0", f"--lambda={TALL_LAMBDA}"], EXIT_DOMAIN),
+            (["table", "s2", "--nmax", "2", "--r", "1"], EXIT_DOMAIN),
+        ],
+    )
+    def test_digit_limit_is_restored(self, capsys, argv, expected):
+        get_limit = getattr(sys, "get_int_max_str_digits", None)
+        if get_limit is None:
+            pytest.skip("this Python has no limit on str(int) digits")
+        before = get_limit()
+        assert main(argv) == expected
+        capsys.readouterr()
+        assert get_limit() == before
 
 
 class TestAnyArgv:
