@@ -40,14 +40,12 @@ from .sequences import (
     deuler_poly,
     deuler_value,
     dfubini_poly,
-    dfubini_series_oracle,
     dharmonic,
     dhyperharmonic,
     dhyperharmonic_row,
     power_sum,
     s1_triangle,
     s2_triangle,
-    stirling_series_oracle,
 )
 from .series import (
     Series,

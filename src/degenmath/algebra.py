@@ -10,7 +10,8 @@ scales each factor to integers over one common denominator and builds
 each output coefficient once.  poly_combination sums c * P over many
 (scalar, Poly) pairs the same way: each P goes over the lcm of its
 denominators, the integer numerators are summed over one common
-denominator, and each output coefficient is built once.
+denominator, and each output coefficient is built once.  Poly's +, -,
+unary - and * by a scalar are each one call of it.
 rational_dot is its scalar twin: the sum of x * y over paired scalars is
 one integer dot product of the two sides' numerators, each side over the
 lcm of its denominators, and one Fraction.  poly_eval is integer Horner,
@@ -159,32 +160,20 @@ class Poly:
 
     def __add__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(out)
+        return NotImplemented if other is None else poly_combination(((1, self), (1, other)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        return poly_combination(((-1, self),))
 
     def __sub__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return NotImplemented if other is None else poly_combination(((1, self), (-1, other)))
 
     def __mul__(self, other):
         if _is_scalar(other):
-            if other == 0:
-                return Poly()
-            return Poly(tuple(c * other for c in self.coeffs))
+            return poly_combination(((other, self),))
         if not isinstance(other, Poly):
             return NotImplemented
         if not self.coeffs or not other.coeffs:

@@ -13,12 +13,14 @@ when the Grid is built, whatever ids are selected, and an id named with
 checked.  On exit 2 or 3 an existing --output file keeps its bytes, and
 a file that the command created is removed.
 
-SIZE_FLAGS maps each size flag to its least value and MAX_SIZE is its
-largest, whatever command or selector reads the flag; both are checked
-before any work.  A value's digits grow as n times the height of lambda or
-x, which MAX_SIZE does not bound: CPython's limit on str(int) digits is
-lifted while a command runs, so table s2 --nmax 300 --lambda=1/99999999999991
-renders, in 11.2 s and 337 MiB.  README gives each command's cost.
+SIZE_FLAGS maps each command's size flags to their least values and
+MAX_SIZE is every size flag's largest; a series flag that SERIES does not
+declare for the selector is refused.  All are checked before --output is
+opened and before any work.  A value's digits grow as n times the height
+of lambda or x, which MAX_SIZE does not bound: CPython's limit on
+str(int) digits is lifted while a command runs, so table s2 --nmax 300
+--lambda=1/99999999999991 renders, in 11.2 s and 337 MiB.  README gives
+each command's cost.
 """
 
 from __future__ import annotations
@@ -46,7 +48,14 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
 MAX_SIZE = 300
-SIZE_FLAGS = {"nmax": 0, "n": 0, "order": 0, "r": 1, "rmax": 1, "pmax": 0, "k": -MAX_SIZE}
+# command -> its size flags -> their least values; check's are those of the
+# Params that Grid validates its fields with
+SIZE_FLAGS = {
+    "table": {"nmax": 0, "r": 1},
+    "eval": {"n": 0},
+    "series": {"order": 0, "r": 1, "k": -MAX_SIZE},
+    "check": {"nmax": identities.N0.min, "order": identities.ORDER.min, "rmax": identities.R1.min, "pmax": identities.P0.min},
+}
 
 # family -> (kind, function, value function): the kind is triangle, scalar or
 # poly; the functions are names in sequences, looked up at call time, and a
@@ -65,12 +74,12 @@ FAMILIES = {
 # the families that eval takes
 POLY_FAMILIES = tuple(name for name, (kind, _, _) in FAMILIES.items() if kind == "poly")
 
-# series selector -> its series from the parsed flags
+# series selector -> ({flag it reads beside --lambda and --order: its default}, its series)
 SERIES = {
-    "dexp": lambda args: dexp(args.x, args.lam, args.order),
-    "dlog": lambda args: dlog(args.lam, args.order),
-    "dpolylog": lambda args: dpolylog(args.k, args.lam, args.order),
-    "hypergf": lambda args: identities.hyperharmonic_gf(args.lam, args.r, args.order),
+    "dexp": ({"x": Fraction(1)}, lambda args: dexp(args.x, args.lam, args.order)),
+    "dlog": ({}, lambda args: dlog(args.lam, args.order)),
+    "dpolylog": ({"k": 1}, lambda args: dpolylog(args.k, args.lam, args.order)),
+    "hypergf": ({"r": 1}, lambda args: identities.hyperharmonic_gf(args.lam, args.r, args.order)),
 }
 
 
@@ -103,9 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
     ser.add_argument("selector", choices=tuple(SERIES))
     ser.add_argument("--lambda", dest="lam", type=parse_rational, default=Fraction(0))
     ser.add_argument("--order", type=int, required=True)
-    ser.add_argument("--k", type=int, default=1, help="polylogarithm weight (dpolylog)")
-    ser.add_argument("--r", type=int, default=1, help="geometric power (hypergf)")
-    ser.add_argument("--x", type=parse_rational, default=Fraction(1), help="exponent (dexp)")
+    ser.add_argument("--k", type=int, help="polylogarithm weight (dpolylog)")
+    ser.add_argument("--r", type=int, help="geometric power (hypergf)")
+    ser.add_argument("--x", type=parse_rational, help="exponent (dexp)")
     _output_flags(ser)
 
     check = sub.add_parser("check", help="run the identity suite")
@@ -256,7 +265,9 @@ def _cmd_eval(args) -> tuple[int, str]:
 
 
 def _cmd_series(args) -> tuple[int, str]:
-    series = SERIES[args.selector](args)
+    reads, series_of = SERIES[args.selector]
+    vars(args).update({flag: default for flag, default in reads.items() if getattr(args, flag) is None})
+    series = series_of(args)
     if args.format == "json":
         return EXIT_OK, _rational_json({"coeffs": series.coeffs, "order": series.order})
     coeffs = [str(c) for c in series.coeffs]
@@ -353,12 +364,17 @@ def main(argv: list[str] | None = None) -> int:
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     created = False
     try:
-        # a flag above MAX_SIZE is reported before a flag below its least
-        sizes = {dest: getattr(args, dest) for dest in SIZE_FLAGS if getattr(args, dest, None) is not None}
-        above = [f"--{dest} must be <= {MAX_SIZE}, got {size}" for dest, size in sizes.items() if size > MAX_SIZE]
-        below = [f"--{dest} must be >= {SIZE_FLAGS[dest]}" for dest, size in sizes.items() if size < SIZE_FLAGS[dest]]
-        if above or below:
-            raise CliError(EXIT_DOMAIN, (above + below)[0])
+        # a flag above MAX_SIZE is reported before a flag below its least, and
+        # both before a series flag that the selector does not read
+        least = SIZE_FLAGS.get(args.command, {})
+        sizes = {dest: getattr(args, dest) for dest in least if getattr(args, dest) is not None}
+        errors = [f"--{dest} must be <= {MAX_SIZE}, got {size}" for dest, size in sizes.items() if size > MAX_SIZE]
+        errors += [f"--{dest} must be >= {least[dest]}" for dest, size in sizes.items() if size < least[dest]]
+        if args.command == "series":
+            unread = [flag for reads, _ in SERIES.values() for flag in reads if flag not in SERIES[args.selector][0]]
+            errors += [f"--{flag} does not apply to selector {args.selector!r}" for flag in unread if getattr(args, flag) is not None]
+        if errors:
+            raise CliError(EXIT_DOMAIN, errors[0])
         # opened for appending before the command runs, so a path that cannot
         # be written fails before any work is done, and an existing file keeps
         # its bytes until there is output to replace them with

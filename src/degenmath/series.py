@@ -11,13 +11,15 @@ The kernels work on integer numerators, one path each: a product or a
 reciprocal scales to one common denominator and builds each output
 coefficient once, with algebra._frac.  Composition picks its path by the
 shape of the inner series: a Mobius inner a*t/(1 - b*t) replaces each
-Horner step's Cauchy product with an O(order) recurrence.
+Horner step's Cauchy product with an O(order) recurrence.  dexp holds the
+one coefficient loop of the three generating functions: dlog is read off
+dexp(lam-1, 1, order), since dfact(m, lam) is (lam-1)_{m,1}, and
+dpolylog off dlog.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from operator import mul
 from typing import Iterable
 
@@ -188,11 +190,13 @@ def dexp(x0, lam, order: int) -> Series:
     """
     _need_int("order", order, 0)
     x0, lam = _rat(x0), _rat(lam)
-    acc = Fraction(1)
-    out = []
+    # x0 = a/b, lam = p/q: coefficient k+1 is coefficient k times the small
+    # (a*q - k*p*b) / ((k+1)*b*q), so each product reduces by gcds against it
+    a, b, p, q = x0.numerator, x0.denominator, lam.numerator, lam.denominator
+    acc, out = Fraction(1), []
     for k in range(order + 1):
-        out.append(acc * Fraction(1, factorial(k)))
-        acc = acc * (x0 - k * lam)
+        out.append(acc)
+        acc *= _frac(a * q - k * p * b, (k + 1) * b * q)
     return Series(out, order)
 
 
@@ -200,31 +204,21 @@ def dlog(lam, order: int) -> Series:
     """Degenerate logarithm of 1+t: the compositional inverse of dexp(1,lam)-1.
 
     Coefficient of t**k is dfact(k-1, lam) / k!; lam == 0 gives log(1+t).
+    dfact(m, lam) is (lam-1)_{m,1}, so the coefficient is coefficient k-1
+    of dexp(lam-1, 1, order), over k.
     """
     _need_int("order", order, 0)
-    lam = _rat(lam)
-    out = [_ZERO]
-    acc = Fraction(1)
-    for k in range(1, order + 1):
-        out.append(acc / factorial(k))
-        acc *= lam - k
-    return Series(out, order)
+    e = dexp(_rat(lam) - 1, 1, order).coeffs
+    return Series([_ZERO] + [c / k for k, c in enumerate(e[:order], 1)], order)
 
 
 def dpolylog(k: int, lam, order: int) -> Series:
     """Degenerate polylogarithm of weight k.
 
-    Coefficient of t**n (n >= 1) is (-1)**(n-1) * dfact(n-1,lam) / ((n-1)! n**k);
+    Coefficient of t**n (n >= 1) is (-1)**(n-1) * dfact(n-1,lam) / ((n-1)! n**k),
+    which is coefficient n of dlog(lam, order) times (-1)**(n-1) / n**(k-1);
     weight 1 is -log_lam(1-t), and lam == 0, k == 2 is the classical dilogarithm.
     """
     _need_int("k", k)
-    _need_int("order", order, 0)
-    lam = _rat(lam)
-    out = [_ZERO]
-    acc = Fraction(1)
-    sign = 1
-    for n in range(1, order + 1):
-        out.append(acc * sign / (factorial(n - 1) * Fraction(n) ** k))
-        acc *= lam - n
-        sign = -sign
-    return Series(out, order)
+    cs = dlog(lam, order).coeffs
+    return Series([_ZERO] + [c * ((-1) ** (n - 1) * Fraction(n) ** (1 - k)) for n, c in enumerate(cs[1:], 1)], order)

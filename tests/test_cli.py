@@ -27,7 +27,7 @@ from degenmath.cli import (
     grid_from_args,
     main,
 )
-from degenmath.identities import DEFAULT_GRID, REGISTRY
+from degenmath.identities import DEFAULT_GRID, REGISTRY, BindingError, Grid
 
 DATA = Path(__file__).parent / "data"
 
@@ -200,6 +200,20 @@ class TestSeries:
     def test_invalid_selector(self, capsys):
         assert main(["series", "nope", "--order", "3"]) == EXIT_USAGE
 
+    def test_flags_read_and_their_defaults(self, capsys):
+        # each selector takes the flags it reads; one not given takes its default
+        for argv, out in [
+            (["dexp", "--order", "2", "--x", "1/2"], "[1, 1/2, 1/8]"),
+            (["dexp", "--order", "2"], "[1, 1, 1/2]"),
+            (["dpolylog", "--order", "2", "--k", "2"], "[0, 1, 1/4]"),
+            (["dpolylog", "--order", "2"], "[0, 1, 1/2]"),
+            (["hypergf", "--order", "2", "--r", "2"], "[0, 1, 5/2]"),
+            (["hypergf", "--order", "2"], "[0, 1, 3/2]"),
+            (["dlog", "--order", "0"], "[0]"),
+        ]:
+            code, got = run_cli(capsys, "series", *argv, "--lambda", "0")
+            assert code == EXIT_OK and got == out + "\n"
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -279,7 +293,26 @@ class TestCheck:
         code = main(["check", "--id", "T1", "--order", "0"])
         err = capsys.readouterr().err
         assert code == EXIT_DOMAIN
-        assert err.startswith("error: order = 0")
+        assert err == "error: --order must be >= 1\n"
+
+    def test_order_has_one_lower_bound(self, capsys, monkeypatch):
+        # --order=-1 and --order 0 get one message, so fixing the first gets no second
+        refuse_work(monkeypatch)
+        errors = []
+        for order in ("--order=-1", "--order=0"):
+            assert main(["check", "--id", "T15", order]) == EXIT_DOMAIN
+            errors.append(capsys.readouterr().err)
+        assert errors == ["error: --order must be >= 1\n"] * 2
+
+    def test_grid_flag_leasts_are_the_grids(self, capsys, monkeypatch):
+        # each check size flag's least is the least value Grid takes for its field
+        refuse_work(monkeypatch)
+        for flag, least in cli.SIZE_FLAGS["check"].items():
+            Grid(**{flag: least})
+            with pytest.raises(BindingError):
+                Grid(**{flag: least - 1})
+            assert main(["check", f"--{flag}={least - 1}"]) == EXIT_DOMAIN
+            assert capsys.readouterr().err == f"error: --{flag} must be >= {least}\n"
 
     @pytest.mark.parametrize(
         "flag", ["--tolerance=-1", "--order=0", "--nmax=-3", "--rmax=0", "--pmax=-1"]
@@ -379,9 +412,11 @@ class TestOutput:
             (["check", "--id", "NOPE"], EXIT_USAGE),
             (["check", "--id", "C15", "--nmax", "1"], EXIT_DOMAIN),
             (["table", "s2", "--nmax=-3"], EXIT_DOMAIN),
+            (["series", "dlog", "--order", "3", "--x", "5"], EXIT_DOMAIN),
+            (["check", "--id", "T15", "--order", "0"], EXIT_DOMAIN),
         ],
         ids=["table-without-r", "table-r-not-taken", "eval-negative-n", "check-unknown-id",
-             "check-no-bindings", "table-negative-nmax"],
+             "check-no-bindings", "table-negative-nmax", "series-flag-not-read", "check-order-zero"],
     )
 
     @FAILED_COMMANDS
@@ -473,9 +508,31 @@ class TestSizeBound:
             (["check", "--all", "--nmax=-3"], "--nmax must be >= 0"),
             (["check", "--all", "--rmax", "0"], "--rmax must be >= 1"),
             (["check", "--all", "--pmax=-1"], "--pmax must be >= 0"),
+            (["check", "--all", "--order=-1"], "--order must be >= 1"),
+            (["check", "--all", "--order", "0"], "--order must be >= 1"),
         ],
     )
     def test_below_least_is_domain_error_before_any_work(self, capsys, monkeypatch, argv, message):
+        refuse_work(monkeypatch)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_DOMAIN and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["series", "dlog", "--order", "3", "--x", "5"], "--x does not apply to selector 'dlog'"),
+            (["series", "dexp", "--order", "3", "--k", "7"], "--k does not apply to selector 'dexp'"),
+            (["series", "dlog", "--order", "3", "--r", "9"], "--r does not apply to selector 'dlog'"),
+            (["series", "hypergf", "--order", "3", "--k", "1"], "--k does not apply to selector 'hypergf'"),
+            (["series", "dpolylog", "--order", "3", "--x", "1"], "--x does not apply to selector 'dpolylog'"),
+            # a flag out of bounds is reported first
+            (["series", "dexp", "--order", "4", "--r", "0"], "--r must be >= 1"),
+            (["series", "dlog", "--order", "4", "--k", str(MAX_SIZE + 1)], f"--k must be <= {MAX_SIZE}, got {MAX_SIZE + 1}"),
+        ],
+    )
+    def test_series_flag_not_read_is_domain_error_before_any_work(self, capsys, monkeypatch, argv, message):
         refuse_work(monkeypatch)
         code = main(argv)
         captured = capsys.readouterr()

@@ -7,7 +7,7 @@ kernels must return exactly the same values.
 
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, gcd, lcm
+from math import comb, factorial, gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -83,6 +83,24 @@ def ref_poly_combination(terms) -> Poly:
     return Poly(out)
 
 
+def ref_poly_add(p: Poly, q: Poly) -> Poly:
+    a, b = (p.coeffs, q.coeffs) if len(p.coeffs) >= len(q.coeffs) else (q.coeffs, p.coeffs)
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = out[i] + c
+    return Poly(out)
+
+
+def ref_poly_neg(p: Poly) -> Poly:
+    return Poly(tuple(-c for c in p.coeffs))
+
+
+def ref_poly_scale(p: Poly, c) -> Poly:
+    if c == 0:
+        return Poly()
+    return Poly(tuple(a * c for a in p.coeffs))
+
+
 def ref_rational_dot(xs, ys) -> Fraction:
     return sum((Fraction(x) * y for x, y in zip(xs, ys)), Fraction(0))
 
@@ -124,6 +142,14 @@ def ref_gfact_rising(x0, n: int, lam):
     for j in range(n):
         acc = acc * (x0 + j * lam)
     return acc
+
+
+def ref_dexp(x0, lam, order: int) -> Series:
+    acc, out = Fraction(1), []
+    for k in range(order + 1):
+        out.append(acc / factorial(k))
+        acc = acc * (x0 - k * Fraction(lam))
+    return Series(out, order)
 
 
 def ref_e67_cutoff(n: int, lam: Fraction, tol: Fraction) -> tuple[int, Fraction]:
@@ -287,6 +313,37 @@ class TestPolyCombination:
         # the leading terms cancel: degree 2 drops to degree 0
         got = poly_combination([(2, p), (-1, Poly((0, Fraction(-4, 7), Fraction(10, 11))))])
         assert got.coeffs == (Fraction(2, 3),)
+
+
+class TestPolyArithmetic:
+    # +, -, unary - and * by a scalar are each one poly_combination call
+    @settings(max_examples=100)
+    @given(p=st.lists(rationals, max_size=8).map(Poly), q=st.lists(rationals, max_size=8).map(Poly), c=scalars)
+    @example(p=Poly((1, Fraction(2, 3))), q=Poly((-1, Fraction(-2, 3))), c=0)
+    @example(p=Poly((Fraction(1, 3), 5, Fraction(-2, 7))), q=Poly((0, 5, Fraction(-2, 7))), c=Fraction(0))
+    def test_matches_fraction_loops(self, p, q, c):
+        cases = [
+            (p + q, ref_poly_add(p, q)),
+            (p + c, ref_poly_add(p, Poly((c,)))),
+            (c + p, ref_poly_add(p, Poly((c,)))),
+            (p - q, ref_poly_add(p, ref_poly_neg(q))),
+            (p - c, ref_poly_add(p, Poly((-c,)))),
+            (-p, ref_poly_neg(p)),
+            (p * c, ref_poly_scale(p, c)),
+            (c * p, ref_poly_scale(p, c)),
+        ]
+        for got, want in cases:
+            assert got.coeffs == want.coeffs
+            assert all(type(a) is Fraction for a in got.coeffs)
+            assert not got.coeffs or got.coeffs[-1] != 0
+
+    def test_cancellation_to_the_zero_polynomial(self):
+        p = Poly((Fraction(1, 3), Fraction(-2, 7), Fraction(5, 11)))
+        assert (p - p).coeffs == () and (p + -p).coeffs == () and (-p + p).coeffs == ()
+        assert (p * 0).coeffs == () and (Fraction(0) * p).coeffs == ()
+        assert (Poly((Fraction(2, 3),)) - Fraction(2, 3)).coeffs == ()
+        # the leading terms cancel: degree 2 drops to degree 0
+        assert (p - Poly((0, Fraction(-2, 7), Fraction(5, 11)))).coeffs == (Fraction(1, 3),)
 
 
 class TestRationalDot:
@@ -478,6 +535,19 @@ class TestGfactFalling:
         got = gfact_falling(x0, n, lam)
         assert got == ref_gfact_falling(x0, n, lam)
         assert type(got) is Fraction
+
+
+class TestDexp:
+    # dexp is the one coefficient loop of dexp, dlog and dpolylog
+    @settings(max_examples=100)
+    @given(x0=st.one_of(rationals, st.integers(min_value=-50, max_value=50)), lam=lambdas, order=st.integers(min_value=0, max_value=20))
+    @example(x0=Fraction(3, 2), lam=Fraction(1, 2), order=8)  # a factor x0 - k*lam vanishes at k = 3
+    def test_matches_fraction_loop(self, x0, lam, order):
+        got = dexp(x0, lam, order)
+        want = ref_dexp(x0, lam, order)
+        assert got.order == want.order
+        for g, w in zip(got.coeffs, want.coeffs):
+            same_fraction(g, w)
 
 
 class TestDfact:

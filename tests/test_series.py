@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from degenmath import series
-from degenmath.algebra import Poly, X, gfact_falling
+from degenmath.algebra import Poly, X, dfact, gfact_falling
 from degenmath.series import (
     Series,
     dexp,
@@ -198,6 +198,23 @@ class TestGeneratingFunctions:
         s = dexp(x0, lam, 10)
         for k in range(11):
             assert s.coeffs[k] * factorial(k) == gfact_falling(x0, k, lam)
+
+    @pytest.mark.parametrize("lam", [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-3, 7), Fraction(57, 89), 3])
+    def test_dlog_defining_coefficients(self, lam):
+        # k! c_k = dfact(k-1, lam), with dfact's own product as the reference
+        s = dlog(lam, 12)
+        assert s.coeffs[0] == 0
+        for k in range(1, 13):
+            assert s.coeffs[k] * factorial(k) == dfact(k - 1, lam)
+
+    @pytest.mark.parametrize("lam", [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-3, 7), Fraction(57, 89), 3])
+    @pytest.mark.parametrize("k", range(-3, 4))
+    def test_dpolylog_defining_coefficients(self, lam, k):
+        # (-1)**(n-1) (n-1)! n**k c_n = dfact(n-1, lam)
+        s = dpolylog(k, lam, 12)
+        assert s.coeffs[0] == 0
+        for n in range(1, 13):
+            assert (-1) ** (n - 1) * factorial(n - 1) * Fraction(n) ** k * s.coeffs[n] == dfact(n - 1, lam)
 
     def test_dlog_classical_limit(self):
         assert dlog(0, 3) == Series((0, 1, Fraction(-1, 2), Fraction(1, 3)), 3)
