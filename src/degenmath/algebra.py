@@ -149,6 +149,7 @@ class Poly:
 
     def coeff(self, i: int) -> Fraction:
         """Coefficient of x**i (zero outside the stored range)."""
+        _need_int("i", i)
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else _ZERO
 
     def _coerce(self, other):

@@ -10,14 +10,17 @@ for a family that does not take one, a size flag above MAX_SIZE, or a
 check grid value outside its domain).  Every check grid value is checked
 when the Grid is built, whatever ids are selected, and an id named with
 --id that has no binding on the grid is refused before any identity is
-checked.  On exit 2 or 3 an existing --output file keeps its bytes, and
-a file that the command created is removed.
+checked.
 
 SIZE_FLAGS maps each command's size flags to their least values and
 MAX_SIZE is every size flag's largest; a series flag that SERIES does not
-declare for the selector is refused.  All are checked before --output is
-opened and before any work.  A value's digits grow as n times the height
-of lambda or x, which MAX_SIZE does not bound: CPython's limit on
+declare for the selector, and --r for a table family other than
+hyperharmonic, are refused.  Every refusal, the parser's and then
+_refusal's, is made before --output is opened and before any work, so a
+refused command opens, creates and changes no file, and a refused flag is
+reported before an --output path that cannot be written; only that path
+gives exit 2 after the open.  A value's digits grow as n times the
+height of lambda or x, which MAX_SIZE does not bound: CPython's limit on
 str(int) digits is lifted while a command runs, so table s2 --nmax 300
 --lambda=1/99999999999991 renders, in 11.2 s and 337 MiB.  README gives
 each command's cost.
@@ -194,21 +197,8 @@ def _csv_text(header: tuple, rows) -> str:
     return text.getvalue()
 
 
-class CliError(Exception):
-    """A command that cannot run: main prints `error: <message>` and exits with code."""
-
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
 def _table_rows(args) -> list:
     family, nmax, lam, r = args.family, args.nmax, args.lam, args.r
-    if family == "hyperharmonic":
-        if r is None:
-            raise CliError(EXIT_DOMAIN, "hyperharmonic needs --r >= 1")
-    elif r is not None:
-        raise CliError(EXIT_DOMAIN, f"--r does not apply to family {family!r}")
     kind, function, _ = FAMILIES[family]
     fn = getattr(sequences, function)
     if kind == "triangle":
@@ -285,12 +275,7 @@ def grid_from_args(args) -> Grid:
 
 
 def _cmd_check(args) -> tuple[int, str]:
-    try:
-        report = identities.run_suite(grid_from_args(args), ids=args.ids)
-    except UnknownIdentityError as exc:
-        raise CliError(EXIT_USAGE, f"unknown identity id {exc.args[0]!r}") from None
-    except BindingError as exc:
-        raise CliError(EXIT_DOMAIN, str(exc)) from None
+    report = identities.run_suite(grid_from_args(args), ids=args.ids)
     if args.format == "json":
         text = _json_text(identities.suite_report_json(report))
     elif args.format == "csv":
@@ -337,6 +322,33 @@ def _cmd_list(args) -> tuple[int, str]:
     return EXIT_OK, text
 
 
+def _refusal(args) -> tuple[int, str] | None:
+    """The exit code and message that refuse the command args, or None if it
+    may run.  A size flag above MAX_SIZE is reported before one below its
+    least, both before a flag that the series selector or table family does
+    not read, and all before check's grid and identity ids are refused."""
+    least = SIZE_FLAGS.get(args.command, {})
+    sizes = {dest: getattr(args, dest) for dest in least if getattr(args, dest) is not None}
+    errors = [f"--{dest} must be <= {MAX_SIZE}, got {size}" for dest, size in sizes.items() if size > MAX_SIZE]
+    errors += [f"--{dest} must be >= {least[dest]}" for dest, size in sizes.items() if size < least[dest]]
+    if args.command == "series":
+        unread = [flag for reads, _ in SERIES.values() for flag in reads if flag not in SERIES[args.selector][0]]
+        errors += [f"--{flag} does not apply to selector {args.selector!r}" for flag in unread if getattr(args, flag) is not None]
+    # hyperharmonic reads --r, and no other family does
+    if args.command == "table" and (args.family == "hyperharmonic") != (args.r is not None):
+        errors.append("hyperharmonic needs --r >= 1" if args.r is None else f"--r does not apply to family {args.family!r}")
+    if errors:
+        return EXIT_DOMAIN, errors[0]
+    if args.command == "check":
+        try:
+            identities.selected_ids(grid_from_args(args), args.ids)
+        except UnknownIdentityError as exc:
+            return EXIT_USAGE, f"unknown identity id {exc.args[0]!r}"
+        except BindingError as exc:
+            return EXIT_DOMAIN, str(exc)
+    return None
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     # built on the first main call rather than at import, and kept for the process
@@ -360,28 +372,22 @@ def main(argv: list[str] | None = None) -> int:
         "check": _cmd_check,
         "list": _cmd_list,
     }[args.command]
+    # every refusal is made before --output is opened, so a refused command
+    # opens, creates and changes no file
+    refusal = _refusal(args)
+    if refusal is not None:
+        code, message = refusal
+        print(f"error: {message}", file=sys.stderr)
+        return code
     # str(int)'s digit limit, which a tall lambda's values pass: lifted while the command runs; None before 3.10.7
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    created = False
     try:
-        # a flag above MAX_SIZE is reported before a flag below its least, and
-        # both before a series flag that the selector does not read
-        least = SIZE_FLAGS.get(args.command, {})
-        sizes = {dest: getattr(args, dest) for dest in least if getattr(args, dest) is not None}
-        errors = [f"--{dest} must be <= {MAX_SIZE}, got {size}" for dest, size in sizes.items() if size > MAX_SIZE]
-        errors += [f"--{dest} must be >= {least[dest]}" for dest, size in sizes.items() if size < least[dest]]
-        if args.command == "series":
-            unread = [flag for reads, _ in SERIES.values() for flag in reads if flag not in SERIES[args.selector][0]]
-            errors += [f"--{flag} does not apply to selector {args.selector!r}" for flag in unread if getattr(args, flag) is not None]
-        if errors:
-            raise CliError(EXIT_DOMAIN, errors[0])
         # opened for appending before the command runs, so a path that cannot
         # be written fails before any work is done, and an existing file keeps
         # its bytes until there is output to replace them with
         if args.output is None:
             out = contextlib.nullcontext(sys.stdout)
         else:
-            created = not os.path.lexists(args.output)
             out = open(args.output, "a", encoding="utf-8")
         with out as stream:
             if limit is not None:
@@ -392,11 +398,6 @@ def main(argv: list[str] | None = None) -> int:
                 stream.truncate(0)
             _emit(text, stream)
         return code
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if created:
-            os.remove(args.output)
-        return exc.code
     except OSError as exc:
         # only the output stream does I/O; 2 is the exit code argparse gives
         # a path it cannot open

@@ -638,17 +638,14 @@ class SuiteReport:
     all_pass: bool
 
 
-def run_suite(grid: Grid = DEFAULT_GRID, ids: Iterable[str] | None = None) -> SuiteReport:
-    """Sweep every selected identity over its applicable sub-grid.
+def selected_ids(grid: Grid, ids: Iterable[str] | None = None) -> list[str]:
+    """The ids that run_suite(grid, ids) sweeps, in registry order; ids=None
+    selects every identity.
 
-    Failures are data, not errors: each one is kept as a full CheckResult so
-    a counterexample can be inspected without re-running.  Results are
-    reported in registry order with bindings in enumeration order, so the
-    report content is deterministic.
-
-    An id named in ids whose sweep is empty raises BindingError before any
-    checker runs: its check would pass vacuously.  So does a selection in
-    which no identity has a binding, ids=None included.
+    UnknownIdentityError names an id not in the registry.  BindingError
+    refuses an id named in ids whose sweep is empty, as its check would pass
+    vacuously, and a selection in which no identity has a binding, ids=None
+    included.  No checker runs.
     """
     if ids is None:
         selected = list(REGISTRY)
@@ -666,8 +663,22 @@ def run_suite(grid: Grid = DEFAULT_GRID, ids: Iterable[str] | None = None) -> Su
         selected = [ident for ident in REGISTRY if ident in set(wanted)]
     if all(next(REGISTRY[ident].bindings(grid), None) is None for ident in selected):
         raise BindingError("no bindings checked for any selected identity; widen the grid")
+    return selected
+
+
+def run_suite(grid: Grid = DEFAULT_GRID, ids: Iterable[str] | None = None) -> SuiteReport:
+    """Sweep every selected identity over its applicable sub-grid.
+
+    Failures are data, not errors: each one is kept as a full CheckResult so
+    a counterexample can be inspected without re-running.  Results are
+    reported in registry order with bindings in enumeration order, so the
+    report content is deterministic.
+
+    The ids are selected by selected_ids(grid, ids), which raises before any
+    checker runs.
+    """
     results = []
-    for ident in selected:
+    for ident in selected_ids(grid, ids):
         spec = REGISTRY[ident]
         passes = 0
         failures = []

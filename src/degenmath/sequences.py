@@ -103,6 +103,7 @@ class StirlingTriangle:
 
     def entry(self, n: int, k: int) -> Fraction:
         """Table value; zero for k outside 0..n, IndexError for a row n that row(n) refuses."""
+        _need_int("k", k)
         row = self.row(n)
         return row[k] if 0 <= k <= n else _ZERO
 

@@ -1,4 +1,5 @@
-"""Mutants of the stored families, for tests that a check fails on a wrong table.
+"""Mutants of the stored families, for tests that a check fails on a wrong
+table, and a counting stub for the registry's checkers.
 
 Every mutant goes in through sequences._EXTENDS, the one table of stored
 families, so any of them can be corrupted the same way.  mutated() is a
@@ -6,9 +7,11 @@ plain context manager, so a golden file can be regenerated from a mutant
 outside pytest.
 """
 
+import dataclasses
 from contextlib import contextmanager
 
 from degenmath import sequences
+from degenmath.identities import REGISTRY
 
 
 @contextmanager
@@ -38,3 +41,16 @@ def at_entry_3(family: str, change, change_state=lambda state: state):
         return entries, state
 
     return extend
+
+
+def counting_checkers(monkeypatch) -> list:
+    """Swap every registry checker for a passing stub; the list records each call."""
+    calls = []
+
+    def counting(tables, *values):
+        calls.append(values)
+        return 0, 0
+
+    for ident, spec in list(REGISTRY.items()):
+        monkeypatch.setitem(REGISTRY, ident, dataclasses.replace(spec, checker=counting))
+    return calls

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,21 +29,9 @@ from degenmath.cli import (
     main,
 )
 from degenmath.identities import DEFAULT_GRID, REGISTRY, BindingError, Grid
+from mutants import counting_checkers
 
 DATA = Path(__file__).parent / "data"
-
-
-def counting_checkers(monkeypatch) -> list:
-    """Swap every registry checker for a passing stub; the list records each call."""
-    calls = []
-
-    def counting(tables, *values):
-        calls.append(values)
-        return 0, 0
-
-    for ident, spec in list(REGISTRY.items()):
-        monkeypatch.setitem(REGISTRY, ident, dataclasses.replace(spec, checker=counting))
-    return calls
 
 
 def run_cli(capsys, *argv):
@@ -414,9 +403,12 @@ class TestOutput:
             (["table", "s2", "--nmax=-3"], EXIT_DOMAIN),
             (["series", "dlog", "--order", "3", "--x", "5"], EXIT_DOMAIN),
             (["check", "--id", "T15", "--order", "0"], EXIT_DOMAIN),
+            (["check", "--id", "T15", "--lambdas", "1/2,2/4"], EXIT_DOMAIN),
+            (["check", "--tolerance=0"], EXIT_DOMAIN),
         ],
         ids=["table-without-r", "table-r-not-taken", "eval-negative-n", "check-unknown-id",
-             "check-no-bindings", "table-negative-nmax", "series-flag-not-read", "check-order-zero"],
+             "check-no-bindings", "table-negative-nmax", "series-flag-not-read", "check-order-zero",
+             "check-repeated-lambda", "check-zero-tolerance"],
     )
 
     @FAILED_COMMANDS
@@ -437,6 +429,26 @@ class TestOutput:
         assert code == expected and captured.out == ""
         assert captured.err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
+
+    @FAILED_COMMANDS
+    def test_failed_command_creates_no_link_target(self, capsys, tmp_path, argv, expected):
+        # opening a dangling link for writing would create its target
+        link, target = tmp_path / "out.json", tmp_path / "target.json"
+        link.symlink_to(target)
+        code = main(argv + ["--output", str(link)])
+        captured = capsys.readouterr()
+        assert code == expected and captured.err.startswith("error: ")
+        assert link.is_symlink() and not target.exists()
+
+    @FAILED_COMMANDS
+    def test_refusal_is_reported_before_an_unwritable_path(self, capsys, tmp_path, argv, expected):
+        # the command's own code and message, as without --output, not `cannot write`
+        assert main(argv) == expected
+        refusal = capsys.readouterr().err
+        code = main(argv + ["--output", str(tmp_path / "missing" / "x.json")])
+        captured = capsys.readouterr()
+        assert code == expected and captured.out == ""
+        assert captured.err == refusal and not refusal.startswith("error: cannot write")
 
     def test_output_replaces_a_longer_file(self, capsys, tmp_path):
         path = tmp_path / "table.json"
@@ -657,11 +669,15 @@ class TestTallLambda:
 
 class TestAnyArgv:
     @settings(max_examples=150, deadline=None)
-    @given(argv=argvs())
-    def test_exit_code_is_documented_and_no_traceback(self, argv):
+    @given(argv=argvs(), to_file=st.booleans())
+    def test_exit_code_is_documented_and_no_traceback(self, argv, to_file):
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+        with tempfile.TemporaryDirectory() as workdir:
+            path = Path(workdir) / "out"
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv + ["--output", str(path)] if to_file else argv)
+            # a refused command creates no --output file
+            assert code not in (EXIT_USAGE, EXIT_DOMAIN) or not path.exists()
         assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_DOMAIN)
         assert "Traceback" not in out.getvalue() + err.getvalue()
 

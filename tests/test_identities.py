@@ -21,10 +21,11 @@ from degenmath.identities import (
     list_identities,
     run_identity,
     run_suite,
+    selected_ids,
     suite_report_json,
 )
 from degenmath.series import Series
-from mutants import at_entry_3, mutated
+from mutants import at_entry_3, counting_checkers, mutated
 
 HALF = Fraction(1, 2)
 
@@ -302,6 +303,31 @@ class TestSuite:
         assert [r.id for r in report.results] == ["T15"]
         with pytest.raises(UnknownIdentityError):
             run_suite(grid, ids=["T15", "NOPE"])
+
+    @pytest.mark.parametrize(
+        "grid, ids, error",
+        [
+            (Grid(nmax=3), ["T15", "NOPE"], UnknownIdentityError),
+            (Grid(nmax=1), ["T15"], BindingError),
+            (Grid(nmax=1), ["E59", "T15", "C15"], BindingError),
+            (Grid(nmax=1, lambdas=()), None, BindingError),
+            (Grid(nmax=1, lambdas=()), [], BindingError),
+            (Grid(nmax=3), "T15", TypeError),
+        ],
+        ids=["unknown-id", "empty-id", "empty-ids", "no-binding-registry", "no-ids", "bare-str"],
+    )
+    def test_selected_ids_refuses_what_run_suite_refuses(self, monkeypatch, grid, ids, error):
+        calls = counting_checkers(monkeypatch)
+        with pytest.raises(error) as by_selection:
+            selected_ids(grid, ids)
+        with pytest.raises(error) as by_suite:
+            run_suite(grid, ids)
+        assert str(by_suite.value) == str(by_selection.value)
+        assert calls == []
+
+    def test_selected_ids_are_in_registry_order(self):
+        assert selected_ids(DEFAULT_GRID) == list(REGISTRY)
+        assert selected_ids(Grid(nmax=3), ["T15", "T1", "T15"]) == ["T1", "T15"]
 
     def test_report_json_schema(self):
         grid = Grid(nmax=3, rmax=1, pmax=1, lambdas=(HALF,), order=8)

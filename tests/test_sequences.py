@@ -425,6 +425,9 @@ class TestFamilyTypes:
          sized("order", lambda n, lam: stirling_series_oracle("second", 3, 1, lam, n), "stirling_series_oracle-order"),
          sized("n", dfubini_series_oracle, "dfubini_series_oracle-n"),
          sized("n", lambda n, lam: s2_triangle(6, lam).row(n), "row-n"),
+         # an index outside the stored range reads zero, but must still be an int
+         sized("k", lambda n, lam: s2_triangle(3, lam).entry(3, n), "entry-k"),
+         sized("i", lambda n, lam: Poly((1, 2, 3)).coeff(n), "coeff-i"),
          sized("r", lambda n, lam: hyperharmonic_gf(lam, n, 4), "hyperharmonic_gf-r")],
     )
     def test_families_refuse_a_non_int_n(self, family, n):
