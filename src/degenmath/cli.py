@@ -4,10 +4,11 @@ FAMILIES is the one place a table family is declared.
 
 Exit codes: 0 all requested checks pass, 1 an identity check failed,
 2 usage error (including an --output path that cannot be written, found
-before the command does its work), 3 domain
+before the command does its work, and a write that fails part way
+through the output, which leaves the part written), 3 domain
 error (structurally valid flags that cannot be satisfied, e.g. an r bound
 for a family that does not take one, a size flag above MAX_SIZE, or a
-check grid value outside its domain).  Every check grid value is checked
+check grid value outside its domain, or an --id named twice).  Every check grid value is checked
 when the Grid is built, whatever ids are selected, and an id named with
 --id that has no binding on the grid is refused before any identity is
 checked.
@@ -18,12 +19,17 @@ declare for the selector, and --r for a table family other than
 hyperharmonic, are refused.  Every refusal, the parser's and then
 _refusal's, is made before --output is opened and before any work, so a
 refused command opens, creates and changes no file, and a refused flag is
-reported before an --output path that cannot be written; only that path
-gives exit 2 after the open.  A value's digits grow as n times the
+reported before an --output path that cannot be written; only that path,
+or a write that fails, gives exit 2 after the open.  A value's digits grow as n times the
 height of lambda or x, which MAX_SIZE does not bound: CPython's limit on
 str(int) digits is lifted while a command runs, so table s2 --nmax 300
---lambda=1/99999999999991 renders, in 11.2 s and 337 MiB.  README gives
+--lambda=1/99999999999991 renders, in 9 s and 81 MiB.  README gives
 each command's cost.
+
+A handler does its command's work and returns (exit code, chunks of
+text); main truncates --output and then writes the chunks one by one.
+table and series render a chunk per row or coefficient list as it is
+written, so the whole text is never held in memory.
 """
 
 from __future__ import annotations
@@ -39,9 +45,10 @@ import os
 import stat
 import sys
 from fractions import Fraction
+from typing import Iterable
 
 from . import identities, sequences
-from .algebra import Poly, parse_rational, poly_eval
+from .algebra import _ZERO, Poly, parse_rational, poly_eval
 from .identities import BindingError, Grid, UnknownIdentityError
 from .series import dexp, dlog, dpolylog
 
@@ -145,9 +152,14 @@ def _output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", default=None, help="write to a file instead of stdout")
 
 
-def _emit(text: str, out) -> None:
-    out.write(text)
-    if not text.endswith("\n"):
+def _emit(chunks: Iterable[str], out) -> None:
+    """Write each text chunk to out, then a newline if the last non-empty chunk lacks one."""
+    last = ""
+    for chunk in chunks:
+        if chunk:
+            out.write(chunk)
+            last = chunk
+    if not last.endswith("\n"):
         out.write("\n")
 
 
@@ -155,46 +167,55 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2)
 
 
-def _rational_json(fields: dict) -> str:
-    r"""json.dumps(fields, indent=2) byte for byte, for a flat dict whose list
-    values hold Fractions, or rows of Fractions, to be written as their str.
+def _rational_json(fields: dict) -> Iterable[str]:
+    r"""Yield json.dumps(fields, indent=2) byte for byte, for a flat dict whose
+    list values hold Fractions, or rows of Fractions, to be written as their
+    str; each chunk holds at most one row or list of Fractions.
 
     Those lists are joined directly from the Fractions: str(Fraction) matches
     -?\d+(/\d+)?, which JSON never escapes, so json's escape scan over every
-    string, and the list of strings it would scan, are skipped.  The parts
-    are joined once, so the megabytes of a large table are copied once.
+    string, and the list of strings it would scan, are skipped.  The text is
+    yielded row by row, so the megabytes of a large table are never held at
+    once.
     """
-    parts = ["{\n"]
+    separator = "{\n"
     for key, value in fields.items():
-        parts.append(f"  {json.dumps(key)}: ")
+        yield f"{separator}  {json.dumps(key)}: "
         if isinstance(value, (list, tuple)):
-            _json_rationals(value, "  ", parts)
+            yield from _json_rationals(value, "  ")
         else:
-            parts.append(json.dumps(value))
-        parts.append(",\n")
-    parts[-1] = "\n}"
-    return "".join(parts)
+            yield json.dumps(value)
+        separator = ",\n"
+    yield "\n}"
 
 
-def _json_rationals(values, indent: str, parts: list) -> None:
-    """Append values, laid out at indent as json.dumps(..., indent=2) lays out
-    their strs, to parts; never empty, as every table row and series has an entry."""
+def _json_rationals(values, indent: str) -> Iterable[str]:
+    """Yield values, laid out at indent as json.dumps(..., indent=2) lays out
+    their strs, one chunk per list of Fractions; never empty, as every table
+    row and series has an entry."""
     inner = indent + "  "
-    parts.append("[\n" + inner)
     if isinstance(values[0], (list, tuple)):
+        separator = "[\n" + inner
         for row in values:
-            _json_rationals(row, inner, parts)
-            parts.append(",\n" + inner)
-        parts.pop()
+            yield separator
+            yield from _json_rationals(row, inner)
+            separator = ",\n" + inner
+        yield "\n" + indent + "]"
     else:
-        parts.append('"' + ('",\n' + inner + '"').join(map(str, values)) + '"')
-    parts.append("\n" + indent + "]")
+        yield "[\n" + inner + '"' + ('",\n' + inner + '"').join(map(str, values)) + '"\n' + indent + "]"
 
 
-def _csv_text(header: tuple, rows) -> str:
+def _csv_text(rows) -> str:
     text = io.StringIO()
-    csv.writer(text, lineterminator="\n").writerows([header, *rows])
+    csv.writer(text, lineterminator="\n").writerows(rows)
     return text.getvalue()
+
+
+def _csv_chunks(header: tuple, groups) -> Iterable[str]:
+    """Yield the csv text of header, then of each group of rows, one chunk per group."""
+    yield _csv_text([header])
+    for rows in groups:
+        yield _csv_text(rows)
 
 
 def _table_rows(args) -> list:
@@ -210,36 +231,32 @@ def _table_rows(args) -> list:
         return [[fn(n, r, lam)] for n in range(nmax + 1)]
     rows = []
     for n in range(nmax + 1):
-        poly = fn(n, lam)
-        rows.append([poly.coeff(i) for i in range(n + 1)])
+        coeffs = fn(n, lam).coeffs
+        rows.append([*coeffs, *[_ZERO] * (n + 1 - len(coeffs))])
     return rows
 
 
-def _cmd_table(args) -> tuple[int, str]:
+def _cmd_table(args) -> tuple[int, Iterable[str]]:
+    # the rows are computed here, before main truncates --output; the chunks
+    # render them one row at a time as main writes them
     rows = _table_rows(args)
     if args.format == "json":
         doc = {"family": args.family, "lambda": str(args.lam), "nmax": args.nmax, "values": rows}
         if args.family == "hyperharmonic":
             doc["r"] = args.r
-        text = _rational_json(doc)
-    elif args.format == "csv":
-        flat = [(n, k, v) for n, row in enumerate(rows) for k, v in enumerate(row)]
-        text = _csv_text(("n", "k", "value"), flat)
-    else:
-        kind, _, _ = FAMILIES[args.family]
-        lines = []
-        for n, row in enumerate(rows):
-            if kind == "triangle":
-                lines.append(f"{n}: " + " ".join(str(v) for v in row))
-            elif kind == "scalar":
-                lines.append(f"{n}\t{row[0]}")
-            else:
-                lines.append(f"{n}: {Poly(row)}")
-        text = "\n".join(lines)
-    return EXIT_OK, text
+        return EXIT_OK, _rational_json(doc)
+    if args.format == "csv":
+        groups = ([(n, k, v) for k, v in enumerate(row)] for n, row in enumerate(rows))
+        return EXIT_OK, _csv_chunks(("n", "k", "value"), groups)
+    kind, _, _ = FAMILIES[args.family]
+    if kind == "triangle":
+        return EXIT_OK, (f"{n}: " + " ".join(map(str, row)) + "\n" for n, row in enumerate(rows))
+    if kind == "scalar":
+        return EXIT_OK, (f"{n}\t{row[0]}\n" for n, row in enumerate(rows))
+    return EXIT_OK, (f"{n}: {Poly(row)}\n" for n, row in enumerate(rows))
 
 
-def _cmd_eval(args) -> tuple[int, str]:
+def _cmd_eval(args) -> tuple[int, tuple[str]]:
     _, function, value_function = FAMILIES[args.family]
     if value_function is not None:
         value = getattr(sequences, value_function)(args.n, args.lam, args.x)
@@ -248,24 +265,21 @@ def _cmd_eval(args) -> tuple[int, str]:
     if args.format == "json":
         text = _json_text({"family": args.family, "n": args.n, "lambda": str(args.lam), "x": str(args.x), "value": str(value)})
     elif args.format == "csv":
-        text = _csv_text(("n", "x", "value"), [(args.n, args.x, value)])
+        text = _csv_text([("n", "x", "value"), (args.n, args.x, value)])
     else:
         text = str(value)
-    return EXIT_OK, text
+    return EXIT_OK, (text,)
 
 
-def _cmd_series(args) -> tuple[int, str]:
+def _cmd_series(args) -> tuple[int, Iterable[str]]:
     reads, series_of = SERIES[args.selector]
     vars(args).update({flag: default for flag, default in reads.items() if getattr(args, flag) is None})
     series = series_of(args)
     if args.format == "json":
         return EXIT_OK, _rational_json({"coeffs": series.coeffs, "order": series.order})
-    coeffs = [str(c) for c in series.coeffs]
     if args.format == "csv":
-        text = _csv_text(("k", "value"), enumerate(coeffs))
-    else:
-        text = "[" + ", ".join(coeffs) + "]"
-    return EXIT_OK, text
+        return EXIT_OK, _csv_chunks(("k", "value"), [enumerate(series.coeffs)])
+    return EXIT_OK, ("[" + ", ".join(map(str, series.coeffs)) + "]",)
 
 
 def grid_from_args(args) -> Grid:
@@ -274,14 +288,13 @@ def grid_from_args(args) -> Grid:
     return Grid(**{name: value for name, value in given.items() if value is not None})
 
 
-def _cmd_check(args) -> tuple[int, str]:
+def _cmd_check(args) -> tuple[int, tuple[str]]:
     report = identities.run_suite(grid_from_args(args), ids=args.ids)
     if args.format == "json":
         text = _json_text(identities.suite_report_json(report))
     elif args.format == "csv":
         text = _csv_text(
-            ("id", "pass_count", "fail_count"),
-            [(r.id, r.pass_count, r.fail_count) for r in report.results],
+            [("id", "pass_count", "fail_count"), *((r.id, r.pass_count, r.fail_count) for r in report.results)]
         )
     else:
         lines = []
@@ -295,14 +308,14 @@ def _cmd_check(args) -> tuple[int, str]:
                     lines.append(f"    note: {failure.note}")
         lines.append("all identities passed" if report.all_pass else "FAILURES detected")
         text = "\n".join(lines)
-    return (EXIT_OK if report.all_pass else EXIT_CHECK_FAILED), text
+    return (EXIT_OK if report.all_pass else EXIT_CHECK_FAILED), (text,)
 
 
 def _plain_binding(binding: dict) -> str:
     return ", ".join(f"{k}={v}" for k, v in binding.items())
 
 
-def _cmd_list(args) -> tuple[int, str]:
+def _cmd_list(args) -> tuple[int, tuple[str]]:
     specs = identities.list_identities()
     if args.format == "json":
         text = _json_text(
@@ -312,14 +325,14 @@ def _cmd_list(args) -> tuple[int, str]:
             ]
         )
     elif args.format == "csv":
-        text = _csv_text(("id", "description"), [(s.id, s.description) for s in specs])
+        text = _csv_text([("id", "description"), *((s.id, s.description) for s in specs)])
     else:
         lines = []
         for s in specs:
             schema = "; ".join(f"{k}: {v}" for k, v in s.param_summary().items())
             lines.append(f"{s.id}\t{schema}\t{s.description}")
         text = "\n".join(lines)
-    return EXIT_OK, text
+    return EXIT_OK, (text,)
 
 
 def _refusal(args) -> tuple[int, str] | None:
@@ -392,11 +405,12 @@ def main(argv: list[str] | None = None) -> int:
         with out as stream:
             if limit is not None:
                 sys.set_int_max_str_digits(0)
-            code, text = handler(args)
+            # the handler does the command's work; its chunks only render
+            code, chunks = handler(args)
             # only a regular file can be truncated (not /dev/null or a pipe)
             if args.output is not None and stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
                 stream.truncate(0)
-            _emit(text, stream)
+            _emit(chunks, stream)
         return code
     except OSError as exc:
         # only the output stream does I/O; 2 is the exit code argparse gives

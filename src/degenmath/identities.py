@@ -643,7 +643,8 @@ def selected_ids(grid: Grid, ids: Iterable[str] | None = None) -> list[str]:
     selects every identity.
 
     UnknownIdentityError names an id not in the registry.  BindingError
-    refuses an id named in ids whose sweep is empty, as its check would pass
+    refuses an id named more than once in ids, as Grid refuses a repeated
+    lambda, an id named in ids whose sweep is empty, as its check would pass
     vacuously, and a selection in which no identity has a binding, ids=None
     included.  No checker runs.
     """
@@ -657,6 +658,9 @@ def selected_ids(grid: Grid, ids: Iterable[str] | None = None) -> list[str]:
         for ident in wanted:
             if ident not in REGISTRY:
                 raise UnknownIdentityError(ident)
+        for i, ident in enumerate(wanted):
+            if ident in wanted[:i]:
+                raise BindingError(f"ids: {ident} appears more than once")
         empty = [ident for ident in wanted if next(REGISTRY[ident].bindings(grid), None) is None]
         if empty:
             raise BindingError(f"no bindings checked for {', '.join(empty)}; widen the grid")

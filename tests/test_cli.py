@@ -6,8 +6,10 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -323,6 +325,16 @@ class TestCheck:
         assert captured.err == "error: lambdas: 1/2 appears more than once\n"
         assert calls == []
 
+    @pytest.mark.parametrize("ids", [["T15", "T15"], ["T15", "T1", "T15"]])
+    def test_repeated_id_is_domain_error(self, capsys, monkeypatch, ids):
+        # the same rule as a repeated lambda: refused, not run once
+        calls = counting_checkers(monkeypatch)
+        code = main(["check", *(arg for ident in ids for arg in ("--id", ident)), "--nmax", "3"])
+        captured = capsys.readouterr()
+        assert code == EXIT_DOMAIN and captured.out == ""
+        assert captured.err == "error: ids: T15 appears more than once\n"
+        assert calls == []
+
     @pytest.mark.parametrize("flag", ["--order=0", "--tolerance=-1"])
     def test_grid_value_not_swept_by_the_id_is_still_checked(self, capsys, monkeypatch, flag):
         # T15 sweeps neither the order nor the tolerance, but the grid is checked whole
@@ -405,10 +417,11 @@ class TestOutput:
             (["check", "--id", "T15", "--order", "0"], EXIT_DOMAIN),
             (["check", "--id", "T15", "--lambdas", "1/2,2/4"], EXIT_DOMAIN),
             (["check", "--tolerance=0"], EXIT_DOMAIN),
+            (["check", "--id", "T15", "--id", "T15"], EXIT_DOMAIN),
         ],
         ids=["table-without-r", "table-r-not-taken", "eval-negative-n", "check-unknown-id",
              "check-no-bindings", "table-negative-nmax", "series-flag-not-read", "check-order-zero",
-             "check-repeated-lambda", "check-zero-tolerance"],
+             "check-repeated-lambda", "check-zero-tolerance", "check-repeated-id"],
     )
 
     @FAILED_COMMANDS
@@ -457,6 +470,30 @@ class TestOutput:
         assert code == EXIT_OK and out == ""
         code, expected = run_cli(capsys, "table", "s1", "--nmax", "2", "--format", "json")
         assert path.read_text() == expected
+
+    def test_write_error_part_way_is_usage_error(self, capsys):
+        # every write to /dev/full fails, the first once the stream's buffer fills
+        if not os.path.exists("/dev/full"):
+            pytest.skip("this platform has no /dev/full")
+        code = main(["table", "s2", "--nmax", "150", "--output", "/dev/full"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert captured.err.startswith("error: cannot write /dev/full") and "Traceback" not in captured.err
+
+    def test_rendering_holds_about_one_row(self, capsys, tmp_path):
+        path = tmp_path / "s2.json"
+        argv = ["table", "s2", "--nmax", "150", "--lambda=57/89", "--format", "json", "--output", str(path)]
+        # the first run stores the triangle, so the traced run only renders and writes it
+        assert main(argv) == EXIT_OK
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        largest_row = max(len(json.dumps(row, indent=2)) for row in json.loads(path.read_text())["values"])
+        assert peak < 8 * largest_row
 
     def test_one_parser_per_process(self, capsys, monkeypatch):
         built, build = [], cli.build_parser

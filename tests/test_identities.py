@@ -313,8 +313,9 @@ class TestSuite:
             (Grid(nmax=1, lambdas=()), None, BindingError),
             (Grid(nmax=1, lambdas=()), [], BindingError),
             (Grid(nmax=3), "T15", TypeError),
+            (Grid(nmax=3), ["T15", "T1", "T15"], BindingError),
         ],
-        ids=["unknown-id", "empty-id", "empty-ids", "no-binding-registry", "no-ids", "bare-str"],
+        ids=["unknown-id", "empty-id", "empty-ids", "no-binding-registry", "no-ids", "bare-str", "repeated-id"],
     )
     def test_selected_ids_refuses_what_run_suite_refuses(self, monkeypatch, grid, ids, error):
         calls = counting_checkers(monkeypatch)
@@ -327,7 +328,7 @@ class TestSuite:
 
     def test_selected_ids_are_in_registry_order(self):
         assert selected_ids(DEFAULT_GRID) == list(REGISTRY)
-        assert selected_ids(Grid(nmax=3), ["T15", "T1", "T15"]) == ["T1", "T15"]
+        assert selected_ids(Grid(nmax=3), ["T15", "T1"]) == ["T1", "T15"]
 
     def test_report_json_schema(self):
         grid = Grid(nmax=3, rmax=1, pmax=1, lambdas=(HALF,), order=8)
