@@ -9,7 +9,6 @@ polynomials are the oracle for the lambda = 0 limit.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
 from .algebra import Poly
@@ -29,18 +28,10 @@ def stirling2_rows(nmax: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
-def bernoulli_number(n: int) -> Fraction:
-    """B_n with B_1 = -1/2, from sum_{k<=n} binom(n+1,k) B_k = 0."""
-    if n == 0:
-        return Fraction(1)
-    acc = sum(comb(n + 1, k) * bernoulli_number(k) for k in range(n))
-    return -acc / (n + 1)
-
-
 def bernoulli_poly(n: int) -> Poly:
-    """B_n(x) = sum binom(n,k) B_k x**(n-k)."""
-    coeffs = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        coeffs[n - k] = comb(n, k) * bernoulli_number(k)
-    return Poly(coeffs)
+    """B_n(x) = sum binom(n,k) B_k x**(n-k), with B_1 = -1/2 and the B_k
+    from sum_{j<=k} binom(k+1,j) B_j = 0."""
+    numbers = [Fraction(1)]
+    for k in range(1, n + 1):
+        numbers.append(-sum(comb(k + 1, j) * b for j, b in enumerate(numbers)) / (k + 1))
+    return Poly([comb(n, i) * numbers[n - i] for i in range(n + 1)])

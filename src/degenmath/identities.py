@@ -5,12 +5,11 @@ params map each parameter name to a Param: its kind, its domain, and the
 Grid axis it sweeps.  An identity's bindings over a Grid are the product
 of its axes, so no identity has a hand-written enumerator.
 
-A checker takes the Tables, then its bound values positionally in declared
-order (lambda spelled lam, symbolic params omitted), as in
-`_check_t2(tab, n, r, lam)`.  The Tables serves the two Stirling triangles
-only; a checker reads every other family, Bell and Fubini included, by
-(n, lam) from sequences.  It returns `(lhs, rhs)`, or `(lhs, rhs,
-note)`, or `(lhs, rhs, note, passed)` when the verdict is not lhs == rhs.
+A checker takes its bound values positionally in declared order (lambda
+spelled lam, symbolic params omitted), as in `_check_t2(n, r, lam)`.  It
+reads every family, the two Stirling triangles included, by (n, lam) from
+sequences.  It returns `(lhs, rhs)`, or `(lhs, rhs, note)`, or
+`(lhs, rhs, note, passed)` when the verdict is not lhs == rhs.
 IdentitySpec.check builds every CheckResult, stamping the id and binding.
 
 All checks except E67 compare exact objects (Fraction, Poly, or Series);
@@ -185,8 +184,8 @@ class IdentitySpec:
             yield {name: point[name] for name in declared}
 
     def check(self, binding: dict) -> CheckResult:
-        """The checker's result at binding, given _DEFAULT_TABLES: the one place a CheckResult is built."""
-        lhs, rhs, *rest = self.checker(_DEFAULT_TABLES, *binding.values())
+        """The checker's result at binding: the one place a CheckResult is built."""
+        lhs, rhs, *rest = self.checker(*binding.values())
         note = rest[0] if rest else ""
         passed = rest[1] if len(rest) > 1 else lhs == rhs
         return CheckResult(self.id, dict(binding), lhs, rhs, passed, note)
@@ -198,15 +197,15 @@ REGISTRY: dict[str, IdentitySpec] = {}
 def identity(ident: str, params: dict[str, Param], description: str):
     """Register the decorated checker as identity ident; it is returned unchanged.
 
-    TypeError if the checker's parameters after the tables are not the
-    declared non-symbolic params, in order, with lambda spelled lam.
+    TypeError if the checker's parameters are not the declared non-symbolic
+    params, in order, with lambda spelled lam.
     """
     bound = [name for name, param in params.items() if param.kind != "symbolic"]
     declared = ["lam" if name == "lambda" else name for name in bound]
 
     def register(checker):
         code = checker.__code__
-        taken = list(code.co_varnames[1 : code.co_argcount])
+        taken = list(code.co_varnames[: code.co_argcount])
         if taken != declared:
             raise TypeError(f"{ident}: checker takes {taken}, the schema declares {declared}")
         REGISTRY[ident] = IdentitySpec(ident, description, params, checker)
@@ -216,12 +215,11 @@ def identity(ident: str, params: dict[str, Param], description: str):
 
 
 class Tables:
-    """Stirling-triangle source for a run of checks, passed to every checker.
+    """Former Stirling-triangle source of the checkers; nothing in the package uses it.
 
-    It reads the two triangles from the sequences module, whose store caches
-    them; Tables itself holds no state, and serves no other family.  It
-    stays, with its default builders, because the benchmark's span tracer
-    rebinds those defaults and its smoke test checks that it does.
+    Checkers call sequences.s1_triangle and s2_triangle directly.  Tables,
+    its default builders and _DEFAULT_TABLES stay only because the benchmark
+    harness's smoke test pins them; ROADMAP item 11 deletes them.
     """
 
     def __init__(self, s1_builder=sequences.s1_triangle, s2_builder=sequences.s2_triangle):
@@ -250,7 +248,7 @@ def hyperharmonic_gf(lam, r: int, order: int) -> Series:
 
 @identity("T1", {"r": R1, "lambda": LAM, "order": ORDERS},
           "series -log_lam(1-t)/(1-t)^r generates the degenerate hyperharmonic numbers")
-def _check_t1(tab, r, lam, order):
+def _check_t1(r, lam, order):
     lhs = hyperharmonic_gf(lam, r, order)
     rhs = Series(sequences.dhyperharmonic_row(order, r, lam), order)
     return lhs, rhs
@@ -258,8 +256,8 @@ def _check_t1(tab, r, lam, order):
 
 @identity("T2", {"n": N1, "r": R1, "lambda": LAM},
           "alternating k!-weighted hyperharmonic sum over the second-kind row equals (-1)^n <r>_{n-1} n")
-def _check_t2(tab, n, r, lam):
-    tri = tab.s2(n, lam)
+def _check_t2(n, r, lam):
+    tri = sequences.s2_triangle(n, lam)
     hyper = sequences.dhyperharmonic_row(n, r, lam)
     signed = [(-1) ** k * factorial(k) * tri.entry(n, k) for k in range(1, n + 1)]
     lhs = rational_dot(hyper[1:], signed)
@@ -269,8 +267,8 @@ def _check_t2(tab, n, r, lam):
 
 @identity("T3", {"n": N1, "r": R1, "lambda": LAM},
           "hyperharmonic numbers recovered from the first-kind triangle and rising factorials")
-def _check_t3(tab, n, r, lam):
-    tri = tab.s1(n, lam)
+def _check_t3(n, r, lam):
+    tri = sequences.s1_triangle(n, lam)
     lhs = sequences.dhyperharmonic(n, r, lam)
     rising = [(-1) ** (n - k) * k * gfact_rising(Fraction(r), k - 1, lam) for k in range(1, n + 1)]
     rhs = rational_dot(rising, tri.row(n)[1:]) / factorial(n)
@@ -279,8 +277,8 @@ def _check_t3(tab, n, r, lam):
 
 @identity("T4a", {"n": N0, "lambda": LAM, "x": SYM},
           "first-kind transform of the Euler-family polynomials equals n! sum binom(x,k)(-1/2)^(n-k)")
-def _check_t4a(tab, n, lam):
-    tri = tab.s1(n, lam)
+def _check_t4a(n, lam):
+    tri = sequences.s1_triangle(n, lam)
     lhs = poly_combination((tri.entry(n, k), sequences.deuler_poly(k, lam)) for k in range(n + 1))
     # the k = n term alone of T4b's right-hand side: a unit row
     rhs = sequences.binomial_sum((0,) * n + (1,), sequences.euler_weights(n))
@@ -289,8 +287,8 @@ def _check_t4a(tab, n, lam):
 
 @identity("T4b", {"n": N0, "lambda": LAM, "x": SYM},
           "Euler-family polynomial as a k! S2(n,k)-weighted double binomial sum")
-def _check_t4b(tab, n, lam):
-    tri = tab.s2(n, lam)
+def _check_t4b(n, lam):
+    tri = sequences.s2_triangle(n, lam)
     lhs = sequences.deuler_poly(n, lam)
     rhs = sequences.binomial_sum(tri.row(n), sequences.euler_weights(n))
     return lhs, rhs
@@ -298,8 +296,8 @@ def _check_t4b(tab, n, lam):
 
 @identity("E32", {"n": N0, "lambda": LAM},
           "Euler-family polynomial at x=1/2 via central binomial coefficients")
-def _check_e32(tab, n, lam):
-    tri = tab.s2(n, lam)
+def _check_e32(n, lam):
+    tri = sequences.s2_triangle(n, lam)
     lhs = sequences.deuler_value(n, lam, Fraction(1, 2))
     # the inner sum over j <= k is 2**-k P_k, with P_k the prefix sums of
     # C(2j,j)/((1-2j) 2**j), which do not depend on lam
@@ -311,8 +309,8 @@ def _check_e32(tab, n, lam):
 
 @identity("T5", {"n": N0, "lambda": LAM, "x": SYM},
           "Bernoulli-family polynomial as a dfact-weighted double sum with falling factorials")
-def _check_t5(tab, n, lam):
-    tri = tab.s2(n, lam)
+def _check_t5(n, lam):
+    tri = sequences.s2_triangle(n, lam)
     lhs = sequences.dbernoulli_poly(n, lam)
     # sum_j w_j sum_{k>=j} C(n,k) S2(k,j) (x)_{n-k,lam}, summed over j first:
     # one scalar per k, then one poly_combination over the falling factorials
@@ -326,8 +324,8 @@ def _check_t5(tab, n, lam):
 
 @identity("T6", {"n": N0, "lambda": LAM, "x": SYM},
           "first-kind transform of the Bernoulli-family polynomials equals a binomial dfact sum")
-def _check_t6(tab, n, lam):
-    tri = tab.s1(n, lam)
+def _check_t6(n, lam):
+    tri = sequences.s1_triangle(n, lam)
     lhs = poly_combination((tri.entry(n, k), sequences.dbernoulli_poly(k, lam)) for k in range(n + 1))
     # the k = n term alone of T7's right-hand side: a unit row
     rhs = sequences.binomial_sum((0,) * n + (1,), sequences.bernoulli_weights(n, lam))
@@ -336,8 +334,8 @@ def _check_t6(tab, n, lam):
 
 @identity("T7", {"n": N0, "lambda": LAM, "x": SYM},
           "Bernoulli-family polynomial as a k! S2(n,k)-weighted double sum (x=0 instance included)")
-def _check_t7(tab, n, lam):
-    tri = tab.s2(n, lam)
+def _check_t7(n, lam):
+    tri = sequences.s2_triangle(n, lam)
     lhs = sequences.dbernoulli_poly(n, lam)
     rhs = sequences.dbernoulli_poly_stirling(n, lam)
     # the x = 0 instance in its own right: the constant terms against the
@@ -351,8 +349,8 @@ def _check_t7(tab, n, lam):
 
 @identity("T8", {"n": N1, "lambda": LAM},
           "(n-1)! H_{n,-lam} from Bernoulli-family values at 1-lam through the first-kind triangle at -lam")
-def _check_t8(tab, n, lam):
-    tri = tab.s1(n, -lam)
+def _check_t8(n, lam):
+    tri = sequences.s1_triangle(n, -lam)
     lhs = factorial(n - 1) * sequences.dharmonic(n, -lam)
     values = [sequences.dbernoulli_value(k - 1, lam, 1 - lam) for k in range(1, n + 1)]
     signed = [(-1) ** (n - k) * v for k, v in enumerate(values, 1)]
@@ -362,8 +360,8 @@ def _check_t8(tab, n, lam):
 
 @identity("T9", {"n": N1, "lambda": LAM},
           "Bernoulli-family value at 2*lam+1 from harmonic numbers through the second-kind triangle")
-def _check_t9(tab, n, lam):
-    tri = tab.s2(n, lam)
+def _check_t9(n, lam):
+    tri = sequences.s2_triangle(n, lam)
     lhs = sequences.dbernoulli_value(n - 1, -lam, 2 * lam + 1)
     weighted = [(-1) ** (n - k) * factorial(k - 1) * sequences.dharmonic(k, -lam) for k in range(1, n + 1)]
     rhs = rational_dot(weighted, tri.row(n)[1:])
@@ -372,8 +370,8 @@ def _check_t9(tab, n, lam):
 
 @identity("T10", {"n": N1, "lambda": LAM},
           "dfact(n-1)/n as a first-kind transform of Bernoulli-family values at 1-lam")
-def _check_t10(tab, n, lam):
-    tri = tab.s1(n, lam)
+def _check_t10(n, lam):
+    tri = sequences.s1_triangle(n, lam)
     lhs = dfact(n - 1, lam) / n
     values = [sequences.dbernoulli_value(k - 1, lam, 1 - lam) for k in range(1, n + 1)]
     rhs = rational_dot(values, tri.row(n)[1:])
@@ -382,7 +380,7 @@ def _check_t10(tab, n, lam):
 
 @identity("T11a", {"n": N1, "lambda": LAM, "x": SYM},
           "Bell-family recurrence phi_{n+1} = x phi_n + (x d/dx - n lam) phi_n")
-def _check_t11a(tab, n, lam):
+def _check_t11a(n, lam):
     phi_n = sequences.dbell_poly(n, lam)
     lhs = sequences.dbell_poly(n + 1, lam)
     rhs = X * phi_n + (X * poly_derivative(phi_n) - phi_n * (n * lam))
@@ -391,7 +389,7 @@ def _check_t11a(tab, n, lam):
 
 @identity("T11b", {"n": N1, "lambda": LAM, "x": SYM},
           "Bell-family recurrence as x times a binomial convolution with (1-lam)_{k,lam}")
-def _check_t11b(tab, n, lam):
+def _check_t11b(n, lam):
     lhs = sequences.dbell_poly(n + 1, lam)
     conv = poly_combination(
         (comb(n, k) * gfact_falling(1 - lam, n - k, lam), sequences.dbell_poly(k, lam))
@@ -403,8 +401,8 @@ def _check_t11b(tab, n, lam):
 
 @identity("T12", {"n": N1, "lambda": LAM, "x": SYM},
           "second-kind sum x^k/k as a Bernoulli-Bell convolution with 1/n prefactor")
-def _check_t12(tab, n, lam):
-    tri = tab.s2(n, lam)
+def _check_t12(n, lam):
+    tri = sequences.s2_triangle(n, lam)
     lhs = Poly(
         [Fraction(0)] + [tri.entry(n, k) / k for k in range(1, n + 1)]
     )
@@ -427,8 +425,8 @@ def _check_t12(tab, n, lam):
 
 @identity("E61", {"n": N1, "lambda": LAM, "x": SYM},
           "second-kind sum x^k/k^2 as a nested Bernoulli-Bell convolution")
-def _check_e61(tab, n, lam):
-    tri = tab.s2(n, lam)
+def _check_e61(n, lam):
+    tri = sequences.s2_triangle(n, lam)
     lhs = Poly(
         [Fraction(0)] + [tri.entry(n, k) / (k * k) for k in range(1, n + 1)]
     )
@@ -459,8 +457,8 @@ def _weighted_row_poly(tri, n: int) -> Poly:
 
 @identity("T13", {"n": N1, "lambda": LAM, "x": SYM},
           "(1+x) F_n against (k-1)!-weighted second-kind rows, plus its integral restatement")
-def _check_t13(tab, n, lam):
-    tri = tab.s2(n + 1, lam)
+def _check_t13(n, lam):
+    tri = sequences.s2_triangle(n + 1, lam)
     f_n = sequences.dfubini_poly(n, lam)
     lhs = (X + 1) * f_n
     rhs = _weighted_row_poly(tri, n + 1) + _weighted_row_poly(tri, n) * (n * lam)
@@ -473,8 +471,8 @@ def _check_t13(tab, n, lam):
 
 @identity("T13r", {"n": N0, "lambda": LAM},
           "(k-1)!-weighted row sums equal 2 F_n(1) for n >= 1 and 1 at n = 0")
-def _check_t13r(tab, n, lam):
-    tri = tab.s2(n + 1, lam)
+def _check_t13r(n, lam):
+    tri = sequences.s2_triangle(n + 1, lam)
     # factorials[k-1] is (k-1)!, paired with row entries k = 1, 2, ...
     factorials = list(accumulate(range(1, n + 1), mul, initial=1))
     lhs = rational_dot(tri.row(n + 1)[1:], factorials)
@@ -488,7 +486,7 @@ def _check_t13r(tab, n, lam):
 
 @identity("T14", {"n": N1, "lambda": LAM, "x": SYM},
           "Fubini-family recurrence F_{n+1} = (x - n lam) F_n + (x + x^2) F_n'")
-def _check_t14(tab, n, lam):
+def _check_t14(n, lam):
     lhs = sequences.dfubini_poly(n + 1, lam)
     f_n = sequences.dfubini_poly(n, lam)
     rhs = (X - n * lam) * f_n + (X + X * X) * poly_derivative(f_n)
@@ -497,8 +495,8 @@ def _check_t14(tab, n, lam):
 
 @identity("T15", {"n": N2, "lambda": LAM},
           "dfact-weighted second-kind row sum equals (n-1)(1)_{n-1,lam}")
-def _check_t15(tab, n, lam):
-    tri = tab.s2(n, lam)
+def _check_t15(n, lam):
+    tri = sequences.s2_triangle(n, lam)
     lhs = rational_dot([dfact(k - 2, lam) for k in range(2, n + 1)], tri.row(n)[2:])
     rhs = (n - 1) * gfact_falling(Fraction(1), n - 1, lam)
     return lhs, rhs
@@ -506,7 +504,7 @@ def _check_t15(tab, n, lam):
 
 @identity("C15", {"n": N2},
           "classical limit of the dfact-weighted row sum, against classical Stirling numbers")
-def _check_c15(tab, n):
+def _check_c15(n):
     rows = classical.stirling2_rows(n)
     lhs = Fraction(sum((-1) ** k * factorial(k - 2) * rows[n][k] for k in range(2, n + 1)))
     rhs = Fraction(n - 1)
@@ -515,7 +513,7 @@ def _check_c15(tab, n):
 
 @identity("E44", {"lambda": LAM, "order": ORDERS},
           "weight-2 polylogarithm at -t/(1-t) has coefficients -H_{n,-lam}/n")
-def _check_e44(tab, lam, order):
+def _check_e44(lam, order):
     inner = Series([Fraction(0)] + [Fraction(-1)] * order, order)
     lhs = ser_compose(dpolylog(2, lam, order), inner)
     rhs = Series(
@@ -528,7 +526,7 @@ def _check_e44(tab, lam, order):
 
 @identity("E59", {"p": P0, "n": N1, "lambda": LAM},
           "power sums of shifted falling factorials via Bernoulli-family differences")
-def _check_e59(tab, p, n, lam):
+def _check_e59(p, n, lam):
     lhs = sequences.power_sum(p, n, lam)
     upper = sequences.dbernoulli_value(p + 1, lam, n + 1 - lam)
     rhs = (upper - sequences.dbernoulli_value(p + 1, lam, 1 - lam)) / (p + 1)
@@ -537,7 +535,7 @@ def _check_e59(tab, p, n, lam):
 
 @identity("E66", {"n": N0, "lambda": LAM, "order": ORDER},
           "geometric transform of the Fubini-family polynomial generates (k)_{n,lam}")
-def _check_e66(tab, n, lam, order):
+def _check_e66(n, lam, order):
     f_n = sequences.dfubini_poly(n, lam)
     outer = Series(f_n.coeffs or (Fraction(0),), order)
     inner = Series([Fraction(0)] + [Fraction(1)] * order, order)  # x/(1-x)
@@ -587,7 +585,7 @@ def _e67_partial(n: int, lam: Fraction, cutoff: int) -> Fraction:
 
 @identity("E67", {"n": N0, "lambda": LAM, "tol": TOL},
           "F_n(1) as a tail-bounded exact-rational binary sum")
-def _check_e67(tab, n, lam, tol):
+def _check_e67(n, lam, tol):
     exact = poly_eval(sequences.dfubini_poly(n, lam), 1)
     cutoff, bound = _e67_cutoff(n, lam, tol)
     partial = _e67_partial(n, lam, cutoff)

@@ -73,11 +73,6 @@ class Series:
             return self + (-other)
         return NotImplemented
 
-    def __rsub__(self, other):
-        if _is_scalar(other):
-            return (-self) + other
-        return NotImplemented
-
     def __mul__(self, other):
         if isinstance(other, Series):
             n = min(self.order, other.order)

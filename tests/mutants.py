@@ -47,7 +47,7 @@ def counting_checkers(monkeypatch) -> list:
     """Swap every registry checker for a passing stub; the list records each call."""
     calls = []
 
-    def counting(tables, *values):
+    def counting(*values):
         calls.append(values)
         return 0, 0
 

@@ -248,7 +248,7 @@ class TestCheck:
 
     def test_plain_report_of_a_failure(self, capsys, monkeypatch):
         spec = REGISTRY["T15"]
-        monkeypatch.setitem(REGISTRY, "T15", dataclasses.replace(spec, checker=lambda tables, *values: (1, 2, "why")))
+        monkeypatch.setitem(REGISTRY, "T15", dataclasses.replace(spec, checker=lambda *values: (1, 2, "why")))
         code, out = run_cli(capsys, "check", "--id", "T15", "--nmax", "2", "--lambdas", "1/2")
         assert code == EXIT_CHECK_FAILED
         assert out.splitlines() == [

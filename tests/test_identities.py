@@ -81,14 +81,14 @@ class TestRegistry:
         monkeypatch.setattr(identities, "REGISTRY", {})
         declare = identity("T2", REGISTRY["T2"].params, "swapped")
 
-        def swapped(tab, r, n, lam):
+        def swapped(r, n, lam):
             return 0, 0
 
         with pytest.raises(TypeError, match="schema declares"):
             declare(swapped)
         assert identities.REGISTRY == {}
 
-        def in_order(tab, n, r, lam):
+        def in_order(n, r, lam):
             return 0, 0
 
         assert declare(in_order) is in_order
@@ -99,7 +99,7 @@ class TestRegistry:
         binding = {"n": 3, "lambda": HALF}
 
         def result(*sides):
-            return dataclasses.replace(spec, checker=lambda tab, n, lam: sides).check(binding)
+            return dataclasses.replace(spec, checker=lambda n, lam: sides).check(binding)
 
         assert result(1, 1) == CheckResult("T15", binding, 1, 1, True)
         assert result(1, 2, "why") == CheckResult("T15", binding, 1, 2, False, "why")
@@ -209,6 +209,13 @@ class TestSuite:
         # T1 runs r x lambda at two orders
         t1 = report.results[0]
         assert t1.id == "T1" and t1.pass_count == 2 * 2 * 2
+
+    def test_checkers_read_the_triangles_from_sequences(self, monkeypatch):
+        def unused(nmax, lam):
+            raise AssertionError("a checker read a triangle through Tables")
+
+        monkeypatch.setattr(identities._DEFAULT_TABLES, "_builders", {"first": unused, "second": unused})
+        assert run_suite(Grid(nmax=3, rmax=1, pmax=1, lambdas=(HALF,), order=5)).all_pass
 
     def test_c15_sweep_keeps_no_table_per_n(self):
         # C15 reads classical.stirling2_rows(n) once per n; a memo keyed by n

@@ -314,7 +314,7 @@ class TestBellFubini:
             assert oracle.degree == n
             for i in range(n + 1):
                 x0 = Fraction(2 * i - n, 3)
-                gen = series.ser_reciprocal(1 - x0 * (series.dexp(1, lam, n) - 1))
+                gen = series.ser_reciprocal(-x0 * (series.dexp(1, lam, n) - 1) + 1)
                 assert poly_eval(oracle, x0) == factorial(n) * gen.coeffs[n]
 
 
@@ -355,6 +355,24 @@ class TestClassicalDegeneration:
     def test_fubini_numbers(self):
         for n in range(11):
             assert poly_eval(dfubini_poly(n, 0), 1) == oracles.fubini_number(n)
+
+
+# B_0..B_30 with B_1 = -1/2, as the memoised recursion this loop replaced gave them
+BERNOULLI_NUMBERS = (
+    "1", "-1/2", "1/6", "0", "-1/30", "0", "1/42", "0", "-1/30", "0", "5/66", "0", "-691/2730", "0",
+    "7/6", "0", "-3617/510", "0", "43867/798", "0", "-174611/330", "0", "854513/138", "0",
+    "-236364091/2730", "0", "8553103/6", "0", "-23749461029/870", "0", "8615841276005/14322",
+)
+
+
+class TestClassicalBernoulli:
+    def test_numbers(self):
+        assert [classical.bernoulli_poly(n).coeffs[0] for n in range(31)] == list(map(Fraction, BERNOULLI_NUMBERS))
+
+    def test_polynomials(self):
+        for n in range(21):
+            want = [comb(n, i) * Fraction(BERNOULLI_NUMBERS[n - i]) for i in range(n + 1)]
+            assert classical.bernoulli_poly(n) == Poly(want)
 
 
 class TestPowerSum:

@@ -57,6 +57,12 @@ class TestConstruction:
         with pytest.raises(TypeError):
             op(False, Series((1, 2)))
 
+    def test_scalar_minus_series_is_refused(self):
+        # as 1 - poly is; Series.__sub__ still takes a scalar on the right
+        with pytest.raises(TypeError):
+            1 - Series((1, 2))
+        assert Series((1, 2)) - 1 == Series((0, 2))
+
 
 class TestMul:
     def test_basic(self):
