@@ -19,14 +19,15 @@ lambda_stream) misses on every query under a rule that never overshoots
 n, and a geometric rule builds entries far past the n asked for.  The
 store keeps at most STORE_CAPACITY entries and drops the oldest, state
 and all, when full.  Stored values are immutable and an entry is only
-ever replaced wholesale, so a reader never sees a partial table.  The
-harmonic numbers are a stored family; hyperharmonic numbers are
-cumulative sums of its entries, taken on the integer numerators over one
-common denominator.  The triangle, Bernoulli and Euler extends work on
-integers.  For lam = p/q the triangle rows are stored as Fractions, but
-q**(n-k) S(n,k) is an integer: the state is the last row's integers,
-which the extend carries from row to row, reducing each new entry over
-its power of q with gcds against q alone.  The Bernoulli and Euler
+ever replaced wholesale, so a reader never sees a partial table.  Every
+extend works on integers.  The harmonic numbers are a stored family, with
+the last unreduced sum and the entries as integers over the lcm of their
+denominators as state; hyperharmonic numbers are not stored, but read as
+cumulative sums of those integers, so a read takes no lcm.  For lam = p/q
+the triangle rows are stored as Fractions, but q**(n-k) S(n,k) is an
+integer: the state is the last row's integers, which the extend carries
+from row to row, reducing each new entry over its power of q with gcds
+against q alone.  The Bernoulli and Euler
 constants c_n are stored families of their own, with the constants and
 the weights they are solved from as integers over one denominator each as
 state.  The polynomial extends read them and sum in the basis of the
@@ -187,12 +188,28 @@ def _gf_power(kind: str, lam: Fraction, k: int, order: int) -> Series:
 
 
 def _harmonic_extend(sums, state, upto, lam):
-    # H_m = H_{m-1} + (-1)**(m-1) dfact(m-1,lam)/m!, H_0 = 0; the last entry
-    # is all the state a miss needs
+    """Extend for H_m = H_{m-1} + (-1)**(m-1) dfact(m-1,lam)/m!, H_0 = 0, run
+    on integers.
+
+    For lam = p/q the term is f_m/(q**(m-1) m!) with the integer
+    f_m = prod_{0<j<m} (j*q - p), which carries the sign (-1)**(m-1), so
+    H_m = N_m/D_m with D_m = q**m m! and N_m = q*(m*N_{m-1} + f_m): each new
+    entry costs a few products by small integers and one _frac, and no dfact
+    is built.  The state is (nums, d, N, D, f): the entries as integers over
+    d, the lcm of their denominators, which the hyperharmonic reads take
+    their cumulative sums on, and the last N, D and next f, so a miss carries
+    the sum on from the last stored entry.  d is raised once per miss, over
+    the new entries together."""
+    p, q = lam.numerator, lam.denominator
+    nums, d, num, den, fall = state or ((), 1, 0, 1, 1)
     sums = list(sums) or [Fraction(0)]
     for m in range(len(sums), upto + 1):
-        sums.append(sums[-1] + (-1) ** (m - 1) * dfact(m - 1, lam) / factorial(m))
-    return tuple(sums), None
+        num = q * (m * num + fall)
+        den *= q * m
+        sums.append(_frac(num, den))
+        fall *= m * q - p
+    nums, d = _over_lcm(sums[len(nums):], nums, d)
+    return tuple(sums), (tuple(nums), d, num, den, fall)
 
 
 def dharmonic(n: int, lam) -> Fraction:
@@ -207,10 +224,12 @@ def dharmonic(n: int, lam) -> Fraction:
 def _hyperharmonic_numerators(n: int, r: int, lam) -> tuple[list[int], int]:
     """(numerators, d): hyperharmonic entries 0..n as integers over one d.
 
-    The harmonic entries 0..n go over the lcm d of their denominators, and
-    the r-1 cumulative sums run on the integer numerators."""
+    The stored harmonic family keeps its entries as integers over one d, the
+    lcm of their denominators, and the r-1 cumulative sums run on the first
+    n+1 of them, so a read takes no lcm."""
     _need_int("r", r, 1)
-    sums, d = _over_lcm(_grown("harmonic", n, _rat(lam))[0][: n + 1])
+    nums, d = _grown("harmonic", n, _rat(lam))[1][:2]
+    sums = nums[: n + 1]
     for _ in range(r - 1):
         sums = list(accumulate(sums))
     return sums, d

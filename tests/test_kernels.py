@@ -230,6 +230,26 @@ def ref_hyperharmonic_row(n: int, r: int, lam) -> tuple[Fraction, ...]:
     return sums
 
 
+def ref_harmonic(n: int, lam) -> list[Fraction]:
+    """H_0..H_n by the Fraction loop: H_m = H_{m-1} + (-1)**(m-1) dfact(m-1,lam)/m!."""
+    sums = [Fraction(0)]
+    for m in range(1, n + 1):
+        sums.append(sums[-1] + (-1) ** (m - 1) * dfact(m - 1, lam) / factorial(m))
+    return sums
+
+
+def ref_hyperharmonic_recurrence(n: int, r: int, lam) -> list[Fraction]:
+    """H^(r)_0..H^(r)_n by H^(r)_{m+1} = ((m+r-lam) H^(r)_m + C(m+r-1, m))/(m+1).
+
+    The recurrence follows from T1's generating function -log_lam(1-t)/(1-t)**r,
+    so it serves as an oracle only: built from it, T1 would hold by construction."""
+    lam = Fraction(lam)
+    row = [Fraction(0)]
+    for m in range(n):
+        row.append(((m + r - lam) * row[-1] + comb(m + r - 1, m)) / (m + 1))
+    return row
+
+
 # 57/89 is the lambda of perfbench's deep tables; 36 and 30 have several
 # primes, so an entry can need more than one gcd pass to reduce
 triangle_lambdas = appell_lambdas + [Fraction(57, 89), Fraction(-35, 36), Fraction(77, 30)]
@@ -794,3 +814,57 @@ class TestHyperharmonic:
         for m in range(n + 1):
             got = dhyperharmonic(m, r, lam)
             assert got == want[m] and type(got) is Fraction
+
+
+def _harmonic_from(prefix, lam):
+    """Empty the store of the harmonic numbers at lam, or, for an int prefix,
+    leave a cold build of the entries 0..prefix there, so that the next read
+    grows them from its state."""
+    sequences._STORE.pop(("harmonic", lam), None)
+    if prefix is not None:
+        sequences._put(("harmonic", lam), sequences._EXTENDS["harmonic"]((), None, prefix, lam))
+
+
+class TestHarmonic:
+    # the examples run cold builds and growth from short prefixes at lambda =
+    # 1 and -2, where the products (j*q - p) vanish or stay integral, and at
+    # 77/30, whose denominator has several primes, so the lcm d rises unevenly
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(min_value=0, max_value=60), prefix=st.none() | st.integers(min_value=0, max_value=60), lam=lambdas)
+    @example(n=60, prefix=None, lam=Fraction(0))
+    @example(n=60, prefix=3, lam=Fraction(1))
+    @example(n=40, prefix=0, lam=Fraction(-2))
+    @example(n=60, prefix=17, lam=Fraction(-3, 7))
+    @example(n=60, prefix=None, lam=Fraction(57, 89))
+    @example(n=33, prefix=5, lam=Fraction(77, 30))
+    def test_matches_fraction_dfact_loop(self, n, prefix, lam):
+        lam = Fraction(lam)
+        _harmonic_from(prefix, lam)
+        want = ref_harmonic(n, lam)
+        got = [dharmonic(m, lam) for m in range(n + 1)]
+        for g, w in zip(got, want, strict=True):
+            same_fraction(g, w)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=60),
+        r=st.integers(min_value=1, max_value=300),
+        prefix=st.none() | st.integers(min_value=0, max_value=60),
+        lam=lambdas,
+    )
+    @example(n=12, r=300, prefix=None, lam=Fraction(57, 89))
+    @example(n=60, r=1, prefix=2, lam=Fraction(0))
+    @example(n=8, r=299, prefix=None, lam=Fraction(1))
+    @example(n=20, r=5, prefix=7, lam=Fraction(-2))
+    @example(n=60, r=3, prefix=16, lam=Fraction(-3, 7))
+    @example(n=10, r=150, prefix=4, lam=Fraction(77, 30))
+    def test_matches_first_order_recurrence(self, n, r, prefix, lam):
+        lam = Fraction(lam)
+        _harmonic_from(prefix, lam)
+        assert [dharmonic(m, lam) for m in range(n + 1)] == ref_hyperharmonic_recurrence(n, 1, lam)
+        want = ref_hyperharmonic_recurrence(n, r, lam)
+        row = dhyperharmonic_row(n, r, lam)
+        for g, w in zip(row, want, strict=True):
+            same_fraction(g, w)
+        same_fraction(dhyperharmonic(n, r, lam), want[n])
+        same_fraction(dhyperharmonic(n // 2, r, lam), want[n // 2])

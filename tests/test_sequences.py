@@ -586,6 +586,21 @@ class TestStore:
         assert reads == [("harmonic", 40)] and len(row) == 41
         assert [key for key in sequences._STORE if key[1] == lam] == [("harmonic", lam)]
 
+    def test_harmonic_family_builds_no_falling_factorial(self, monkeypatch):
+        # the harmonic extend runs on integers, so T3's two sides no longer
+        # share gfact_falling: its left side reads the stored harmonic
+        # numbers, its right side the rising factorials
+        lam = Fraction(31, 10**6 - 17)
+
+        def untouchable(*args):
+            raise AssertionError("the harmonic family built a falling factorial")
+
+        monkeypatch.setattr(sequences, "dfact", untouchable)
+        for name in ("dfact", "gfact_falling"):
+            monkeypatch.setattr(algebra, name, untouchable)
+        dharmonic(40, lam)
+        dhyperharmonic_row(40, 3, lam)
+
     def test_appell_polys_store_only_their_own_families(self):
         # the Appell step sums in the falling-factorial basis without storing
         # it; the constants it reads are a family of their own
