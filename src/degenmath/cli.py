@@ -1,6 +1,7 @@
 """Command line front end: tables, evaluations, series dumps, identity suite.
 
-FAMILIES is the one place a table family is declared.
+FAMILIES is the one place a table family is declared, and SERIES the one
+place a series selector is; each entry declares the flags it reads.
 
 Exit codes: 0 all requested checks pass, 1 an identity check failed,
 2 usage error (including an --output path that cannot be written, found
@@ -13,18 +14,19 @@ when the Grid is built, whatever ids are selected, and an id named with
 --id that has no binding on the grid is refused before any identity is
 checked.
 
-SIZE_FLAGS maps each command's size flags to their least values and
-MAX_SIZE is every size flag's largest; a series flag that SERIES does not
-declare for the selector, and --r for a table family other than
-hyperharmonic, are refused.  Every refusal, the parser's and then
-_refusal's, is made before --output is opened and before any work, so a
-refused command opens, creates and changes no file, and a refused flag is
-reported before an --output path that cannot be written; only that path,
-or a write that fails, gives exit 2 after the open.  A value's digits grow as n times the
-height of lambda or x, which MAX_SIZE does not bound: CPython's limit on
-str(int) digits is lifted while a command runs, so table s2 --nmax 300
---lambda=1/99999999999991 renders, in 9 s and 81 MiB.  README gives
-each command's cost.
+SIZE_FLAGS maps each command's size flags to their least values and MAX_SIZE
+is every size flag's largest.  table and series follow one rule: a flag that
+the family or selector does not declare is refused, and one that it declares
+with no default must be given.  A flag is matched by its full name only, so
+a prefix (--o for --output) is an unrecognized argument.  Every refusal, the
+parser's and then _refusal's, is made before --output is opened and before
+any work, so a refused command opens, creates and changes no file, and a
+refused flag is reported before an --output path that cannot be written;
+only that path, or a write that fails, gives exit 2 after the open.  A
+value's digits grow as n times the height of lambda or x, which MAX_SIZE
+does not bound: CPython's limit on str(int) digits is lifted while a command
+runs, so table s2 --nmax 300 --lambda=1/99999999999991 renders, in 9 s and
+81 MiB.  README gives each command's cost.
 
 A handler does its command's work and returns (exit code, chunks of
 text); main truncates --output and then writes the chunks one by one.
@@ -67,29 +69,31 @@ SIZE_FLAGS = {
     "check": {"nmax": identities.N0.min, "order": identities.ORDER.min, "rmax": identities.R1.min, "pmax": identities.P0.min},
 }
 
-# family -> (kind, function, value function): the kind is triangle, scalar or
-# poly; the functions are names in sequences, looked up at call time, and a
-# value function evaluates from stored constants, building no polynomial
+# family -> (kind, function, value function, {flag it reads beside --nmax and
+# --lambda: None, as it must be given}): the kind is triangle, scalar or poly;
+# the functions are names in sequences, looked up at call time, and a value
+# function evaluates from stored constants, building no polynomial; a scalar
+# function takes n, the flags' values in order, and lambda
 FAMILIES = {
-    "s1": ("triangle", "s1_triangle", None),
-    "s2": ("triangle", "s2_triangle", None),
-    "harmonic": ("scalar", "dharmonic", None),
-    "hyperharmonic": ("scalar", "dhyperharmonic", None),
-    "bernoulli": ("poly", "dbernoulli_poly", "dbernoulli_value"),
-    "euler": ("poly", "deuler_poly", "deuler_value"),
-    "bell": ("poly", "dbell_poly", None),
-    "fubini": ("poly", "dfubini_poly", None),
+    "s1": ("triangle", "s1_triangle", None, {}),
+    "s2": ("triangle", "s2_triangle", None, {}),
+    "harmonic": ("scalar", "dharmonic", None, {}),
+    "hyperharmonic": ("scalar", "dhyperharmonic", None, {"r": None}),
+    "bernoulli": ("poly", "dbernoulli_poly", "dbernoulli_value", {}),
+    "euler": ("poly", "deuler_poly", "deuler_value", {}),
+    "bell": ("poly", "dbell_poly", None, {}),
+    "fubini": ("poly", "dfubini_poly", None, {}),
 }
 
 # the families that eval takes
-POLY_FAMILIES = tuple(name for name, (kind, _, _) in FAMILIES.items() if kind == "poly")
+POLY_FAMILIES = tuple(name for name, (kind, *_) in FAMILIES.items() if kind == "poly")
 
-# series selector -> ({flag it reads beside --lambda and --order: its default}, its series)
+# series selector -> (its series, {flag it reads beside --lambda and --order: its default})
 SERIES = {
-    "dexp": ({"x": Fraction(1)}, lambda args: dexp(args.x, args.lam, args.order)),
-    "dlog": ({}, lambda args: dlog(args.lam, args.order)),
-    "dpolylog": ({"k": 1}, lambda args: dpolylog(args.k, args.lam, args.order)),
-    "hypergf": ({"r": 1}, lambda args: identities.hyperharmonic_gf(args.lam, args.r, args.order)),
+    "dexp": (lambda args: dexp(args.x, args.lam, args.order), {"x": Fraction(1)}),
+    "dlog": (lambda args: dlog(args.lam, args.order), {}),
+    "dpolylog": (lambda args: dpolylog(args.k, args.lam, args.order), {"k": 1}),
+    "hypergf": (lambda args: identities.hyperharmonic_gf(args.lam, args.r, args.order), {"r": 1}),
 }
 
 
@@ -98,11 +102,10 @@ def _rational_list(text: str) -> tuple[Fraction, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="degenmath",
-        description="exact degenerate special-number tables and identity checks",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # allow_abbrev=False: a flag is matched by its full name only, never by a prefix
+    parser_class = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = parser_class(prog="degenmath", description="exact degenerate special-number tables and identity checks")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
 
     table = sub.add_parser("table", help="print a triangle, sequence, or polynomial family")
     table.add_argument("family", choices=tuple(FAMILIES))
@@ -163,10 +166,6 @@ def _emit(chunks: Iterable[str], out) -> None:
         out.write("\n")
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2)
-
-
 def _rational_json(fields: dict) -> Iterable[str]:
     r"""Yield json.dumps(fields, indent=2) byte for byte, for a flat dict whose
     list values hold Fractions, or rows of Fractions, to be written as their
@@ -219,16 +218,15 @@ def _csv_chunks(header: tuple, groups) -> Iterable[str]:
 
 
 def _table_rows(args) -> list:
-    family, nmax, lam, r = args.family, args.nmax, args.lam, args.r
-    kind, function, _ = FAMILIES[family]
+    nmax, lam = args.nmax, args.lam
+    kind, function, _, reads = FAMILIES[args.family]
     fn = getattr(sequences, function)
     if kind == "triangle":
         tri = fn(nmax, lam)
         return [tri.row(n) for n in range(nmax + 1)]
     if kind == "scalar":
-        if r is None:
-            return [[fn(n, lam)] for n in range(nmax + 1)]
-        return [[fn(n, r, lam)] for n in range(nmax + 1)]
+        flags = [getattr(args, flag) for flag in reads]
+        return [[fn(n, *flags, lam)] for n in range(nmax + 1)]
     rows = []
     for n in range(nmax + 1):
         coeffs = fn(n, lam).coeffs
@@ -240,15 +238,14 @@ def _cmd_table(args) -> tuple[int, Iterable[str]]:
     # the rows are computed here, before main truncates --output; the chunks
     # render them one row at a time as main writes them
     rows = _table_rows(args)
+    kind, _, _, reads = FAMILIES[args.family]
     if args.format == "json":
-        doc = {"family": args.family, "lambda": str(args.lam), "nmax": args.nmax, "values": rows}
-        if args.family == "hyperharmonic":
-            doc["r"] = args.r
+        flags = {flag: getattr(args, flag) for flag in reads}
+        doc = {"family": args.family, "lambda": str(args.lam), "nmax": args.nmax, "values": rows, **flags}
         return EXIT_OK, _rational_json(doc)
     if args.format == "csv":
         groups = ([(n, k, v) for k, v in enumerate(row)] for n, row in enumerate(rows))
         return EXIT_OK, _csv_chunks(("n", "k", "value"), groups)
-    kind, _, _ = FAMILIES[args.family]
     if kind == "triangle":
         return EXIT_OK, (f"{n}: " + " ".join(map(str, row)) + "\n" for n, row in enumerate(rows))
     if kind == "scalar":
@@ -257,13 +254,14 @@ def _cmd_table(args) -> tuple[int, Iterable[str]]:
 
 
 def _cmd_eval(args) -> tuple[int, tuple[str]]:
-    _, function, value_function = FAMILIES[args.family]
+    _, function, value_function, _ = FAMILIES[args.family]
     if value_function is not None:
         value = getattr(sequences, value_function)(args.n, args.lam, args.x)
     else:
         value = poly_eval(getattr(sequences, function)(args.n, args.lam), args.x)
     if args.format == "json":
-        text = _json_text({"family": args.family, "n": args.n, "lambda": str(args.lam), "x": str(args.x), "value": str(value)})
+        doc = {"family": args.family, "n": args.n, "lambda": str(args.lam), "x": str(args.x), "value": str(value)}
+        text = json.dumps(doc, indent=2)
     elif args.format == "csv":
         text = _csv_text([("n", "x", "value"), (args.n, args.x, value)])
     else:
@@ -272,7 +270,7 @@ def _cmd_eval(args) -> tuple[int, tuple[str]]:
 
 
 def _cmd_series(args) -> tuple[int, Iterable[str]]:
-    reads, series_of = SERIES[args.selector]
+    series_of, reads = SERIES[args.selector]
     vars(args).update({flag: default for flag, default in reads.items() if getattr(args, flag) is None})
     series = series_of(args)
     if args.format == "json":
@@ -291,7 +289,7 @@ def grid_from_args(args) -> Grid:
 def _cmd_check(args) -> tuple[int, tuple[str]]:
     report = identities.run_suite(grid_from_args(args), ids=args.ids)
     if args.format == "json":
-        text = _json_text(identities.suite_report_json(report))
+        text = json.dumps(identities.suite_report_json(report), indent=2)
     elif args.format == "csv":
         text = _csv_text(
             [("id", "pass_count", "fail_count"), *((r.id, r.pass_count, r.fail_count) for r in report.results)]
@@ -301,7 +299,8 @@ def _cmd_check(args) -> tuple[int, tuple[str]]:
         for res in report.results:
             lines.append(f"{res.id}: pass {res.pass_count} fail {res.fail_count}")
             for failure in res.failures:
-                lines.append(f"  FAIL {failure.id} at {_plain_binding(failure.binding)}")
+                binding = ", ".join(f"{k}={v}" for k, v in failure.binding.items())
+                lines.append(f"  FAIL {failure.id} at {binding}")
                 lines.append(f"    lhs = {failure.lhs}")
                 lines.append(f"    rhs = {failure.rhs}")
                 if failure.note:
@@ -311,18 +310,11 @@ def _cmd_check(args) -> tuple[int, tuple[str]]:
     return (EXIT_OK if report.all_pass else EXIT_CHECK_FAILED), (text,)
 
 
-def _plain_binding(binding: dict) -> str:
-    return ", ".join(f"{k}={v}" for k, v in binding.items())
-
-
 def _cmd_list(args) -> tuple[int, tuple[str]]:
     specs = identities.list_identities()
     if args.format == "json":
-        text = _json_text(
-            [
-                {"id": s.id, "description": s.description, "params": s.param_summary()}
-                for s in specs
-            ]
+        text = json.dumps(
+            [{"id": s.id, "description": s.description, "params": s.param_summary()} for s in specs], indent=2
         )
     elif args.format == "csv":
         text = _csv_text([("id", "description"), *((s.id, s.description) for s in specs)])
@@ -338,18 +330,21 @@ def _cmd_list(args) -> tuple[int, tuple[str]]:
 def _refusal(args) -> tuple[int, str] | None:
     """The exit code and message that refuse the command args, or None if it
     may run.  A size flag above MAX_SIZE is reported before one below its
-    least, both before a flag that the series selector or table family does
-    not read, and all before check's grid and identity ids are refused."""
+    least, both before a flag that the table family or series selector does
+    not read or must be given, and all before check's grid and identity ids
+    are refused."""
     least = SIZE_FLAGS.get(args.command, {})
     sizes = {dest: getattr(args, dest) for dest in least if getattr(args, dest) is not None}
     errors = [f"--{dest} must be <= {MAX_SIZE}, got {size}" for dest, size in sizes.items() if size > MAX_SIZE]
     errors += [f"--{dest} must be >= {least[dest]}" for dest, size in sizes.items() if size < least[dest]]
-    if args.command == "series":
-        unread = [flag for reads, _ in SERIES.values() for flag in reads if flag not in SERIES[args.selector][0]]
-        errors += [f"--{flag} does not apply to selector {args.selector!r}" for flag in unread if getattr(args, flag) is not None]
-    # hyperharmonic reads --r, and no other family does
-    if args.command == "table" and (args.family == "hyperharmonic") != (args.r is not None):
-        errors.append("hyperharmonic needs --r >= 1" if args.r is None else f"--r does not apply to family {args.family!r}")
+    if args.command in ("table", "series"):
+        what, declared = ("family", FAMILIES) if args.command == "table" else ("selector", SERIES)
+        name = getattr(args, what)
+        reads = declared[name][-1]
+        unread = [flag for *_, flags in declared.values() for flag in flags if flag not in reads]
+        errors += [f"--{flag} does not apply to {what} {name!r}" for flag in unread if getattr(args, flag) is not None]
+        missing = [flag for flag, default in reads.items() if default is None and getattr(args, flag) is None]
+        errors += [f"{name} needs --{flag} >= {least[flag]}" for flag in missing]
     if errors:
         return EXIT_DOMAIN, errors[0]
     if args.command == "check":
@@ -358,7 +353,8 @@ def _refusal(args) -> tuple[int, str] | None:
         except UnknownIdentityError as exc:
             return EXIT_USAGE, f"unknown identity id {exc.args[0]!r}"
         except BindingError as exc:
-            return EXIT_DOMAIN, str(exc)
+            # Grid names the field that --tolerance sets, not the flag
+            return EXIT_DOMAIN, str(exc).replace("e67_tol", "--tolerance")
     return None
 
 

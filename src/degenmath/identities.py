@@ -217,19 +217,13 @@ def identity(ident: str, params: dict[str, Param], description: str):
 class Tables:
     """Former Stirling-triangle source of the checkers; nothing in the package uses it.
 
-    Checkers call sequences.s1_triangle and s2_triangle directly.  Tables,
-    its default builders and _DEFAULT_TABLES stay only because the benchmark
-    harness's smoke test pins them; ROADMAP item 11 deletes them.
+    Checkers call sequences.s1_triangle and s2_triangle directly.  Only
+    __init__, its default builders and _DEFAULT_TABLES are left, because the
+    benchmark harness's smoke test pins them; ROADMAP item 11 deletes the rest.
     """
 
     def __init__(self, s1_builder=sequences.s1_triangle, s2_builder=sequences.s2_triangle):
         self._builders = {"first": s1_builder, "second": s2_builder}
-
-    def s1(self, nmax: int, lam) -> sequences.StirlingTriangle:
-        return self._builders["first"](nmax, lam)
-
-    def s2(self, nmax: int, lam) -> sequences.StirlingTriangle:
-        return self._builders["second"](nmax, lam)
 
 
 _DEFAULT_TABLES = Tables()

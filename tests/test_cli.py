@@ -1,5 +1,6 @@
 """Command line surface: formats, exit codes, determinism."""
 
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -278,7 +279,7 @@ class TestCheck:
         code = main(["check", "--id", "E67", "--nmax", "2", "--tolerance=-1"])
         captured = capsys.readouterr()
         assert code == EXIT_DOMAIN and captured.out == ""
-        assert captured.err == "error: e67_tol must be positive\n"
+        assert captured.err == "error: --tolerance must be positive\n"
 
     def test_order_zero_is_domain_error(self, capsys):
         code = main(["check", "--id", "T1", "--order", "0"])
@@ -507,6 +508,25 @@ class TestOutput:
         assert built == [1]
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "s2", "--n", "3", "--output", "F"],
+            ["table", "s2", "--nmax", "2", "--o", "F"],
+            ["check", "--lambda", "1/2", "--output", "F"],
+        ],
+        ids=["table-n-for-nmax", "table-o-for-output", "check-lambda-for-lambdas"],
+    )
+    def test_flag_prefix_is_usage_error(self, capsys, monkeypatch, tmp_path, argv):
+        # a flag is matched by its full name only; a prefix of one is not read as it
+        refuse_work(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == "" and captured.err
+        assert list(tmp_path.iterdir()) == []
+
+
 def refuse_work(monkeypatch) -> None:
     """Swap every command handler but list's for one that fails the test if it runs."""
 
@@ -579,6 +599,9 @@ class TestSizeBound:
             # a flag out of bounds is reported first
             (["series", "dexp", "--order", "4", "--r", "0"], "--r must be >= 1"),
             (["series", "dlog", "--order", "4", "--k", str(MAX_SIZE + 1)], f"--k must be <= {MAX_SIZE}, got {MAX_SIZE + 1}"),
+            # a table family's flags follow the same rule as a series selector's
+            (["table", "hyperharmonic", "--nmax", "3"], "hyperharmonic needs --r >= 1"),
+            (["table", "bernoulli", "--nmax", "3", "--r", "2"], "--r does not apply to family 'bernoulli'"),
         ],
     )
     def test_series_flag_not_read_is_domain_error_before_any_work(self, capsys, monkeypatch, argv, message):
@@ -705,6 +728,15 @@ class TestTallLambda:
 
 
 class TestAnyArgv:
+    def test_every_flag_is_drawn(self):
+        # a flag that the parser gains is drawn by argvs() once COMMANDS and FLAG_VALUES name it
+        commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+        assert commands.keys() == COMMANDS.keys()
+        for command, parser in commands.items():
+            _, required, others = COMMANDS[command]
+            flags = {flag for action in parser._actions for flag in action.option_strings if flag.startswith("--")}
+            assert flags <= {*required, *others, "--all", "--output", "--help"} and {*required, *others} <= FLAG_VALUES.keys()
+
     @settings(max_examples=150, deadline=None)
     @given(argv=argvs(), to_file=st.booleans())
     def test_exit_code_is_documented_and_no_traceback(self, argv, to_file):
