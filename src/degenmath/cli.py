@@ -353,8 +353,10 @@ def _refusal(args) -> tuple[int, str] | None:
         except UnknownIdentityError as exc:
             return EXIT_USAGE, f"unknown identity id {exc.args[0]!r}"
         except BindingError as exc:
-            # Grid names the field that --tolerance sets, not the flag
-            return EXIT_DOMAIN, str(exc).replace("e67_tol", "--tolerance")
+            # Grid and selected_ids name the field a flag sets, not the flag
+            field, space, rest = str(exc).partition(" ")
+            flags = {"e67_tol": "--tolerance", "lambdas:": "--lambdas:", "ids:": "--id:"}
+            return EXIT_DOMAIN, flags.get(field, field) + space + rest
     return None
 
 

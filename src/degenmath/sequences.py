@@ -9,33 +9,35 @@ The primary paths share one store of per-lambda tables, keyed by
 the one place a stored family is declared, maps it to its extend.  An
 entry holds the family's entries and the integer state its extend ended
 with, and a miss makes one call extend(entries, state, upto, lam) of the
-family's extend, which returns entries 0..upto, the stored ones kept as
-the same objects, and the state they end with; so each entry is computed
-once, and a miss starts from the stored state instead of rebuilding it.
-upto is at least GROW_MIN_N, and a hit returns the stored table itself,
-which may hold more entries than were asked for.  The floor is fixed: a
-caller that asks n = 0, 1, 2, ... in turn for each new lambda (perfbench's
-lambda_stream) misses on every query under a rule that never overshoots
-n, and a geometric rule builds entries far past the n asked for.  The
-store keeps at most STORE_CAPACITY entries and drops the oldest, state
-and all, when full.  Stored values are immutable and an entry is only
-ever replaced wholesale, so a reader never sees a partial table.  Every
-extend works on integers.  The harmonic numbers are a stored family, with
-the last unreduced sum and the entries as integers over the lcm of their
-denominators as state; hyperharmonic numbers are not stored, but read as
-cumulative sums of those integers, so a read takes no lcm.  For lam = p/q
-the triangle rows are stored as Fractions, but q**(n-k) S(n,k) is an
-integer: the state is the last row's integers, which the extend carries
-from row to row, reducing each new entry over its power of q with gcds
-against q alone.  The Bernoulli and Euler
-constants c_n are stored families of their own, with the constants and
-the weights they are solved from as integers over one denominator each as
-state.  The polynomial extends read them and sum in the basis of the
-falling factorials (x)_{m,lam} by Horner's scheme on integers, so no
-falling factorial is stored, and each coefficient is built once from
-its integer numerator and denominator by algebra._frac;
-dbernoulli_value and deuler_value run the same sum on a scalar x0,
-building no polynomial.
+family's extend, which returns entries 0..upto or more and the state they
+end with, so a miss starts from the stored state instead of rebuilding it.
+Every family but the harmonic numerators keeps its stored entries as the
+same objects, so each entry is computed once.  upto is at least
+GROW_MIN_N, and a hit returns the stored table itself, which may hold more
+entries than were asked for.  The floor is fixed: a caller that asks
+n = 0, 1, 2, ... in turn for each new lambda (perfbench's lambda_stream)
+misses on every query under a rule that never overshoots n, and a
+geometric rule builds entries far past the n asked for.  The store keeps
+at most STORE_CAPACITY entries and drops the oldest, state and all, when
+full.  Stored values are immutable and an entry is only ever replaced
+wholesale, so a reader never sees a partial table.  Every extend works on
+integers.  The harmonic numbers are a stored family, with the last
+unreduced sum as state, so a new entry touches no stored one.  The
+harmonic numerators are a family of their own: every stored harmonic
+entry as an integer over d, the lcm of their denominators, which is the
+state.  Hyperharmonic numbers are not stored, but read as cumulative sums
+of those integers, so a read takes no lcm.  For lam = p/q the triangle
+rows are stored as Fractions, but q**(n-k) S(n,k) is an integer: the
+state is the last row's integers, which the extend carries from row to
+row, reducing each new entry over its power of q with gcds against q
+alone.  The Bernoulli and Euler constants c_n are stored families of
+their own, with the constants and the weights they are solved from as
+integers over one denominator each as state.  The polynomial extends read
+them and sum in the basis of the falling factorials (x)_{m,lam} by
+Horner's scheme on integers, so no falling factorial is stored, and each
+coefficient is built once from its integer numerator and denominator by
+algebra._frac; dbernoulli_value and deuler_value run the same sum on a
+scalar x0, building no polynomial.
 The oracles keep their own memo, bounded at STORE_CAPACITY entries, apart
 from the code they check.
 """
@@ -87,8 +89,8 @@ def _put(key, value):
 def _grown(family: str, n: int, lam: Fraction) -> tuple[tuple, object]:
     """(entries, state) stored for family at lam, with entries 0..n or more;
     a miss stores _EXTENDS[family](entries, state, max(n, GROW_MIN_N), lam),
-    the entries 0..that bound and the state they end with.  An empty table
-    has state None."""
+    the entries 0..that bound or more and the state they end with.  An empty
+    table has state None."""
     _need_int("n", n, 0)  # a negative n would index the stored table from its end
     entries, state = _STORE.get((family, lam), ((), None))
     if n < len(entries):
@@ -195,21 +197,27 @@ def _harmonic_extend(sums, state, upto, lam):
     f_m = prod_{0<j<m} (j*q - p), which carries the sign (-1)**(m-1), so
     H_m = N_m/D_m with D_m = q**m m! and N_m = q*(m*N_{m-1} + f_m): each new
     entry costs a few products by small integers and one _frac, and no dfact
-    is built.  The state is (nums, d, N, D, f): the entries as integers over
-    d, the lcm of their denominators, which the hyperharmonic reads take
-    their cumulative sums on, and the last N, D and next f, so a miss carries
-    the sum on from the last stored entry.  d is raised once per miss, over
-    the new entries together."""
+    is built.  The state is the last N, D and next f, so a miss carries the
+    sum on from the last stored entry and touches no stored one."""
     p, q = lam.numerator, lam.denominator
-    nums, d, num, den, fall = state or ((), 1, 0, 1, 1)
+    num, den, fall = state or (0, 1, 1)
     sums = list(sums) or [Fraction(0)]
     for m in range(len(sums), upto + 1):
         num = q * (m * num + fall)
         den *= q * m
         sums.append(_frac(num, den))
         fall *= m * q - p
-    nums, d = _over_lcm(sums[len(nums):], nums, d)
-    return tuple(sums), (tuple(nums), d, num, den, fall)
+    return tuple(sums), (num, den, fall)
+
+
+def _harmonic_numerators_extend(nums, d, upto, lam):
+    """Extend for the harmonic entries as integers over d, the lcm of their
+    denominators, which is the state.  A miss takes every harmonic entry
+    stored at lam, not only 0..upto, so reads after a harmonic table take
+    one miss."""
+    sums = _grown("harmonic", upto, lam)[0]
+    nums, d = _over_lcm(sums[len(nums):], nums, d or 1)
+    return tuple(nums), d
 
 
 def dharmonic(n: int, lam) -> Fraction:
@@ -224,11 +232,11 @@ def dharmonic(n: int, lam) -> Fraction:
 def _hyperharmonic_numerators(n: int, r: int, lam) -> tuple[list[int], int]:
     """(numerators, d): hyperharmonic entries 0..n as integers over one d.
 
-    The stored harmonic family keeps its entries as integers over one d, the
-    lcm of their denominators, and the r-1 cumulative sums run on the first
-    n+1 of them, so a read takes no lcm."""
+    The stored harmonic numerators are the harmonic entries as integers over
+    one d, the lcm of their denominators, and the r-1 cumulative sums run on
+    the first n+1 of them, so a read takes no lcm."""
     _need_int("r", r, 1)
-    nums, d = _grown("harmonic", n, _rat(lam))[1][:2]
+    nums, d = _grown("harmonic numerators", n, _rat(lam))
     sums = nums[: n + 1]
     for _ in range(r - 1):
         sums = list(accumulate(sums))
@@ -342,6 +350,7 @@ _EXTENDS = {
     "first": _row_extend(lambda n, k, p, q: k * p - n * q),
     "second": _row_extend(lambda n, k, p, q: k * q - n * p),
     "harmonic": _harmonic_extend,
+    "harmonic numerators": _harmonic_numerators_extend,
     # W = (e_lam(t) - 1)/t and W = (e_lam(t) + 1)/2
     "bernoulli constants": _constants_extend(lambda j, ones, q: Fraction(ones[j + 1], (j + 1) * q ** (j + 1))),
     "euler constants": _constants_extend(lambda j, ones, q: Fraction(ones[j], 2 * q**j)),

@@ -215,8 +215,8 @@ def _plus_one(entry):
 
 def _cs3_plus_one(state):
     # the integers over d that begin a state are what the Appell extends and
-    # values, and the hyperharmonic reads, take; entry 3 alone reaches only
-    # the readers of the Fraction entries
+    # values take; entry 3 alone reaches only the readers of the Fraction
+    # entries
     cs, d, *rest = state
     return (cs[:3] + (cs[3] + d,) + cs[4:], d, *rest)
 
@@ -234,7 +234,8 @@ MUTATION_MATRIX = {
         at_entry_3("second", _row_past_k0_plus_one),
         "T2 T4b E32 T5 T7 T9 T11a T11b T12 E61 T13 T13r T14 T15 E66 E67",
     ),
-    "harmonic": (at_entry_3("harmonic", _plus_one, _cs3_plus_one), "T1 T2 T3 T8 T9 E44"),
+    "harmonic": (at_entry_3("harmonic", _plus_one), "T1 T2 T3 T8 T9 E44"),
+    "harmonic numerators": (at_entry_3("harmonic numerators", _plus_one), "T1 T2 T3"),
     "bernoulli constants": (
         at_entry_3("bernoulli constants", _plus_one, _cs3_plus_one),
         "T5 T6 T7 T8 T9 T10 T12 E61 E59",

@@ -323,7 +323,7 @@ class TestCheck:
         code = main(["check", "--id", "T15", "--nmax", "3", "--lambdas", lambdas])
         captured = capsys.readouterr()
         assert code == EXIT_DOMAIN and captured.out == ""
-        assert captured.err == "error: lambdas: 1/2 appears more than once\n"
+        assert captured.err == "error: --lambdas: 1/2 appears more than once\n"
         assert calls == []
 
     @pytest.mark.parametrize("ids", [["T15", "T15"], ["T15", "T1", "T15"]])
@@ -333,7 +333,7 @@ class TestCheck:
         code = main(["check", *(arg for ident in ids for arg in ("--id", ident)), "--nmax", "3"])
         captured = capsys.readouterr()
         assert code == EXIT_DOMAIN and captured.out == ""
-        assert captured.err == "error: ids: T15 appears more than once\n"
+        assert captured.err == "error: --id: T15 appears more than once\n"
         assert calls == []
 
     @pytest.mark.parametrize("flag", ["--order=0", "--tolerance=-1"])

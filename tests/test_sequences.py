@@ -583,8 +583,46 @@ class TestStore:
 
         monkeypatch.setattr(sequences, "_grown", counting)
         row = dhyperharmonic_row(40, 3, lam)
-        assert reads == [("harmonic", 40)] and len(row) == 41
-        assert [key for key in sequences._STORE if key[1] == lam] == [("harmonic", lam)]
+        # the numerators' one miss reads the harmonic entries, and a hit reads
+        # the numerators alone
+        assert reads == [("harmonic numerators", 40), ("harmonic", 40)] and len(row) == 41
+        assert [key for key in sequences._STORE if key[1] == lam] == [
+            ("harmonic", lam), ("harmonic numerators", lam)]
+        reads.clear()
+        dhyperharmonic_row(40, 2, lam)
+        assert reads == [("harmonic numerators", 40)]
+
+    def test_harmonic_rows_rescale_nothing(self, monkeypatch):
+        # a harmonic miss appends entries and touches no stored one, and a
+        # hyperharmonic pass after a harmonic table takes one numerators miss,
+        # which puts every stored harmonic entry over one lcm
+        lam = Fraction(43, 10**6 - 29)
+        rescales, misses = [], []
+        over_lcm = sequences._over_lcm
+        monkeypatch.setattr(sequences, "_over_lcm", lambda *args: rescales.append(args) or over_lcm(*args))
+        for n in range(301):
+            dharmonic(n, lam)
+        assert rescales == []
+        extend = sequences._EXTENDS["harmonic numerators"]
+        monkeypatch.setitem(
+            sequences._EXTENDS, "harmonic numerators", lambda *args: misses.append(args[2]) or extend(*args))
+        for n in range(301):
+            dhyperharmonic(n, 3, lam)
+        assert misses == [sequences.GROW_MIN_N] and len(rescales) == 1
+
+    def test_harmonic_numerators_grown_step_by_step_equal_one_build(self):
+        # the numerators are rescaled as d rises, so their growth is checked
+        # by value, the state d included, and not by identity
+        lam = Fraction(47, 10**6 - 31)
+        key = ("harmonic numerators", lam)
+        for n in range(41):
+            dhyperharmonic(n, 2, lam)
+        entry = sequences._STORE[key]
+        assert len(entry[0]) == 41
+        for family in ("harmonic", "harmonic numerators"):
+            del sequences._STORE[(family, lam)]
+        dhyperharmonic(40, 2, lam)
+        assert sequences._STORE[key] == entry
 
     def test_harmonic_family_builds_no_falling_factorial(self, monkeypatch):
         # the harmonic extend runs on integers, so T3's two sides no longer
