@@ -2,23 +2,29 @@
 
 Everything downstream (series, triangles, identity checks) runs over these
 types, so every value the package produces is exact.  Scalars are
-fractions.Fraction; polynomials are immutable dense coefficient tuples over
-Fraction.  There is no floating point anywhere in the computational core.
+fractions.Fraction.  A polynomial is immutable and holds one canonical
+integer form: integer numerators over one positive denominator, with no
+trailing zero and the gcd of denominator and numerators equal to 1.
+Fractions are built from it only where a value leaves the library, on the
+first read of Poly.coeffs.  There is no floating point anywhere in the
+computational core.
 
-The hot kernels keep Fraction at their boundary only: a polynomial product
-scales each factor to integers over one common denominator and builds
-each output coefficient once.  poly_combination sums c * P over many
-(scalar, Poly) pairs the same way: each P goes over the lcm of its
-denominators, the integer numerators are summed over one common
-denominator, and each output coefficient is built once.  Poly's +, -,
-unary - and * by a scalar are each one call of it.
-rational_dot is its scalar twin: the sum of x * y over paired scalars is
-one integer dot product of the two sides' numerators, each side over the
-lcm of its denominators, and one Fraction.  poly_eval is integer Horner,
-with one Fraction per call.  Every generalized falling factorial, the
-rising one and dfact included, is a call into gfact_falling, which makes
-a scalar one integer product over one denominator.  binom(x, k) is
-memoised in a tuple of its own.
+The Poly kernels read and write that form, in the spirit of fraction-free
+elimination (Bareiss, Math. Comp. 22, 1968).  A product is one integer
+convolution over the product of the two denominators.  poly_combination
+sums c * P over many (scalar, Poly) pairs on integers over the lcm of
+their denominators, and Poly's +, -, unary - and * by a scalar are each
+one call of it.  poly_eval is integer Horner, with one Fraction per call;
+poly_derivative and poly_int_over_t scale the numerators.  _poly, the one
+constructor of the form, reduces each output once by one gcd.
+rational_dot is the scalar twin of poly_combination: the sum of x * y over
+paired scalars is one integer dot product of the two sides' numerators,
+each side over the lcm of its denominators, and one Fraction.  A Series
+product scales its Fraction coefficients the same way and shares the
+convolution with Poly.  Every generalized falling factorial, the rising
+one and dfact included, is a call into gfact_falling, which makes a scalar
+one integer product over one denominator.  binom(x, k) is memoised in a
+tuple of its own.
 
 Where a kernel of this module, series or sequences has an integer
 numerator and denominator, _frac builds the Fraction from them: one gcd,
@@ -118,25 +124,48 @@ def parse_rational(text: str) -> Fraction:
 
 
 class Poly:
-    """Dense univariate polynomial over Fraction.
+    """Dense univariate polynomial with rational coefficients.
 
-    ``coeffs[i]`` is the coefficient of x**i.  Instances are immutable.
-    The coefficient tuple never ends in a zero; the zero polynomial is the
-    empty tuple, and its degree is None rather than -1 so that degree
-    arithmetic can never be silently wrong.
+    ``coeffs[i]`` is the coefficient of x**i, a Fraction.  Instances are
+    immutable: ``coeffs`` is a read-only view, and assigning to it raises
+    AttributeError.  The coefficient tuple never ends in a zero; the zero
+    polynomial is the empty tuple, and its degree is None rather than -1 so
+    that degree arithmetic can never be silently wrong.
+
+    The kernels read one canonical integer form: a tuple of integer
+    numerators over one positive denominator, with no trailing zero and
+    gcd(den, *nums) == 1, stored as one tuple (nums, den) in one slot.
+    _poly is the one place that form is made.  A kernel output holds only
+    the form, and its Fractions are built on the first read of ``coeffs``;
+    Poly(coeffs) holds only the Fractions, and its form is derived on first
+    kernel use.  Either is filled by one store of a whole tuple, so a racing
+    reader sees nothing or all of it.
 
     Scalars (int, Fraction, not bool) coerce in arithmetic, so a polynomial
     and a rational mix in one expression, as in X - k*lam.  Equality is by
-    value: a constant equals the int or Fraction it holds.
+    value: a constant equals the int or Fraction it holds.  Two polynomials
+    compare their integer forms when both have one, which is exact because
+    the form is canonical, and their coefficients otherwise, so a comparison
+    derives no form.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_coeffs", "_form")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
         cs = [c if type(c) is Fraction else _rat(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(cs)
+        self._coeffs = tuple(cs)
+        self._form = None
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, built from the integer form on first read."""
+        cs = self._coeffs
+        if cs is None:
+            nums, den = self._form
+            cs = self._coeffs = tuple([_frac(v, den) for v in nums])
+        return cs
 
     @classmethod
     def constant(cls, value: Scalar) -> "Poly":
@@ -156,7 +185,7 @@ class Poly:
         if isinstance(other, Poly):
             return other
         if _is_scalar(other):
-            return Poly((other,))
+            return _poly((other.numerator,), other.denominator)
         return None
 
     def __add__(self, other):
@@ -177,15 +206,18 @@ class Poly:
             return poly_combination(((other, self),))
         if not isinstance(other, Poly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return Poly()
-        a, b = self.coeffs, other.coeffs
-        return Poly(_cauchy_product(a, b, len(a) + len(b) - 2))
+        a, da = self._form or _scaled(self)
+        b, db = other._form or _scaled(other)
+        # a zero factor convolves to no coefficient or to zeros that _poly strips
+        return _poly(_convolution(a, b, len(a) + len(b) - 2), da * db)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, Poly):
+            a, b = self._form, other._form
+            if a is not None and b is not None:
+                return a == b
             return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
             if not self.coeffs:
@@ -229,6 +261,41 @@ class Poly:
         return f"Poly({[str(c) for c in self.coeffs]})"
 
 
+def _poly(nums, den: int) -> Poly:
+    """The Poly with coefficients nums[i]/den, for ints nums and den != 0.
+
+    The one constructor of the integer form: the sign moves to the
+    numerators, trailing zeros are stripped and one gcd reduces the whole
+    form, so gcd(den, *nums) == 1 with den > 0.  No lcm is needed: the lcm
+    of the reduced coefficients' denominators is exactly den // gcd(den,
+    *nums)."""
+    n = len(nums)
+    while n and not nums[n - 1]:
+        n -= 1
+    if n < len(nums):
+        nums = nums[:n]
+    # a g of den's sign also moves the sign to the numerators
+    g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+    if g != 1:
+        nums, den = [v // g for v in nums], den // g
+    out = object.__new__(Poly)
+    out._coeffs = None
+    out._form = (tuple(nums), den)
+    return out
+
+
+def _scaled(p: Poly) -> tuple[tuple[int, ...], int]:
+    """p's integer form, derived once from its Fractions and stored.
+
+    Over d, the lcm of the coefficients' reduced denominators, the form is
+    already canonical: for each prime of d, some coefficient's denominator
+    holds the prime's whole power in d, so that coefficient's integer, its
+    numerator times d // its denominator, is prime to it."""
+    nums, d = _integer_numerators(p._coeffs)
+    form = p._form = (tuple(nums), d)
+    return form
+
+
 #: the polynomial variable, for building symbolic-x expressions
 X = Poly((0, 1))
 
@@ -268,6 +335,19 @@ def _over_power(t: int, s: int, base: int) -> Fraction:
     return _coprime(t, s)
 
 
+def _convolution(a, b, n: int) -> list[int]:
+    """c_m = sum over i + j == m of a_i * b_j, for m = 0..n, over int sequences a and b."""
+    rb = b[::-1]
+    lb = len(b)
+    out = []
+    for m in range(n + 1):
+        lo = max(0, m - lb + 1)
+        # rb[lb-1-j] is b_j, so the second slice runs b_{m-lo} down to b_0;
+        # map stops at the end of the shorter slice
+        out.append(sum(map(mul, a[lo : m + 1], rb[lb - 1 - m + lo :])))
+    return out
+
+
 def _cauchy_product(a, b, n: int) -> list[Fraction]:
     """c_m = sum over i + j == m of a_i * b_j, for m = 0..n, over Fraction a and b.
 
@@ -277,15 +357,8 @@ def _cauchy_product(a, b, n: int) -> list[Fraction]:
     """
     ia, da = _integer_numerators(a)
     ib, db = _integer_numerators(b)
-    rb = ib[::-1]
-    lb, den = len(b), da * db
-    out = []
-    for m in range(n + 1):
-        lo = max(0, m - lb + 1)
-        # rb[lb-1-j] is b_j, so the second slice runs b_{m-lo} down to b_0;
-        # map stops at the end of the shorter slice
-        out.append(_frac(sum(map(mul, ia[lo : m + 1], rb[lb - 1 - m + lo :])), den))
-    return out
+    den = da * db
+    return [_frac(c, den) for c in _convolution(ia, ib, n)]
 
 
 def gfact_falling(x0, n: int, lam) -> "Fraction | Poly":
@@ -347,42 +420,44 @@ def dfact(k: int, lam) -> Fraction:
 
 def poly_derivative(p: Poly) -> Poly:
     """Formal derivative."""
-    return Poly(tuple(c * i for i, c in enumerate(p.coeffs) if i >= 1))
+    nums, d = p._form or _scaled(p)
+    return _poly([i * nums[i] for i in range(1, len(nums))], d)
 
 
 def poly_int_over_t(p: Poly) -> Poly:
     """Integral of p(t)/t from 0 to x: sum of c_k x**k / k.
 
     The constant coefficient must vanish; otherwise the integral has a
-    logarithmic term and is not a polynomial.
+    logarithmic term and is not a polynomial.  With the c_k as integers over
+    d and m the lcm of 1..deg, c_k/k is c_k * (m/k) over d*m.
     """
-    if p.coeff(0) != 0:
+    nums, d = p._form or _scaled(p)
+    if nums and nums[0]:
         raise ValueError("logarithmic divergence: nonzero constant term")
-    return Poly((_ZERO,) + tuple(c / k for k, c in enumerate(p.coeffs) if k >= 1))
+    m = lcm(*range(1, len(nums)))
+    return _poly([0] + [nums[k] * (m // k) for k in range(1, len(nums))], d * m)
 
 
 def poly_combination(terms) -> Poly:
     """sum of c * P over the (scalar, Poly) pairs in terms.
 
-    Each P goes over the lcm d of its denominators, so c * P is the integer
-    numerators of P times c.numerator, over c.denominator * d.  The terms
-    are summed on integers over the lcm of those denominators and each
-    output coefficient is built once.
+    With P's integer form nums over d, c * P is nums times c.numerator, over
+    c.denominator * d.  The terms are summed on integers over the lcm of
+    those denominators, and _poly reduces the sum once.
     """
     scaled = []
     for c, p in terms:
-        if c and p.coeffs:
-            nums, d = _integer_numerators(p.coeffs)
-            scaled.append((c.numerator, c.denominator * d, nums))
-    if not scaled:
-        return Poly()
-    den = lcm(*(d for _, d, _ in scaled))
-    acc = [0] * max(len(nums) for _, _, nums in scaled)
+        if c:
+            nums, d = p._form or _scaled(p)
+            if nums:
+                scaled.append((c.numerator, c.denominator * d, nums))
+    den = lcm(*[d for _, d, _ in scaled])
+    acc = [0] * max([len(nums) for _, _, nums in scaled], default=0)
     for a, d, nums in scaled:
         a *= den // d
         for i, v in enumerate(nums):
             acc[i] += a * v
-    return Poly([_frac(v, den) for v in acc])
+    return _poly(acc, den)
 
 
 def rational_dot(xs, ys) -> Fraction:
@@ -403,14 +478,14 @@ def rational_dot(xs, ys) -> Fraction:
 def poly_eval(p: Poly, x0) -> Fraction:
     """Exact evaluation by integer Horner.
 
-    With x0 = a/b and the coefficients c_i as integers over d, the value is
+    With x0 = a/b and p's integer form c_i over d, the value is
     sum_i c_i a**i b**(deg-i) over d b**deg, built once.
     """
     x0 = _rat(x0)
-    if not p.coeffs:
+    nums, d = p._form or _scaled(p)
+    if not nums:
         return _ZERO
     a, b = x0.numerator, x0.denominator
-    nums, d = _integer_numerators(p.coeffs)
     acc, bpow = 0, 1
     for c in reversed(nums):
         acc = acc * a + c * bpow

@@ -35,9 +35,9 @@ their own, with the constants and the weights they are solved from as
 integers over one denominator each as state.  The polynomial extends read
 them and sum in the basis of the falling factorials (x)_{m,lam} by
 Horner's scheme on integers, so no falling factorial is stored, and each
-coefficient is built once from its integer numerator and denominator by
-algebra._frac; dbernoulli_value and deuler_value run the same sum on a
-scalar x0, building no polynomial.
+polynomial is made once, in Poly's integer form, by algebra._poly;
+dbernoulli_value and deuler_value run the same sum on a scalar x0,
+building no polynomial.
 The oracles keep their own memo, bounded at STORE_CAPACITY entries, apart
 from the code they check.
 """
@@ -59,6 +59,7 @@ from .algebra import (
     _frac,
     _need_int,
     _over_power,
+    _poly,
     _rat,
     binom_poly,
     dfact,
@@ -304,7 +305,8 @@ def _appell_extend(constants):
     acc <- (x - m lam) acc + C(n,m) c_{n-m}.  The sum runs on the stored
     constants' integers over their one denominator d, with acc kept over
     d*q**(n-m) for lam = p/q, so that each pass multiplies by q*x - m*p, and
-    each output coefficient is built once.  The extend scales by itself,
+    the integers over d*q**n are the Poly's integer form, reduced once by
+    algebra._poly.  The extend scales by itself,
     apart from the Poly kernels that its oracle dbernoulli_poly_stirling runs
     on, and needs no state of its own."""
 
@@ -320,7 +322,7 @@ def _appell_extend(constants):
                 acc = [q * a - r * b for a, b in zip([0] + acc, acc + [0])]
                 acc[0] += comb(n, m) * cs[n - m] * scale
             den = d * scale
-            polys.append(Poly([_frac(a, den) for a in acc]))
+            polys.append(_poly(acc, den))
         return tuple(polys), None
 
     return extend

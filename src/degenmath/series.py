@@ -27,7 +27,11 @@ from .algebra import _ZERO, _cauchy_product, _frac, _integer_numerators, _is_sca
 
 
 class Series:
-    """Coefficients c_0..c_N of a power series truncated at order N."""
+    """Coefficients c_0..c_N of a power series truncated at order N.
+
+    Instances are immutable: assigning or deleting an attribute raises
+    AttributeError.
+    """
 
     __slots__ = ("coeffs", "order")
 
@@ -42,8 +46,15 @@ class Series:
             cs.extend([_ZERO] * (order + 1 - len(cs)))
         else:
             del cs[order + 1 :]
-        self.coeffs = tuple(cs)
-        self.order = order
+        # the one write of each slot; __setattr__ refuses every later one
+        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "order", order)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a Series is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a Series is immutable")
 
     def truncate(self, order: int) -> "Series":
         _need_int("order", order, 0)

@@ -1,16 +1,19 @@
-"""Mutants of the stored families, for tests that a check fails on a wrong
-table, and a counting stub for the registry's checkers.
+"""Mutants of the stored families and of the Poly kernels, for tests that a
+check fails on a wrong table or a wrong kernel, and a counting stub for the
+registry's checkers.
 
-Every mutant goes in through sequences._EXTENDS, the one table of stored
-families, so any of them can be corrupted the same way.  mutated() is a
-plain context manager, so a golden file can be regenerated from a mutant
-outside pytest.
+Every stored-family mutant goes in through sequences._EXTENDS, the one table
+of stored families, so any of them can be corrupted the same way.  mutated()
+is a plain context manager, so a golden file can be regenerated from a
+mutant outside pytest.  A kernel mutant goes in by monkeypatching the name
+in every module that binds it.
 """
 
 import dataclasses
 from contextlib import contextmanager
 
-from degenmath import sequences
+from degenmath import algebra, identities, sequences
+from degenmath.algebra import Poly
 from degenmath.identities import REGISTRY
 
 
@@ -54,3 +57,32 @@ def counting_checkers(monkeypatch) -> list:
     for ident, spec in list(REGISTRY.items()):
         monkeypatch.setitem(REGISTRY, ident, dataclasses.replace(spec, checker=counting))
     return calls
+
+
+def past_index_5(p: Poly) -> Poly:
+    """p with 1 added to its x**6 coefficient, when it has one: wrong only past index 5."""
+    cs = p.coeffs
+    return p if len(cs) <= 6 else Poly(cs[:6] + (cs[6] + 1,) + cs[7:])
+
+
+def mutate_poly_product(monkeypatch) -> None:
+    """Make every Poly * Poly product wrong past index 5; scalar products stay right."""
+    real = Poly.__mul__
+
+    def mul(self, other):
+        out = real(self, other)
+        return past_index_5(out) if isinstance(other, Poly) else out
+
+    monkeypatch.setattr(Poly, "__mul__", mul)
+    monkeypatch.setattr(Poly, "__rmul__", mul)
+
+
+def mutate_poly_combination(monkeypatch) -> None:
+    """Make every poly_combination sum, and so Poly's +, - and scalar *, wrong past index 5."""
+    real = algebra.poly_combination
+
+    def combination(terms):
+        return past_index_5(real(terms))
+
+    for module in (algebra, identities, sequences):
+        monkeypatch.setattr(module, "poly_combination", combination)

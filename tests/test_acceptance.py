@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import classical_oracles as oracles
-from degenmath import classical, sequences
+from degenmath import algebra, classical, sequences
 from degenmath.algebra import poly_eval
 from degenmath.cli import main
 from degenmath.identities import (
@@ -40,7 +40,7 @@ from degenmath.sequences import (
     stirling_series_oracle,
 )
 from degenmath.series import Series, dexp, dlog, ser_compose
-from mutants import at_entry_3, mutated
+from mutants import at_entry_3, mutate_poly_combination, mutate_poly_product, mutated
 
 GRID_LAMBDAS = DEFAULT_GRID.lambdas
 
@@ -256,6 +256,27 @@ def test_mutation_matrix(family):
     extend, expected = MUTATION_MATRIX[family]
     with mutated(family, extend):
         report = run_suite(MATRIX_GRID)
+    assert [r.id for r in report.results if r.fail_count] == expected.split()
+
+
+# Poly kernel -> (its mutant, the identities that must fail).  Each mutant is
+# wrong only past index 5, so it shows only where a polynomial reaches degree 6.
+KERNEL_MATRIX = {
+    "Poly.__mul__": (mutate_poly_product, "T4a T4b T5 T6 T7 T11a T11b T13 T14"),
+    "poly_combination": (mutate_poly_combination, "T4a T4b T5 T6 T7 T11a T11b T12 E61 T13 T14"),
+}
+
+
+@pytest.mark.parametrize("kernel", KERNEL_MATRIX)
+def test_kernel_matrix(kernel, monkeypatch):
+    """A wrong Poly kernel fails exactly the identities that reach it past index 5."""
+    mutate, expected = KERNEL_MATRIX[kernel]
+    assert expected, f"no identity catches the {kernel} mutant"
+    mutate(monkeypatch)
+    # binom_poly's memo and the store are rebuilt under the mutant and restored after
+    monkeypatch.setattr(algebra, "_BINOMS", algebra._BINOMS[:1])
+    monkeypatch.setattr(sequences, "_STORE", {})
+    report = run_suite(MATRIX_GRID)
     assert [r.id for r in report.results if r.fail_count] == expected.split()
 
 

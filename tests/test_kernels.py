@@ -17,8 +17,11 @@ from degenmath.algebra import (
     Poly,
     X,
     _frac,
+    _integer_numerators,
     _over_power,
+    _poly,
     _rat,
+    _scaled,
     dfact,
     gfact_falling,
     gfact_rising,
@@ -364,6 +367,75 @@ class TestPolyArithmetic:
         assert (Poly((Fraction(2, 3),)) - Fraction(2, 3)).coeffs == ()
         # the leading terms cancel: degree 2 drops to degree 0
         assert (p - Poly((0, Fraction(-2, 7), Fraction(5, 11)))).coeffs == (Fraction(1, 3),)
+
+
+# lambda-sized coefficients: a large numerator over a power of q near 89
+lambda_sized = st.builds(
+    lambda p, q, n: Fraction(p, q**n),
+    st.integers(min_value=-10**40, max_value=10**40),
+    st.sampled_from([83, 89, 97]),
+    st.integers(min_value=0, max_value=40),
+)
+
+
+class TestPolyForm:
+    # a Poly from Fractions and one from _poly over an unreduced, possibly
+    # negative denominator hold one value in one canonical integer form
+    @settings(max_examples=200)
+    @given(
+        cs=st.lists(st.one_of(rationals, lambda_sized), max_size=10),
+        k=st.integers(min_value=-10**6, max_value=10**6).filter(bool),
+    )
+    @example(cs=[], k=-3)
+    @example(cs=[Fraction(0)] * 4, k=7)
+    @example(cs=[Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(0)], k=-4)
+    @example(cs=[Fraction(-6, 89**40), Fraction(0), Fraction(5, 83)], k=-89)
+    def test_integer_form_is_canonical(self, cs, k):
+        den = k * lcm(*[c.denominator for c in cs])
+        built, scaled = Poly(cs), _poly([int(c * den) for c in cs], den)
+        bumped = Poly(cs + [Fraction(1)])
+
+        def agree():
+            assert built.coeffs == scaled.coeffs
+            assert all(type(c) is Fraction for c in scaled.coeffs)
+            assert built == scaled and scaled == built
+            assert built != bumped and bumped != scaled
+            assert hash(built) == hash(scaled)
+            assert str(built) == str(scaled) and repr(built) == repr(scaled)
+
+        # built holds Fractions only, so == reads the coefficients
+        assert built._form is None
+        agree()
+        nums, d = scaled._form
+        assert d > 0 and (not nums or nums[-1] != 0) and gcd(d, *nums) == 1
+        assert (list(nums), d) == _integer_numerators(scaled.coeffs)
+        # with both forms derived, == reads the integer forms
+        assert _scaled(built) == scaled._form
+        _scaled(bumped)
+        agree()
+
+    def test_coeffs_cannot_be_assigned(self):
+        # the stored entries are shared by every reader, so they must not change
+        lam = Fraction(-57, 89)
+        stored, row = dbernoulli_poly(5, lam), deuler_poly(4, lam)
+        before = stored.coeffs, hash(stored), row.coeffs
+        with pytest.raises(AttributeError):
+            stored.coeffs = (Fraction(5),)
+        with pytest.raises(AttributeError):
+            row.coeffs = ()
+        assert dbernoulli_poly(5, lam) is stored and deuler_poly(4, lam) is row
+        assert (stored.coeffs, hash(stored), row.coeffs) == before
+        series = dexp(1, lam, 6)
+        with pytest.raises(AttributeError):
+            series.coeffs = (Fraction(5),)
+        with pytest.raises(AttributeError):
+            series.order = 2
+        with pytest.raises(AttributeError):
+            del series.coeffs
+        with pytest.raises(AttributeError):
+            del stored.coeffs
+        assert series == dexp(1, lam, 6) and series.order == 6
+        assert (stored.coeffs, hash(stored)) == before[:2]
 
 
 class TestRationalDot:
