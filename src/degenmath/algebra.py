@@ -19,7 +19,10 @@ poly_derivative and poly_int_over_t scale the numerators.  _poly, the one
 constructor of the form, reduces each output once by one gcd.
 rational_dot is the scalar twin of poly_combination: the sum of x * y over
 paired scalars is one integer dot product of the two sides' numerators,
-each side over the lcm of its denominators, and one Fraction.  A Series
+each side over the lcm of its denominators, and one Fraction.  Its second
+side is a Poly, read from a start index through its integer form, so a
+Stirling row, which sequences stores as a Poly, is scaled once however many
+sums read it.  A Series
 product scales its Fraction coefficients the same way and shares the
 convolution with Poly.  Every generalized falling factorial, the rising
 one and dfact included, is a call into gfact_falling, which makes a scalar
@@ -284,6 +287,16 @@ def _poly(nums, den: int) -> Poly:
     return out
 
 
+def _fraction_poly(cs: tuple) -> Poly:
+    """The Poly whose coefficients are the tuple cs itself, for Fractions cs
+    with no trailing zero: no copy is made, and the integer form is derived
+    on the first kernel read, as for Poly(coeffs)."""
+    out = object.__new__(Poly)
+    out._coeffs = cs
+    out._form = None
+    return out
+
+
 def _scaled(p: Poly) -> tuple[tuple[int, ...], int]:
     """p's integer form, derived once from its Fractions and stored.
 
@@ -460,19 +473,22 @@ def poly_combination(terms) -> Poly:
     return _poly(acc, den)
 
 
-def rational_dot(xs, ys) -> Fraction:
-    """sum of x * y over the paired ints or Fractions of xs and ys.
+def rational_dot(xs, p: Poly, start: int = 0) -> Fraction:
+    """sum of xs[i] * p_{start+i} over the ints or Fractions xs and the
+    coefficients p_k of p.
 
     The sides pair like zip: the longer one's tail is ignored, and an empty
-    side gives 0.  Each side goes over the lcm of its denominators, the
-    integer numerators are multiplied pairwise and summed, and the sum is
-    built once.
+    side gives 0.  p is read through its integer form, which it derives once
+    and keeps, so a stored Stirling row is scaled once however many sums read
+    it; xs goes over the lcm of its denominators.  The integer numerators are
+    multiplied pairwise and summed, and the sum is built once.
     """
-    xs, ys = list(xs), list(ys)
-    n = min(len(xs), len(ys))
-    ix, dx = _integer_numerators(xs[:n])
-    iy, dy = _integer_numerators(ys[:n])
-    return _frac(sum(map(mul, ix, iy)), dx * dy)
+    _need_int("start", start, 0)
+    xs = list(xs)
+    nums, dp = p._form or _scaled(p)
+    ip = nums[start : start + len(xs)]
+    ix, dx = _integer_numerators(xs[: len(ip)])
+    return _frac(sum(map(mul, ix, ip)), dx * dp)
 
 
 def poly_eval(p: Poly, x0) -> Fraction:

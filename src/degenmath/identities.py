@@ -33,6 +33,8 @@ from .algebra import (
     Poly,
     X,
     _need_int,
+    _poly,
+    _scaled,
     dfact,
     gfact_falling,
     gfact_rising,
@@ -251,10 +253,12 @@ def _check_t1(r, lam, order):
 @identity("T2", {"n": N1, "r": R1, "lambda": LAM},
           "alternating k!-weighted hyperharmonic sum over the second-kind row equals (-1)^n <r>_{n-1} n")
 def _check_t2(n, r, lam):
-    tri = sequences.s2_triangle(n, lam)
+    row = sequences.dbell_poly(n, lam)
     hyper = sequences.dhyperharmonic_row(n, r, lam)
-    signed = [(-1) ** k * factorial(k) * tri.entry(n, k) for k in range(1, n + 1)]
-    lhs = rational_dot(hyper[1:], signed)
+    # (-1)**k k! S2(n,k) for k >= 1, from the row's integer form
+    nums, d = row._form or _scaled(row)
+    signed = _poly([0] + [(-1) ** k * factorial(k) * nums[k] for k in range(1, len(nums))], d)
+    lhs = rational_dot(hyper, signed)
     rhs = Fraction((-1) ** n) * gfact_rising(Fraction(r), n - 1, lam) * n
     return lhs, rhs
 
@@ -265,7 +269,7 @@ def _check_t3(n, r, lam):
     tri = sequences.s1_triangle(n, lam)
     lhs = sequences.dhyperharmonic(n, r, lam)
     rising = [(-1) ** (n - k) * k * gfact_rising(Fraction(r), k - 1, lam) for k in range(1, n + 1)]
-    rhs = rational_dot(rising, tri.row(n)[1:]) / factorial(n)
+    rhs = rational_dot(rising, tri.rows[n], 1) / factorial(n)
     return lhs, rhs
 
 
@@ -274,30 +278,28 @@ def _check_t3(n, r, lam):
 def _check_t4a(n, lam):
     tri = sequences.s1_triangle(n, lam)
     lhs = poly_combination((tri.entry(n, k), sequences.deuler_poly(k, lam)) for k in range(n + 1))
-    # the k = n term alone of T4b's right-hand side: a unit row
-    rhs = sequences.binomial_sum((0,) * n + (1,), sequences.euler_weights(n))
+    # the k = n term alone of T4b's right-hand side: the unit row x**n
+    rhs = sequences.binomial_sum(_poly((0,) * n + (1,), 1), sequences.euler_weights(n))
     return lhs, rhs
 
 
 @identity("T4b", {"n": N0, "lambda": LAM, "x": SYM},
           "Euler-family polynomial as a k! S2(n,k)-weighted double binomial sum")
 def _check_t4b(n, lam):
-    tri = sequences.s2_triangle(n, lam)
     lhs = sequences.deuler_poly(n, lam)
-    rhs = sequences.binomial_sum(tri.row(n), sequences.euler_weights(n))
+    rhs = sequences.binomial_sum(sequences.dbell_poly(n, lam), sequences.euler_weights(n))
     return lhs, rhs
 
 
 @identity("E32", {"n": N0, "lambda": LAM},
           "Euler-family polynomial at x=1/2 via central binomial coefficients")
 def _check_e32(n, lam):
-    tri = sequences.s2_triangle(n, lam)
     lhs = sequences.deuler_value(n, lam, Fraction(1, 2))
     # the inner sum over j <= k is 2**-k P_k, with P_k the prefix sums of
     # C(2j,j)/((1-2j) 2**j), which do not depend on lam
     prefix = accumulate(Fraction(comb(2 * j, j), (1 - 2 * j) * 2**j) for j in range(n + 1))
     weights = [Fraction((-1) ** k * factorial(k), 2**k) * pk for k, pk in enumerate(prefix)]
-    rhs = rational_dot(weights, tri.row(n))
+    rhs = rational_dot(weights, sequences.dbell_poly(n, lam))
     return lhs, rhs
 
 
@@ -311,7 +313,7 @@ def _check_t5(n, lam):
     weights = [dfact(j, lam) / (j + 1) for j in range(n + 1)]
     falling = list(accumulate((X - m * lam for m in range(n)), mul, initial=Poly.constant(1)))
     rhs = poly_combination(
-        (comb(n, k) * rational_dot(weights, tri.row(k)), falling[n - k]) for k in range(n + 1)
+        (comb(n, k) * rational_dot(weights, tri.rows[k]), falling[n - k]) for k in range(n + 1)
     )
     return lhs, rhs
 
@@ -321,21 +323,20 @@ def _check_t5(n, lam):
 def _check_t6(n, lam):
     tri = sequences.s1_triangle(n, lam)
     lhs = poly_combination((tri.entry(n, k), sequences.dbernoulli_poly(k, lam)) for k in range(n + 1))
-    # the k = n term alone of T7's right-hand side: a unit row
-    rhs = sequences.binomial_sum((0,) * n + (1,), sequences.bernoulli_weights(n, lam))
+    # the k = n term alone of T7's right-hand side: the unit row x**n
+    rhs = sequences.binomial_sum(_poly((0,) * n + (1,), 1), sequences.bernoulli_weights(n, lam))
     return lhs, rhs
 
 
 @identity("T7", {"n": N0, "lambda": LAM, "x": SYM},
           "Bernoulli-family polynomial as a k! S2(n,k)-weighted double sum (x=0 instance included)")
 def _check_t7(n, lam):
-    tri = sequences.s2_triangle(n, lam)
     lhs = sequences.dbernoulli_poly(n, lam)
     rhs = sequences.dbernoulli_poly_stirling(n, lam)
     # the x = 0 instance in its own right: the constant terms against the
     # single sum of k! S2(n,k) dfact(k)/(k+1)!, with k! cancelled
     const_lhs = poly_eval(lhs, 0)
-    const_rhs = rational_dot(tri.row(n), [dfact(k, lam) / (k + 1) for k in range(n + 1)])
+    const_rhs = rational_dot([dfact(k, lam) / (k + 1) for k in range(n + 1)], sequences.dbell_poly(n, lam))
     if const_lhs != const_rhs:
         return lhs, rhs, f"x=0 instance differs: {const_lhs} vs {const_rhs}", False
     return lhs, rhs, "x=0 instance checked"
@@ -348,17 +349,16 @@ def _check_t8(n, lam):
     lhs = factorial(n - 1) * sequences.dharmonic(n, -lam)
     values = [sequences.dbernoulli_value(k - 1, lam, 1 - lam) for k in range(1, n + 1)]
     signed = [(-1) ** (n - k) * v for k, v in enumerate(values, 1)]
-    rhs = rational_dot(signed, tri.row(n)[1:])
+    rhs = rational_dot(signed, tri.rows[n], 1)
     return lhs, rhs
 
 
 @identity("T9", {"n": N1, "lambda": LAM},
           "Bernoulli-family value at 2*lam+1 from harmonic numbers through the second-kind triangle")
 def _check_t9(n, lam):
-    tri = sequences.s2_triangle(n, lam)
     lhs = sequences.dbernoulli_value(n - 1, -lam, 2 * lam + 1)
     weighted = [(-1) ** (n - k) * factorial(k - 1) * sequences.dharmonic(k, -lam) for k in range(1, n + 1)]
-    rhs = rational_dot(weighted, tri.row(n)[1:])
+    rhs = rational_dot(weighted, sequences.dbell_poly(n, lam), 1)
     return lhs, rhs
 
 
@@ -368,7 +368,7 @@ def _check_t10(n, lam):
     tri = sequences.s1_triangle(n, lam)
     lhs = dfact(n - 1, lam) / n
     values = [sequences.dbernoulli_value(k - 1, lam, 1 - lam) for k in range(1, n + 1)]
-    rhs = rational_dot(values, tri.row(n)[1:])
+    rhs = rational_dot(values, tri.rows[n], 1)
     return lhs, rhs
 
 
@@ -396,10 +396,8 @@ def _check_t11b(n, lam):
 @identity("T12", {"n": N1, "lambda": LAM, "x": SYM},
           "second-kind sum x^k/k as a Bernoulli-Bell convolution with 1/n prefactor")
 def _check_t12(n, lam):
-    tri = sequences.s2_triangle(n, lam)
-    lhs = Poly(
-        [Fraction(0)] + [tri.entry(n, k) / k for k in range(1, n + 1)]
-    )
+    # sum_k S2(n,k) x**k/k, with S2(n,0) = 0 for n >= 1
+    lhs = poly_int_over_t(sequences.dbell_poly(n, lam))
     conv = poly_combination(
         (comb(n, j) * sequences.dbernoulli_value(j, lam, 1 - lam), sequences.dbell_poly(n - j, lam))
         for j in range(n)
@@ -420,20 +418,21 @@ def _check_t12(n, lam):
 @identity("E61", {"n": N1, "lambda": LAM, "x": SYM},
           "second-kind sum x^k/k^2 as a nested Bernoulli-Bell convolution")
 def _check_e61(n, lam):
-    tri = sequences.s2_triangle(n, lam)
-    lhs = Poly(
-        [Fraction(0)] + [tri.entry(n, k) / (k * k) for k in range(1, n + 1)]
-    )
+    # sum_k S2(n,k) x**k/k**2, with S2(n,0) = 0 for n >= 1
+    lhs = poly_int_over_t(poly_int_over_t(sequences.dbell_poly(n, lam)))
     # beta[i] is the Bernoulli-family value at 1-lam
     beta = [sequences.dbernoulli_value(i, lam, 1 - lam) for i in range(n)]
     # (1/n) sum_j C(n,j) beta_j/(n-j) sum_{m>=1} C(n-j,m) beta_{n-j-m} Bell_m,
-    # summed over j first: one scalar per Bell_m, then one poly_combination
-    # beta[n-m::-1] runs beta[n-j-m] for j = 0..n-m
+    # summed over j first: one scalar per Bell_m, then one poly_combination;
+    # reversed_beta[i] is beta[n-1-i], so from index m-1 it runs beta[n-j-m]
+    # for j = 0..n-m
+    reversed_beta = Poly(beta[::-1])
     rhs = poly_combination(
         (
             rational_dot(
                 [Fraction(comb(n, j) * comb(n - j, m), n * (n - j)) * beta[j] for j in range(n - m + 1)],
-                beta[n - m :: -1],
+                reversed_beta,
+                m - 1,
             ),
             sequences.dbell_poly(m, lam),
         )
@@ -442,20 +441,19 @@ def _check_e61(n, lam):
     return lhs, rhs
 
 
-def _weighted_row_poly(tri, n: int) -> Poly:
-    """sum_{k>=1} S2(n,k) (k-1)! x**k."""
-    return Poly(
-        [Fraction(0)] + [tri.entry(n, k) * factorial(k - 1) for k in range(1, n + 1)]
-    )
+def _weighted_row_poly(n: int, lam) -> Poly:
+    """sum_{k>=1} S2(n,k) (k-1)! x**k, from the row's integer form."""
+    row = sequences.dbell_poly(n, lam)
+    nums, d = row._form or _scaled(row)
+    return _poly([0] + [nums[k] * factorial(k - 1) for k in range(1, len(nums))], d)
 
 
 @identity("T13", {"n": N1, "lambda": LAM, "x": SYM},
           "(1+x) F_n against (k-1)!-weighted second-kind rows, plus its integral restatement")
 def _check_t13(n, lam):
-    tri = sequences.s2_triangle(n + 1, lam)
     f_n = sequences.dfubini_poly(n, lam)
     lhs = (X + 1) * f_n
-    rhs = _weighted_row_poly(tri, n + 1) + _weighted_row_poly(tri, n) * (n * lam)
+    rhs = _weighted_row_poly(n + 1, lam) + _weighted_row_poly(n, lam) * (n * lam)
     f_n1 = sequences.dfubini_poly(n + 1, lam)
     integral_rhs = poly_int_over_t(f_n1) + poly_int_over_t(f_n) * (n * lam)
     if lhs != integral_rhs:
@@ -469,8 +467,8 @@ def _check_t13r(n, lam):
     tri = sequences.s2_triangle(n + 1, lam)
     # factorials[k-1] is (k-1)!, paired with row entries k = 1, 2, ...
     factorials = list(accumulate(range(1, n + 1), mul, initial=1))
-    lhs = rational_dot(tri.row(n + 1)[1:], factorials)
-    lhs += n * lam * rational_dot(tri.row(n)[1:], factorials)
+    lhs = rational_dot(factorials, tri.rows[n + 1], 1)
+    lhs += n * lam * rational_dot(factorials, tri.rows[n], 1)
     if n >= 1:
         rhs = 2 * poly_eval(sequences.dfubini_poly(n, lam), 1)
     else:
@@ -490,8 +488,7 @@ def _check_t14(n, lam):
 @identity("T15", {"n": N2, "lambda": LAM},
           "dfact-weighted second-kind row sum equals (n-1)(1)_{n-1,lam}")
 def _check_t15(n, lam):
-    tri = sequences.s2_triangle(n, lam)
-    lhs = rational_dot([dfact(k - 2, lam) for k in range(2, n + 1)], tri.row(n)[2:])
+    lhs = rational_dot([dfact(k - 2, lam) for k in range(2, n + 1)], sequences.dbell_poly(n, lam), 2)
     rhs = (n - 1) * gfact_falling(Fraction(1), n - 1, lam)
     return lhs, rhs
 

@@ -26,18 +26,20 @@ unreduced sum as state, so a new entry touches no stored one.  The
 harmonic numerators are a family of their own: every stored harmonic
 entry as an integer over d, the lcm of their denominators, which is the
 state.  Hyperharmonic numbers are not stored, but read as cumulative sums
-of those integers, so a read takes no lcm.  For lam = p/q the triangle
-rows are stored as Fractions, but q**(n-k) S(n,k) is an integer: the
-state is the last row's integers, which the extend carries from row to
-row, reducing each new entry over its power of q with gcds against q
-alone.  The Bernoulli and Euler constants c_n are stored families of
-their own, with the constants and the weights they are solved from as
-integers over one denominator each as state.  The polynomial extends read
-them and sum in the basis of the falling factorials (x)_{m,lam} by
-Horner's scheme on integers, so no falling factorial is stored, and each
-polynomial is made once, in Poly's integer form, by algebra._poly;
-dbernoulli_value and deuler_value run the same sum on a scalar x0,
-building no polynomial.
+of those integers, so a read takes no lcm.  The triangle rows are stored
+as Polys, row n being sum_k S(n,k) x**k, which for the second kind is the
+degenerate Bell polynomial.  A row holds its Fractions, and its integer
+form is derived only when a kernel first reads it.  For lam = p/q,
+q**(n-k) S(n,k) is an integer: the state is the last row's integers, which
+the extend carries from row to row, reducing each new entry over its power
+of q with gcds against q alone.  The Bernoulli and Euler constants c_n are
+stored families of their own, with the constants and the weights they are
+solved from as integers over one denominator each as state.  The
+polynomial extends read them and sum in the basis of the falling
+factorials (x)_{m,lam} by Horner's scheme on integers, so no falling
+factorial is stored, and each polynomial is made once, in Poly's integer
+form, by algebra._poly; dbernoulli_value and deuler_value run the same sum
+on a scalar x0, building no polynomial.
 The oracles keep their own memo, bounded at STORE_CAPACITY entries, apart
 from the code they check.
 """
@@ -57,10 +59,12 @@ from .algebra import (
     X,
     _ZERO,
     _frac,
+    _fraction_poly,
     _need_int,
     _over_power,
     _poly,
     _rat,
+    _scaled,
     binom_poly,
     dfact,
     poly_combination,
@@ -101,24 +105,30 @@ def _grown(family: str, n: int, lam: Fraction) -> tuple[tuple, object]:
 
 @dataclass(frozen=True)
 class StirlingTriangle:
-    """Lower-triangular table of degenerate Stirling numbers for one lambda."""
+    """Lower-triangular table of degenerate Stirling numbers for one lambda.
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    Row n is stored as the Poly sum_k S(n,k) x**k, which for the second kind
+    is the degenerate Bell polynomial.  It holds its Fractions, and the
+    checkers' sums over it read its integer form, which the first such read
+    derives and the row keeps; row and entry read the Fractions."""
+
+    rows: tuple[Poly, ...]
 
     def entry(self, n: int, k: int) -> Fraction:
         """Table value; zero for k outside 0..n, IndexError for a row n that row(n) refuses."""
         _need_int("k", k)
         row = self.row(n)
-        return row[k] if 0 <= k <= n else _ZERO
+        return row[k] if 0 <= k < len(row) else _ZERO
 
     def row(self, n: int) -> tuple[Fraction, ...]:
-        """Row n; IndexError for n outside 0 <= n < len(rows).  How many rows
-        are stored depends on how far the store has grown, so a row past them
-        is unknown, not zero, and a negative n would index from the end."""
+        """Row n's entries as Fractions; IndexError for n outside 0 <= n < len(rows).
+        How many rows are stored depends on how far the store has grown, so a
+        row past them is unknown, not zero, and a negative n would index from
+        the end."""
         _need_int("n", n)
         if not 0 <= n < len(self.rows):
             raise IndexError(f"row {n} is not in a table of {len(self.rows)} rows")
-        return self.rows[n]
+        return self.rows[n].coeffs
 
 
 def s2_triangle(nmax: int, lam) -> StirlingTriangle:
@@ -149,18 +159,21 @@ def _row_extend(weight):
     new row m goes over q**(m-k).  That scale, not q**m, keeps the integers
     small.  Every prime of q**(m-k) divides q, so _over_power reduces the
     entry with gcds against q, never against q**(m-k): an entry coprime to q
-    costs one small gcd, and the zero T(m,0) none."""
+    costs one small gcd, and the zero T(m,0) none.  Each row is a Poly that
+    holds the new Fractions as they are; T(m,m) = 1, so no row ends in a
+    zero."""
 
     def extend(rows, ints, upto, lam):
         p, q = lam.numerator, lam.denominator
         scale = list(accumulate(repeat(q, upto), mul, initial=1))  # q**0 .. q**upto
-        rows = list(rows) or [(Fraction(1),)]
+        rows = list(rows) or [_fraction_poly((Fraction(1),))]
         ints = list(ints or (1,))
         for m in range(len(rows), upto + 1):
             # the zero past the end of row m-1 is also read as T(m-1, -1)
             ints.append(0)
             ints = [ints[k - 1] + weight(m - 1, k, p, q) * ints[k] for k in range(m + 1)]
-            rows.append(tuple(_over_power(t, scale[m - k], q) for k, t in enumerate(ints)))
+            row = tuple(_over_power(t, scale[m - k], q) for k, t in enumerate(ints))
+            rows.append(_fraction_poly(row))
         return tuple(rows), tuple(ints)
 
     return extend
@@ -378,7 +391,7 @@ def dbernoulli_poly_stirling(n: int, lam) -> Poly:
     Kept as an independent code path; the acceptance suite requires it to
     agree with dbernoulli_poly exactly.
     """
-    return binomial_sum(s2_triangle(n, lam).row(n), bernoulli_weights(n, lam))
+    return binomial_sum(dbell_poly(n, lam), bernoulli_weights(n, lam))
 
 
 def deuler_poly(n: int, lam) -> Poly:
@@ -391,19 +404,21 @@ def deuler_value(n: int, lam, x0) -> Fraction:
     return _appell_value("euler constants", n, lam, x0)
 
 
-def binomial_sum(row, weights) -> Poly:
-    """sum over k of k! row[k] * sum_{j<=k} binom(x, j) weights[k-j], for
-    row[0..n] and weights[0..n].
+def binomial_sum(row: Poly, weights) -> Poly:
+    """sum over k of k! r_k * sum_{j<=k} binom(x, j) weights[k-j], for the
+    row r_0..r_n, the coefficients of the Poly row, and weights[0..n].
 
     Summed over k first: for each j one scalar inner sum
-    sum_{k>=j} k! row[k] weights[k-j], a rational_dot, then one
-    poly_combination over the binom_poly(j).  The swap is exact for any row,
-    a mutated triangle's included.
+    sum_{k>=j} k! r_k weights[k-j], a rational_dot, then one
+    poly_combination over the binom_poly(j).  The k! r_k are one Poly, made
+    from row's integer form, so every inner sum reads the same integers.  The
+    swap is exact for any row, a mutated triangle's included.
     """
-    scaled = [factorial(k) * c for k, c in enumerate(row)]
-    # rational_dot pairs like zip, so scaled[j:] meets weights[0..n-j]
+    nums, d = row._form or _scaled(row)
+    scaled = _poly([factorial(k) * v for k, v in enumerate(nums)], d)
+    # rational_dot pairs like zip, so weights[0..n-j] meet k! r_k from k = j
     return poly_combination(
-        (rational_dot(scaled[j:], weights), binom_poly(j)) for j in range(len(row))
+        (rational_dot(weights, scaled, j), binom_poly(j)) for j in range(len(nums))
     )
 
 
@@ -418,12 +433,15 @@ def euler_weights(n: int) -> list[Fraction]:
 
 
 def dbell_poly(n: int, lam) -> Poly:
-    """Degenerate Bell polynomial: sum of S2 row entries times x**k."""
-    return Poly(s2_triangle(n, lam).row(n))
+    """Degenerate Bell polynomial: sum of S2 row entries times x**k, the stored row itself."""
+    return _grown("second", n, _rat(lam))[0][n]
 
 
 def dfubini_poly(n: int, lam) -> Poly:
-    """Degenerate Fubini polynomial: S2 row entries times k! x**k."""
+    """Degenerate Fubini polynomial: S2 row entries times k! x**k.
+
+    Built from the row's Fractions, so a Fubini table derives no integer
+    form of the rows and keeps no integer copy beside them."""
     return Poly([c * factorial(k) for k, c in enumerate(s2_triangle(n, lam).row(n))])
 
 

@@ -46,6 +46,16 @@ def at_entry_3(family: str, change, change_state=lambda state: state):
     return extend
 
 
+def row_change(change):
+    """The change of a stored triangle row, a Poly, that applies change to
+    the row's tuple of Fractions."""
+
+    def changed(row: Poly) -> Poly:
+        return Poly(change(row.coeffs))
+
+    return changed
+
+
 def counting_checkers(monkeypatch) -> list:
     """Swap every registry checker for a passing stub; the list records each call."""
     calls = []
@@ -86,3 +96,29 @@ def mutate_poly_combination(monkeypatch) -> None:
 
     for module in (algebra, identities, sequences):
         monkeypatch.setattr(module, "poly_combination", combination)
+
+
+def mutate_rational_dot(monkeypatch) -> None:
+    """Make every rational_dot that pairs more than six terms, so reaches a
+    pair past index 5, wrong by 1."""
+    real = algebra.rational_dot
+
+    def dot(xs, ys, start=0):
+        xs = list(xs)
+        paired = min(len(xs), len(ys.coeffs) - start)
+        out = real(xs, ys, start)
+        return out + 1 if paired > 6 else out
+
+    for module in (algebra, identities, sequences):
+        monkeypatch.setattr(module, "rational_dot", dot)
+
+
+def mutate_poly_int_over_t(monkeypatch) -> None:
+    """Make every poly_int_over_t integral wrong past index 5."""
+    real = algebra.poly_int_over_t
+
+    def integral(p):
+        return past_index_5(real(p))
+
+    for module in (algebra, identities):
+        monkeypatch.setattr(module, "poly_int_over_t", integral)

@@ -40,7 +40,15 @@ from degenmath.sequences import (
     stirling_series_oracle,
 )
 from degenmath.series import Series, dexp, dlog, ser_compose
-from mutants import at_entry_3, mutate_poly_combination, mutate_poly_product, mutated
+from mutants import (
+    at_entry_3,
+    mutate_poly_combination,
+    mutate_poly_int_over_t,
+    mutate_poly_product,
+    mutate_rational_dot,
+    mutated,
+    row_change,
+)
 
 GRID_LAMBDAS = DEFAULT_GRID.lambdas
 
@@ -205,6 +213,7 @@ def test_criterion_8_mutation_sensitivity():
     _report("8 (mutation sensitivity)", "T2, T9, T15 all fail with counterexamples")
 
 
+@row_change
 def _row_past_k0_plus_one(row):
     return row[:1] + tuple(c + 1 for c in row[1:])
 
@@ -260,10 +269,13 @@ def test_mutation_matrix(family):
 
 
 # Poly kernel -> (its mutant, the identities that must fail).  Each mutant is
-# wrong only past index 5, so it shows only where a polynomial reaches degree 6.
+# wrong only past index 5, so it shows only where a polynomial reaches degree 6
+# or a dot product pairs a seventh term.
 KERNEL_MATRIX = {
     "Poly.__mul__": (mutate_poly_product, "T4a T4b T5 T6 T7 T11a T11b T13 T14"),
     "poly_combination": (mutate_poly_combination, "T4a T4b T5 T6 T7 T11a T11b T12 E61 T13 T14"),
+    "rational_dot": (mutate_rational_dot, "T2 T3 T4a T4b E32 T5 T6 T7 T8 T9 T10 E61 T13r T15"),
+    "poly_int_over_t": (mutate_poly_int_over_t, "T12 E61 T13"),
 }
 
 

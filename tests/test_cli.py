@@ -18,7 +18,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from degenmath import cli
+from degenmath import cli, sequences
 from degenmath.cli import (
     EXIT_CHECK_FAILED,
     EXIT_DOMAIN,
@@ -105,6 +105,19 @@ class TestTable:
         assert main(["table", "s2", "--nmax=--"]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == "" and "'--' is not a flag value" in captured.err
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    @pytest.mark.parametrize("family", ["s1", "s2", "bell", "fubini"])
+    def test_table_derives_no_row_form(self, capsys, family, fmt):
+        # a table reads the Fractions the stored rows hold, so it leaves no
+        # integer copy of the triangle beside them
+        lam = Fraction(29, 10**6 - 13)
+        kind = "first" if family == "s1" else "second"
+        sequences._STORE.pop((kind, lam), None)
+        code, _ = run_cli(capsys, "table", family, "--nmax", "40", f"--lambda={lam}", "--format", fmt)
+        assert code == EXIT_OK
+        rows = sequences._STORE[(kind, lam)][0]
+        assert len(rows) == 41 and all(row._form is None for row in rows)
 
     @pytest.mark.parametrize("argv", JSON_ARGVS)
     def test_json_roundtrip_bytes(self, capsys, argv):

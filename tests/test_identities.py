@@ -25,7 +25,7 @@ from degenmath.identities import (
     suite_report_json,
 )
 from degenmath.series import Series
-from mutants import at_entry_3, counting_checkers, mutated
+from mutants import at_entry_3, counting_checkers, mutated, row_change
 
 HALF = Fraction(1, 2)
 
@@ -348,7 +348,7 @@ class TestSuite:
 
     def test_failure_counterexample_payload(self):
         # the real second-kind extend, with S(3,2) bumped by one
-        broken_s2 = at_entry_3("second", lambda row: row[:2] + (row[2] + 1,) + row[3:])
+        broken_s2 = at_entry_3("second", row_change(lambda row: row[:2] + (row[2] + 1,) + row[3:]))
         with mutated("second", broken_s2):
             res = run_identity("T15", {"n": 3, "lambda": HALF})
         assert not res.passed
@@ -392,11 +392,11 @@ class TestRationalDotGuard:
         honest = run_suite(self.GRID, ids=self.ROUTED)
         assert all(r.fail_count == 0 and r.pass_count > 0 for r in honest.results)
 
-        def drop_last(xs, ys):
-            xs, ys = list(xs), list(ys)
-            n = min(len(xs), len(ys))
-            # at n == 0 both slices still pair nothing
-            return algebra.rational_dot(xs[: n - 1], ys[: n - 1])
+        def drop_last(xs, ys, start=0):
+            xs = list(xs)
+            # ys is a Poly, a triangle row among them, paired from index start
+            paired = min(len(xs), len(ys.coeffs) - start)
+            return algebra.rational_dot(xs[: max(paired - 1, 0)], ys, start)
 
         for module in (identities, sequences):
             monkeypatch.setattr(module, "rational_dot", drop_last)

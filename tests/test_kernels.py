@@ -445,22 +445,30 @@ class TestRationalDot:
     @example(xs=[], ys=[])
     @example(xs=[Fraction(1, 2), 0, -4], ys=[Fraction(-3, 7), Fraction(0), Fraction(5, 11)])
     def test_matches_fraction_loop(self, xs, ys):
-        got = rational_dot(iter(xs), iter(ys))
-        assert got == ref_rational_dot(xs, ys)
-        assert type(got) is Fraction
+        # the Poly side pairs from each start; past its end it pairs nothing
+        for start in range(len(ys) + 2):
+            got = rational_dot(iter(xs), Poly(ys), start)
+            assert got == ref_rational_dot(xs, ys[start:])
+            assert type(got) is Fraction
 
     def test_empty_input_is_zero(self):
         for xs, ys in (([], []), ([], [Fraction(1, 3)]), ((Fraction(2, 5),), ())):
-            got = rational_dot(xs, ys)
+            got = rational_dot(xs, Poly(ys))
             assert got == 0 and type(got) is Fraction
 
     def test_pairs_like_zip(self):
         # the longer side's tail is ignored
-        assert rational_dot([2, Fraction(1, 3)], [Fraction(1, 2), 3, Fraction(1, 10**9)]) == 2
-        assert rational_dot([Fraction(-1, 2)], [4, 5, 6]) == -2
+        assert rational_dot([2, Fraction(1, 3)], Poly([Fraction(1, 2), 3, Fraction(1, 10**9)])) == 2
+        assert rational_dot([Fraction(-1, 2)], Poly([4, 5, 6])) == -2
+        assert rational_dot([Fraction(-1, 2), 7], Poly([4, 5, 6]), 2) == -3
+
+    def test_negative_start_is_refused(self):
+        # it would pair the Poly side from its end
+        with pytest.raises(ValueError, match="start must be >= 0"):
+            rational_dot([1], Poly([4, 5, 6]), -1)
 
     def test_cancellation_normalises(self):
-        got = rational_dot([Fraction(2, 3), Fraction(-1, 3)], [Fraction(3, 4), Fraction(3, 2)])
+        got = rational_dot([Fraction(2, 3), Fraction(-1, 3)], Poly([Fraction(3, 4), Fraction(3, 2)]))
         assert got == 0 and got.denominator == 1
 
 
@@ -769,10 +777,28 @@ class TestTriangleStep:
     @triangle_examples
     def test_rows_match_fraction_recurrence(self, kind, n, lam):
         build, weight = TRIANGLES[kind]
+        # a fresh build: a row derives its integer form only on a kernel read
+        sequences._STORE.pop((kind, Fraction(lam)), None)
         rows = build(n, lam).rows[: n + 1]
-        assert list(rows) == ref_triangle(weight, n, lam)
-        assert all(type(c) is Fraction for row in rows for c in row)
-        assert all(gcd(c.numerator, c.denominator) == 1 for row in rows for c in row)
+        assert all(type(row) is Poly and row._form is None for row in rows)
+        coeffs = [row.coeffs for row in rows]
+        assert coeffs == ref_triangle(weight, n, lam)
+        assert all(type(c) is Fraction for row in coeffs for c in row)
+        assert all(gcd(c.numerator, c.denominator) == 1 for row in coeffs for c in row)
+
+    @pytest.mark.parametrize("kind", ["second", "first"])
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(min_value=0, max_value=40), lam=lambdas)
+    @example(n=40, lam=Fraction(0))
+    @example(n=40, lam=Fraction(1))
+    @example(n=40, lam=Fraction(-3, 7))
+    @example(n=40, lam=Fraction(31, 10**6 - 17))
+    def test_row_form_is_the_canonical_scaling(self, kind, n, lam):
+        row = TRIANGLES[kind][0](n, lam).rows[n]
+        rational_dot((), row)  # a kernel read derives the row's integer form
+        nums, d = _integer_numerators(row.coeffs)
+        assert row._form == (tuple(nums), d)
+        assert d > 0 and gcd(d, *nums) == 1 and nums[-1] != 0
 
     @pytest.mark.parametrize("kind", ["second", "first"])
     @settings(max_examples=25, deadline=None)

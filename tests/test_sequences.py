@@ -222,13 +222,13 @@ class TestTriangleSums:
             tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n + 1))
             for n in range(11)
         )
-        tri = StirlingTriangle(rows)
+        tri = StirlingTriangle(tuple(Poly(row) for row in rows))
         lam = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
         for n in range(11):
             bernoulli = sequences.bernoulli_weights(n, lam)
-            assert sequences.binomial_sum(tri.row(n), bernoulli) == nested_bernoulli_sum(tri, n, lam)
+            assert sequences.binomial_sum(tri.rows[n], bernoulli) == nested_bernoulli_sum(tri, n, lam)
             euler = sequences.euler_weights(n)
-            assert sequences.binomial_sum(tri.row(n), euler) == nested_euler_sum(tri, n)
+            assert sequences.binomial_sum(tri.rows[n], euler) == nested_euler_sum(tri, n)
 
 
 class TestBernoulli:
@@ -292,6 +292,11 @@ class TestBellFubini:
         assert dbell_poly(0, lam) == Poly((1,))
         assert dbell_poly(2, lam) == Poly((0, 1 - lam, 1))
         assert poly_eval(dbell_poly(3, 0), 1) == 5
+
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    def test_bell_is_the_stored_row(self, lam):
+        for n in range(13):
+            assert dbell_poly(n, lam) is s2_triangle(n, lam).rows[n]
 
     def test_fubini_small(self):
         lam = Fraction(5, 7)
@@ -719,8 +724,8 @@ class TestStore:
                 monkeypatch.setattr(module, name, untouchable)
         for module in (algebra, sequences):
             monkeypatch.setattr(module, "poly_combination", untouchable)
-        assert [list(row) for row in s1_triangle(12, lam).rows[:13]] == oracles["first"]
-        assert [list(row) for row in s2_triangle(12, lam).rows[:13]] == oracles["second"]
+        assert [list(row.coeffs) for row in s1_triangle(12, lam).rows[:13]] == oracles["first"]
+        assert [list(row.coeffs) for row in s2_triangle(12, lam).rows[:13]] == oracles["second"]
         for r, coeffs in gfs.items():
             assert dhyperharmonic_row(12, r, lam) == coeffs
             assert dhyperharmonic(12, r, lam) == coeffs[12]
