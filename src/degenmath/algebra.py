@@ -18,16 +18,16 @@ one call of it.  poly_eval is integer Horner, with one Fraction per call;
 poly_derivative and poly_int_over_t scale the numerators.  _poly, the one
 constructor of the form, reduces each output once by one gcd.
 rational_dot is the scalar twin of poly_combination: the sum of x * y over
-paired scalars is one integer dot product of the two sides' numerators,
-each side over the lcm of its denominators, and one Fraction.  Its second
-side is a Poly, read from a start index through its integer form, so a
-Stirling row, which sequences stores as a Poly, is scaled once however many
-sums read it.  A Series
-product scales its Fraction coefficients the same way and shares the
-convolution with Poly.  Every generalized falling factorial, the rising
-one and dfact included, is a call into gfact_falling, which makes a scalar
-one integer product over one denominator.  binom(x, k) is memoised in a
-tuple of its own.
+the paired coefficients of two Polys is one integer dot product of their
+integer forms, the second read from a start index, and one Fraction.  So a
+Stirling row, which sequences stores as a Poly, or a weight list made into
+one, is scaled once however many sums read it.  A Series holds a Poly, and
+its product is the same integer convolution, cut at the smaller order.
+_scaled, which derives a form from a Poly's Fractions, is the one place in
+this module and series where Fractions become integers.  Every generalized
+falling factorial, the rising one and dfact included, is a call into
+gfact_falling, which makes a scalar one integer product over one
+denominator.  binom(x, k) is memoised in a tuple of its own.
 
 Where a kernel of this module, series or sequences has an integer
 numerator and denominator, _frac builds the Fraction from them: one gcd,
@@ -300,26 +300,22 @@ def _fraction_poly(cs: tuple) -> Poly:
 def _scaled(p: Poly) -> tuple[tuple[int, ...], int]:
     """p's integer form, derived once from its Fractions and stored.
 
+    The one place in algebra and series where Fractions become integers.
     Over d, the lcm of the coefficients' reduced denominators, the form is
     already canonical: for each prime of d, some coefficient's denominator
     holds the prime's whole power in d, so that coefficient's integer, its
     numerator times d // its denominator, is prime to it."""
-    nums, d = _integer_numerators(p._coeffs)
-    form = p._form = (tuple(nums), d)
+    cs = p._coeffs
+    # a list, not a generator: CPython builds a generator's argument tuple at
+    # a guessed size and resizes it, and the resized tuples pile up on its
+    # per-size tuple free lists (about 1 MiB after check --all)
+    d = lcm(*[c.denominator for c in cs])
+    form = p._form = (tuple([c.numerator * (d // c.denominator) for c in cs]), d)
     return form
 
 
 #: the polynomial variable, for building symbolic-x expressions
 X = Poly((0, 1))
-
-
-def _integer_numerators(cs) -> tuple[list[int], int]:
-    """(numerators, d): the Fractions cs as integers over d, the lcm of their denominators."""
-    # a list, not a generator: CPython builds a generator's argument tuple at
-    # a guessed size and resizes it, and the resized tuples pile up on its
-    # per-size tuple free lists (about 1 MiB after check --all)
-    d = lcm(*[c.denominator for c in cs])
-    return [c.numerator * (d // c.denominator) for c in cs], d
 
 
 def _over_power(t: int, s: int, base: int) -> Fraction:
@@ -359,19 +355,6 @@ def _convolution(a, b, n: int) -> list[int]:
         # map stops at the end of the shorter slice
         out.append(sum(map(mul, a[lo : m + 1], rb[lb - 1 - m + lo :])))
     return out
-
-
-def _cauchy_product(a, b, n: int) -> list[Fraction]:
-    """c_m = sum over i + j == m of a_i * b_j, for m = 0..n, over Fraction a and b.
-
-    Each factor is scaled to integers over the lcm of its denominators, the
-    integers are convolved, and each c_m is built once, in the spirit of
-    fraction-free elimination (Bareiss, Math. Comp. 22, 1968).
-    """
-    ia, da = _integer_numerators(a)
-    ib, db = _integer_numerators(b)
-    den = da * db
-    return [_frac(c, den) for c in _convolution(ia, ib, n)]
 
 
 def gfact_falling(x0, n: int, lam) -> "Fraction | Poly":
@@ -473,22 +456,20 @@ def poly_combination(terms) -> Poly:
     return _poly(acc, den)
 
 
-def rational_dot(xs, p: Poly, start: int = 0) -> Fraction:
-    """sum of xs[i] * p_{start+i} over the ints or Fractions xs and the
-    coefficients p_k of p.
+def rational_dot(xs: Poly, p: Poly, start: int = 0) -> Fraction:
+    """sum of x_i * p_{start+i} over the coefficients x_i of xs and p_k of p.
 
     The sides pair like zip: the longer one's tail is ignored, and an empty
-    side gives 0.  p is read through its integer form, which it derives once
-    and keeps, so a stored Stirling row is scaled once however many sums read
-    it; xs goes over the lcm of its denominators.  The integer numerators are
-    multiplied pairwise and summed, and the sum is built once.
+    side gives 0.  Both are read through their integer forms, which a Poly
+    derives once and keeps, so a stored Stirling row or a list of weights
+    made into one Poly is scaled once however many sums read it.  The
+    integer numerators are multiplied pairwise and summed, and the sum is
+    built once, over the product of the two denominators.
     """
     _need_int("start", start, 0)
-    xs = list(xs)
-    nums, dp = p._form or _scaled(p)
-    ip = nums[start : start + len(xs)]
-    ix, dx = _integer_numerators(xs[: len(ip)])
-    return _frac(sum(map(mul, ix, ip)), dx * dp)
+    ix, dx = xs._form or _scaled(xs)
+    ip, dp = p._form or _scaled(p)
+    return _frac(sum(map(mul, ix, ip[start : start + len(ix)])), dx * dp)
 
 
 def poly_eval(p: Poly, x0) -> Fraction:

@@ -273,9 +273,9 @@ def _over_lcm(fracs, nums=(), d=1) -> tuple[list[int], int]:
     """(numerators, e): the integers nums over d followed by the Fractions
     fracs, all as integers over e, the lcm of d and the denominators of fracs.
 
-    The same scaling as algebra._integer_numerators, kept apart because the
-    oracles of its callers (the Poly products of dbernoulli_poly_stirling and
-    the series kernels of identities.hyperharmonic_gf) run on that one."""
+    The same scaling as algebra._scaled, kept apart because the oracles of
+    its callers (the Poly kernels of dbernoulli_poly_stirling and the series
+    kernels of identities.hyperharmonic_gf) run on that one."""
     e = lcm(d, *[f.denominator for f in fracs])
     return [a * (e // d) for a in nums] + [f.numerator * (e // f.denominator) for f in fracs], e
 
@@ -411,11 +411,13 @@ def binomial_sum(row: Poly, weights) -> Poly:
     Summed over k first: for each j one scalar inner sum
     sum_{k>=j} k! r_k weights[k-j], a rational_dot, then one
     poly_combination over the binom_poly(j).  The k! r_k are one Poly, made
-    from row's integer form, so every inner sum reads the same integers.  The
-    swap is exact for any row, a mutated triangle's included.
+    from row's integer form, and the weights another, so every inner sum
+    reads the same two integer forms.  The swap is exact for any row, a
+    mutated triangle's included.
     """
     nums, d = row._form or _scaled(row)
     scaled = _poly([factorial(k) * v for k, v in enumerate(nums)], d)
+    weights = Poly(weights)
     # rational_dot pairs like zip, so weights[0..n-j] meet k! r_k from k = j
     return poly_combination(
         (rational_dot(weights, scaled, j), binom_poly(j)) for j in range(len(nums))

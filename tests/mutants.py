@@ -12,7 +12,7 @@ in every module that binds it.
 import dataclasses
 from contextlib import contextmanager
 
-from degenmath import algebra, identities, sequences
+from degenmath import algebra, identities, sequences, series
 from degenmath.algebra import Poly
 from degenmath.identities import REGISTRY
 
@@ -98,14 +98,29 @@ def mutate_poly_combination(monkeypatch) -> None:
         monkeypatch.setattr(module, "poly_combination", combination)
 
 
+def mutate_convolution(monkeypatch) -> None:
+    """Make every integer convolution, the one product kernel of Poly and of
+    Series, wrong past index 5: 1 is added to its integer 6."""
+    real = algebra._convolution
+
+    def convolution(a, b, n):
+        out = real(a, b, n)
+        if len(out) > 6:
+            out[6] += 1
+        return out
+
+    for module in (algebra, series):
+        monkeypatch.setattr(module, "_convolution", convolution)
+
+
 def mutate_rational_dot(monkeypatch) -> None:
     """Make every rational_dot that pairs more than six terms, so reaches a
     pair past index 5, wrong by 1."""
     real = algebra.rational_dot
 
     def dot(xs, ys, start=0):
-        xs = list(xs)
-        paired = min(len(xs), len(ys.coeffs) - start)
+        # both sides are Polys, paired from index 0 of xs and index start of ys
+        paired = min(len(xs.coeffs), len(ys.coeffs) - start)
         out = real(xs, ys, start)
         return out + 1 if paired > 6 else out
 

@@ -42,6 +42,7 @@ from degenmath.sequences import (
 from degenmath.series import Series, dexp, dlog, ser_compose
 from mutants import (
     at_entry_3,
+    mutate_convolution,
     mutate_poly_combination,
     mutate_poly_int_over_t,
     mutate_poly_product,
@@ -268,12 +269,56 @@ def test_mutation_matrix(family):
     assert [r.id for r in report.results if r.fail_count] == expected.split()
 
 
-# Poly kernel -> (its mutant, the identities that must fail).  Each mutant is
-# wrong only past index 5, so it shows only where a polynomial reaches degree 6
-# or a dot product pairs a seventh term.
+@row_change
+def _row_k0_plus_one(row):
+    return (row[0] + 1,) + row[1:]
+
+
+# second-kind row 3 with S2(3,0) = 1: poly_int_over_t refuses its nonzero
+# constant term, so T12 and E61 raise at n = 3 and T13 at n = 2 and 3, once
+# per lambda each
+RAISING = (at_entry_3("second", _row_k0_plus_one), "T4b E32 T5 T7 T11a T11b T12 E61 T13 T13r T14 E66 E67")
+
+
+def test_a_raising_checker_fails_its_binding():
+    """A checker that raises a ValueError fails its binding; the sweep goes on."""
+    extend, expected = RAISING
+    with mutated("second", extend):
+        report = run_suite(MATRIX_GRID)
+    assert [r.id for r in report.results if r.fail_count] == expected.split()
+    raised = {r.id: [f for f in r.failures if f.lhs is None] for r in report.results}
+    assert {ident: len(fs) for ident, fs in raised.items() if fs} == {"T12": 3, "E61": 3, "T13": 6}
+    for failure in sum(raised.values(), []):
+        assert failure.rhs is None and not failure.passed
+        assert failure.note == "ValueError: logarithmic divergence: nonzero constant term"
+    # T13 fails only through its raise
+    t13 = next(r for r in report.results if r.id == "T13")
+    assert len(t13.failures) == len(raised["T13"])
+    doc = json.loads(_report_text(report))
+    failure = next(r for r in doc["results"] if r["id"] == "T12")["failures"][0]
+    assert failure["lhs"] is None and failure["rhs"] is None and failure["pass"] is False
+
+
+def test_a_raising_checker_fails_the_cli_check(tmp_path):
+    """check --all exits 1 and writes the whole report, raising bindings included."""
+    extend, _ = RAISING
+    out = tmp_path / "report.json"
+    argv = ["check", "--all", "--nmax", "8", "--rmax", "3", "--pmax", "4", "--lambdas", "1/2,-3/7,2",
+            "--order", "12", "--format", "json", "--output", str(out)]
+    with mutated("second", extend):
+        assert main(argv) == 1
+        want = _report_text(run_suite(MATRIX_GRID))
+    assert out.read_text(encoding="utf-8") == want
+
+
+# Poly and Series kernel -> (its mutant, the identities that must fail).  Each
+# mutant is wrong only past index 5, so it shows only where a polynomial or a
+# series reaches degree 6 or a dot product pairs a seventh term.
 KERNEL_MATRIX = {
     "Poly.__mul__": (mutate_poly_product, "T4a T4b T5 T6 T7 T11a T11b T13 T14"),
-    "poly_combination": (mutate_poly_combination, "T4a T4b T5 T6 T7 T11a T11b T12 E61 T13 T14"),
+    "_convolution": (mutate_convolution, "T1 T4a T4b T5 T6 T7 T11a T11b T13 T14 E66"),
+    # T1 negates its series through Poly's unary -, one poly_combination
+    "poly_combination": (mutate_poly_combination, "T1 T4a T4b T5 T6 T7 T11a T11b T12 E61 T13 T14"),
     "rational_dot": (mutate_rational_dot, "T2 T3 T4a T4b E32 T5 T6 T7 T8 T9 T10 E61 T13r T15"),
     "poly_int_over_t": (mutate_poly_int_over_t, "T12 E61 T13"),
 }

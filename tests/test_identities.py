@@ -393,10 +393,9 @@ class TestRationalDotGuard:
         assert all(r.fail_count == 0 and r.pass_count > 0 for r in honest.results)
 
         def drop_last(xs, ys, start=0):
-            xs = list(xs)
-            # ys is a Poly, a triangle row among them, paired from index start
-            paired = min(len(xs), len(ys.coeffs) - start)
-            return algebra.rational_dot(xs[: max(paired - 1, 0)], ys, start)
+            # both sides are Polys, ys a triangle row among them, paired from index start
+            paired = min(len(xs.coeffs), len(ys.coeffs) - start)
+            return algebra.rational_dot(Poly(xs.coeffs[: max(paired - 1, 0)]), ys, start)
 
         for module in (identities, sequences):
             monkeypatch.setattr(module, "rational_dot", drop_last)

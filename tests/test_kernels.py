@@ -17,7 +17,6 @@ from degenmath.algebra import (
     Poly,
     X,
     _frac,
-    _integer_numerators,
     _over_power,
     _poly,
     _rat,
@@ -262,6 +261,12 @@ def series_of(coeffs: list) -> Series:
     return Series(coeffs, len(coeffs) - 1)
 
 
+def lcm_form(cs) -> tuple[tuple[int, ...], int]:
+    """The Fractions cs as integers over the lcm of their denominators."""
+    d = lcm(*[c.denominator for c in cs])
+    return tuple(c.numerator * (d // c.denominator) for c in cs), d
+
+
 def exact_types(s: Series) -> list[type]:
     return [type(c) for c in s.coeffs]
 
@@ -408,7 +413,7 @@ class TestPolyForm:
         agree()
         nums, d = scaled._form
         assert d > 0 and (not nums or nums[-1] != 0) and gcd(d, *nums) == 1
-        assert (list(nums), d) == _integer_numerators(scaled.coeffs)
+        assert (nums, d) == lcm_form(scaled.coeffs)
         # with both forms derived, == reads the integer forms
         assert _scaled(built) == scaled._form
         _scaled(bumped)
@@ -447,28 +452,28 @@ class TestRationalDot:
     def test_matches_fraction_loop(self, xs, ys):
         # the Poly side pairs from each start; past its end it pairs nothing
         for start in range(len(ys) + 2):
-            got = rational_dot(iter(xs), Poly(ys), start)
+            got = rational_dot(Poly(xs), Poly(ys), start)
             assert got == ref_rational_dot(xs, ys[start:])
             assert type(got) is Fraction
 
     def test_empty_input_is_zero(self):
         for xs, ys in (([], []), ([], [Fraction(1, 3)]), ((Fraction(2, 5),), ())):
-            got = rational_dot(xs, Poly(ys))
+            got = rational_dot(Poly(xs), Poly(ys))
             assert got == 0 and type(got) is Fraction
 
     def test_pairs_like_zip(self):
         # the longer side's tail is ignored
-        assert rational_dot([2, Fraction(1, 3)], Poly([Fraction(1, 2), 3, Fraction(1, 10**9)])) == 2
-        assert rational_dot([Fraction(-1, 2)], Poly([4, 5, 6])) == -2
-        assert rational_dot([Fraction(-1, 2), 7], Poly([4, 5, 6]), 2) == -3
+        assert rational_dot(Poly([2, Fraction(1, 3)]), Poly([Fraction(1, 2), 3, Fraction(1, 10**9)])) == 2
+        assert rational_dot(Poly([Fraction(-1, 2)]), Poly([4, 5, 6])) == -2
+        assert rational_dot(Poly([Fraction(-1, 2), 7]), Poly([4, 5, 6]), 2) == -3
 
     def test_negative_start_is_refused(self):
         # it would pair the Poly side from its end
         with pytest.raises(ValueError, match="start must be >= 0"):
-            rational_dot([1], Poly([4, 5, 6]), -1)
+            rational_dot(Poly([1]), Poly([4, 5, 6]), -1)
 
     def test_cancellation_normalises(self):
-        got = rational_dot([Fraction(2, 3), Fraction(-1, 3)], Poly([Fraction(3, 4), Fraction(3, 2)]))
+        got = rational_dot(Poly([Fraction(2, 3), Fraction(-1, 3)]), Poly([Fraction(3, 4), Fraction(3, 2)]))
         assert got == 0 and got.denominator == 1
 
 
@@ -795,9 +800,9 @@ class TestTriangleStep:
     @example(n=40, lam=Fraction(31, 10**6 - 17))
     def test_row_form_is_the_canonical_scaling(self, kind, n, lam):
         row = TRIANGLES[kind][0](n, lam).rows[n]
-        rational_dot((), row)  # a kernel read derives the row's integer form
-        nums, d = _integer_numerators(row.coeffs)
-        assert row._form == (tuple(nums), d)
+        rational_dot(Poly(), row)  # a kernel read derives the row's integer form
+        nums, d = lcm_form(row.coeffs)
+        assert row._form == (nums, d)
         assert d > 0 and gcd(d, *nums) == 1 and nums[-1] != 0
 
     @pytest.mark.parametrize("kind", ["second", "first"])

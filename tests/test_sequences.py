@@ -667,7 +667,7 @@ class TestStore:
         for module in (sequences, algebra):
             for name in ("binom_poly", "dfact", "poly_combination", "rational_dot"):
                 monkeypatch.setattr(module, name, untouchable)
-        for name in ("gfact_falling", "_integer_numerators", "_cauchy_product"):
+        for name in ("gfact_falling", "_scaled", "_convolution"):
             monkeypatch.setattr(algebra, name, untouchable)
         monkeypatch.setattr(algebra, "_BINOMS", None)
         assert [dbernoulli_poly(n, lam) for n in range(13)] == oracle
@@ -690,7 +690,7 @@ class TestStore:
         for module in (sequences, algebra):
             for name in ("poly_combination", "rational_dot"):
                 monkeypatch.setattr(module, name, untouchable)
-        for name in ("poly_eval", "_integer_numerators"):
+        for name in ("poly_eval", "_scaled"):
             monkeypatch.setattr(algebra, name, untouchable)
         got = [(sequences.dbernoulli_value(n, lam, x0), sequences.deuler_value(n, lam, x0)) for n in range(25)]
         assert got == want
@@ -720,7 +720,7 @@ class TestStore:
         for name in ("dexp", "dlog"):  # the names sequences imports
             monkeypatch.setattr(sequences, name, untouchable)
         for module in (algebra, series):
-            for name in ("_integer_numerators", "_cauchy_product"):
+            for name in ("_scaled", "_convolution"):
                 monkeypatch.setattr(module, name, untouchable)
         for module in (algebra, sequences):
             monkeypatch.setattr(module, "poly_combination", untouchable)

@@ -3,7 +3,7 @@
 import operator
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,6 +49,10 @@ class TestConstruction:
             Series((1, X))
         with pytest.raises(TypeError):
             Series((Poly((2,)),), 0)
+        # a coefficient past the order is checked too, a float or a bool as a Poly
+        for bad in (X, 1.5, True):
+            with pytest.raises(TypeError):
+                Series((1, 2, bad), 1)
 
     @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
     def test_bool_scalar_is_refused(self, op):
@@ -154,7 +158,10 @@ class TestCompose:
     @pytest.mark.parametrize("a, b", [(-1, 0), (1, 1), (-1, 1), (1, -1), (-1, -1), (Fraction(2, 3), -1)])
     def test_unit_inners(self, a, b):
         inner = mobius_inner(Fraction(a), Fraction(b), 12)
-        assert series._mobius(inner) == (a, b)
+        # a and b as integers over their least common denominator
+        ai, bi, scale = series._mobius(inner)
+        assert (Fraction(ai, scale), Fraction(bi, scale)) == (a, b)
+        assert scale == lcm(Fraction(a).denominator, Fraction(b).denominator)
         for lam in INVERSION_LAMBDAS:
             outer = dlog(lam, 12)
             assert ser_compose(outer, inner) == hand_horner(outer, inner)
